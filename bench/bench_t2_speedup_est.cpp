@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper shape: speed-up grows with the EST search space\n"
                "(10.0x at 42.8 Mbp^2 up to 28.8x at 1021 Mbp^2). At reduced\n"
                "scale with a substrate-matched baseline the effect lives in\n"
-               "the search-stage column; see EXPERIMENTS.md.\n";
+               "the search-stage column; see perfbench/README.md,\n"
+               "\"First traced numbers\".\n";
   return 0;
 }

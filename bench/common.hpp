@@ -1,7 +1,8 @@
 // Shared infrastructure for the table/figure reproduction harnesses.
 //
 // Each bench binary regenerates one artefact of the paper's evaluation
-// (see DESIGN.md section 4).  They all accept:
+// (its section 3; perfbench/README.md, "First traced numbers", records
+// the measured shape against the paper's).  They all accept:
 //   --scale S    bank scale relative to the paper's Mbp (default 0.05)
 //   --seed N     universe seed (default 42)
 //   --threads N  worker threads (default 1)

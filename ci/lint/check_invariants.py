@@ -4,8 +4,9 @@
 Generic tools (clang-tidy, -Wthread-safety) cannot see the contracts
 that make scoris correct: the wire-protocol tag tables must match the
 docs, the store format must keep every section CRC-framed, the whole
-tree must lock through the annotated util::Mutex wrappers, and the
-deterministic pipeline must never read a wall clock or a PRNG.  Each
+tree must lock through the annotated util::Mutex wrappers, the
+deterministic pipeline must never read a wall clock or a PRNG, and the
+README's CLI flag table must match the flat form's flag table.  Each
 rule below failed-fast on a real class of past or near-miss defect;
 see docs/STATIC_ANALYSIS.md for the rationale per rule.
 
@@ -233,12 +234,92 @@ def check_fuzz_corpora() -> None:
                    f"fuzz/corpus/{name}/")
 
 
+# --------------------------------------------------------------------------
+# R6 — the README `## CLI` flag table lists exactly the flat form's flags.
+# The flat form's rows live in `flat_form()` in src/cli/cli.cpp, partly
+# through shared row helpers (`session_flags(c)`, `help_flag(c.help)`,
+# ...), which are followed into their own bodies.  A flag added to the
+# table without a README row is undocumented; a README row whose flag
+# the parser rejects is docs rot.
+# --------------------------------------------------------------------------
+
+CLI = SRC / "cli" / "cli.cpp"
+R6_ROW = re.compile(
+    r'\b(?:on|off|boolean|number|text|address)\(\s*"([a-z0-9-]+)"'
+    r'|\{"([a-z0-9-]+)",\s*Kind::')
+R6_HELPER = re.compile(r"\b(\w+_flags?)\(")
+
+
+def function_body(text: str, name: str) -> tuple[str, int] | None:
+    """Body of the row-returning function `name` in cli.cpp, plus the
+    line its definition starts on."""
+    m = re.search(r"^(?:Flag|Form|std::vector<Flag>) " + re.escape(name)
+                  + r"\(", text, re.M)
+    if not m:
+        return None
+    start = text.index("{", m.end())
+    depth = 0
+    for i in range(start, len(text)):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        if depth == 0:
+            return text[start:i + 1], text.count("\n", 0, m.start()) + 1
+    return None
+
+
+def flat_form_flags(text: str, name: str = "flat_form",
+                    seen: set[str] | None = None) -> dict[str, int]:
+    seen = set() if seen is None else seen
+    seen.add(name)
+    found = function_body(text, name)
+    if found is None:
+        return {}
+    body, lineno = found
+    flags: dict[str, int] = {}
+    for m in R6_ROW.finditer(body):
+        line = lineno + body.count("\n", 0, m.start())
+        flags.setdefault(m.group(1) or m.group(2), line)
+    for m in R6_HELPER.finditer(body):
+        if m.group(1) not in seen:
+            for flag, line in flat_form_flags(text, m.group(1), seen).items():
+                flags.setdefault(flag, line)
+    return flags
+
+
+def check_readme_cli_sync() -> None:
+    code = flat_form_flags(CLI.read_text())
+    if not code:
+        report("R6-cli-table-missing", CLI, 1,
+               "cannot find the flat-form flag table (flat_form)")
+        return
+    readme = REPO / "README.md"
+    documented: dict[str, int] = {}
+    in_cli = False
+    for lineno, line in enumerate(readme.read_text().splitlines(), 1):
+        if line.startswith("## "):
+            in_cli = line.strip() == "## CLI"
+        elif in_cli and line.startswith("| `--"):
+            first_cell = line.split("|")[1]
+            for flag in re.findall(r"`--([a-z0-9-]+)", first_cell):
+                documented.setdefault(flag, lineno)
+    for flag, line in sorted(code.items()):
+        if flag not in documented:
+            report("R6-cli-flag-undocumented", CLI, line,
+                   f"flat-form flag --{flag} has no row in the README "
+                   f"'## CLI' flag table")
+    for flag, line in sorted(documented.items()):
+        if flag not in code:
+            report("R6-cli-flag-stale-doc", readme, line,
+                   f"README '## CLI' documents --{flag}, which the flat "
+                   f"form does not accept")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
     check_annotated_locking_only()
     check_deterministic_paths()
     check_fuzz_corpora()
+    check_readme_cli_sync()
     if violations:
         for v in violations:
             print(v)

@@ -35,7 +35,7 @@
 #include <optional>
 #include <string>
 
-#include "api/hit_sink.hpp"
+#include "core/hit_sink.hpp"
 #include "core/options.hpp"
 #include "core/pipeline.hpp"
 #include "index/bank_index.hpp"

@@ -13,7 +13,7 @@
 #include <iosfwd>
 #include <utility>
 
-#include "api/hit_sink.hpp"
+#include "core/hit_sink.hpp"
 #include "core/pipeline.hpp"
 
 namespace scoris {

@@ -1,19 +1,23 @@
 #include "cli/cli.hpp"
 
-#include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iomanip>
 #include <iostream>
 #include <optional>
 #include <ostream>
-#include <string>
-#include <vector>
-
-#include <atomic>
-#include <csignal>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "align/simd/kernel_dispatch.hpp"
 #include "api/session.hpp"
@@ -40,170 +44,359 @@ namespace {
 
 constexpr const char* kVersion = "scoris 0.1.0 (SCORIS-N, Lavenier'08 ORIS)";
 
-/// Flags the flat compare driver understands; anything else is a usage
-/// error.
-const std::vector<std::string>& known_flags() {
-  static const std::vector<std::string> kKnown = {
-      "bank1",   "bank2",      "out",   "w",       "threads",
-      "strand",  "evalue",     "dust",  "no-dust", "asymmetric",
-      "s1",      "stats",      "help",  "version", "shards",
-      "schedule", "memory-budget-mb", "delivery-budget-kb", "tmp-dir",
-      "trace-json", "force-scalar", "kernel",
-      "workers", "worker-timeout-ms", "dist-slices",
-  };
-  return kKnown;
-}
+/// .scix artifacts cap W at 13 (int32 chains), below the flat form's 14.
+constexpr int kMaxArtifactW = 13;
 
-const std::vector<std::string>& known_search_flags() {
-  static const std::vector<std::string> kKnown = {
-      "index",   "bank2",  "out",     "w",
-      "threads", "strand", "evalue",  "dust",
-      "no-dust", "asymmetric", "s1",  "stats",
-      "memory-budget-mb", "help",     "shards",
-      "schedule", "delivery-budget-kb", "tmp-dir",
-      "trace-json", "force-scalar",
-      "workers", "worker-timeout-ms", "dist-slices",
-  };
-  return kKnown;
-}
+// ---- Flag tables ----------------------------------------------------------
+//
+// Every form declares its flags once, as rows of a table.  One routine
+// reads the rows to reject unknown flags, parse and range-check values,
+// enforce required and positional arguments, and print --help.
 
-const std::vector<std::string>& known_index_flags() {
-  static const std::vector<std::string> kKnown = {
-      "bank", "out", "w", "dust", "no-dust", "stats", "help",
-  };
-  return kKnown;
-}
+/// How a flag's value is read.
+enum class Kind {
+  kSwitch,    ///< bare `--name`; an attached value must spell a boolean
+  kClear,     ///< a switch that sets its target false (`--no-dust`)
+  kBool,      ///< `--name true|false`
+  kInt,       ///< integer in [lo, hi], checked through core::check_range
+  kDouble,    ///< strict number; Options::validate() checks its range
+  kString,    ///< taken verbatim
+  kEndpoint,  ///< host:port, [v6]:port or unix:/path
+  kLogLevel,  ///< error | warn | info | debug
+};
 
-const std::vector<std::string>& known_serve_flags() {
-  static const std::vector<std::string> kKnown = {
-      "index",   "listen", "max-clients", "backlog",
-      "w",       "threads", "strand",     "evalue",
-      "dust",    "no-dust", "asymmetric", "s1",
-      "shards",  "schedule", "memory-budget-mb",
-      "delivery-budget-kb", "tmp-dir",    "help",
-      "log-level", "log-file",
-  };
-  return kKnown;
-}
+/// The config field a flag's value lands in.
+using Target = std::variant<bool*, int*, std::size_t*, double*, std::string*,
+                            net::Endpoint*>;
 
-const std::vector<std::string>& known_query_flags() {
-  static const std::vector<std::string> kKnown = {
-      "connect", "bank2", "out", "strand", "stats", "help",
-      "retry", "retry-backoff-ms",
-  };
-  return kKnown;
-}
+/// One table row.  Build rows with the factories below, which pair each
+/// kind with a target of the right type.
+struct Flag {
+  const char* name;
+  Kind kind;
+  Target target;
+  const char* arg;   ///< value placeholder in --help; "" for switches
+  const char* help;  ///< --help text; '\n' starts an indented line
+  std::int64_t lo = 0;  ///< kInt range, inclusive
+  std::int64_t hi = 0;
+  bool is_required = false;
+  int slot = -1;            ///< see positional()
+  bool ends_parse = false;  ///< when set, nothing else is checked
 
-const std::vector<std::string>& known_worker_flags() {
-  static const std::vector<std::string> kKnown = {
-      "listen", "threads", "backlog", "max-jobs",
-      "log-level", "log-file", "help",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_stats_flags() {
-  static const std::vector<std::string> kKnown = {
-      "connect", "help",
-  };
-  return kKnown;
-}
-
-bool parse_worker_list(const std::string& spec,
-                       std::vector<net::Endpoint>& workers,
-                       std::ostream& err);
-
-/// Load a bank from FASTA, or from the binary .scob format when the path
-/// ends in ".scob".
-seqio::SequenceBank load_bank(const std::string& path) {
-  if (path.size() > 5 && path.compare(path.size() - 5, 5, ".scob") == 0) {
-    return seqio::load_bank_file(path);
+  [[nodiscard]] Flag required() const {
+    Flag f = *this;
+    f.is_required = true;
+    return f;
   }
-  return seqio::read_fasta_file(path);
-}
-
-/// Strict numeric flag parsing: Args::get_int/get_double silently fall back
-/// on unparsable text, which would let a typo like `--evalue 1e-3x` run with
-/// the default. Reject instead, and range-check before narrowing so huge
-/// values cannot wrap into the valid range.  The range check goes through
-/// core::check_range — the same helper Options::validate() uses — so the
-/// CLI and the library reject with identical diagnostics.
-bool parse_int_flag(const util::Args& args, const std::string& name,
-                    std::int64_t lo, std::int64_t hi, int& value,
-                    std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::optional<std::int64_t> v = args.get_int_strict(name);
-  if (!v) {
-    err << "error: --" << name << " expects an integer, got '"
-        << args.get(name) << "'\n";
-    return false;
+  /// Required, given either as the flag or as positional argument
+  /// `index` (all of a form's positional rows at once, or none).
+  [[nodiscard]] Flag positional(int index) const {
+    Flag f = required();
+    f.slot = index;
+    return f;
   }
-  if (const auto issue = core::check_range(name, *v, lo, hi)) {
-    err << "error: " << issue->message << '\n';
-    return false;
+  [[nodiscard]] Flag stops() const {
+    Flag f = *this;
+    f.ends_parse = true;
+    return f;
   }
-  value = static_cast<int>(*v);
-  return true;
+};
+
+Flag on(const char* name, bool& target, const char* help) {
+  return {name, Kind::kSwitch, &target, "", help};
+}
+Flag off(const char* name, bool& target, const char* help) {
+  return {name, Kind::kClear, &target, "", help};
+}
+Flag boolean(const char* name, bool& target, const char* help) {
+  return {name, Kind::kBool, &target, "BOOL", help};
+}
+template <typename Int>  // int or std::size_t
+Flag number(const char* name, const char* arg, Int& target, std::int64_t lo,
+            std::int64_t hi, const char* help) {
+  return {name, Kind::kInt, &target, arg, help, lo, hi};
+}
+Flag number(const char* name, const char* arg, double& target,
+            const char* help) {
+  return {name, Kind::kDouble, &target, arg, help};
+}
+Flag text(const char* name, const char* arg, std::string& target,
+          const char* help) {
+  return {name, Kind::kString, &target, arg, help};
+}
+Flag address(const char* name, net::Endpoint& target, const char* help) {
+  return {name, Kind::kEndpoint, &target, "ADDR", help};
 }
 
-bool parse_size_flag(const util::Args& args, const std::string& name,
-                     int lo, int hi, std::size_t& value, std::ostream& err) {
-  if (!args.has(name)) return true;
-  int v = 0;
-  if (!parse_int_flag(args, name, lo, hi, v, err)) return false;
-  value = static_cast<std::size_t>(v);
-  return true;
-}
+/// One entry form: its synopsis, description and flag table.
+struct Form {
+  const char* usage;  ///< synopsis lines, each printed after the program
+  const char* about;  ///< what the form does, for --help
+  std::vector<Flag> flags;
+  /// Cross-flag checks, run once every value is read; false = usage error.
+  std::function<bool(std::ostream&)> check = {};
+};
 
-bool parse_double_flag(const util::Args& args, const std::string& name,
-                       double& value, std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::optional<double> v = args.get_double_strict(name);
-  if (!v) {
-    err << "error: --" << name << " expects a number, got '" << args.get(name)
-        << "'\n";
-    return false;
+std::vector<Flag> concat(std::initializer_list<std::vector<Flag>> parts) {
+  std::vector<Flag> all;
+  for (const std::vector<Flag>& part : parts) {
+    all.insert(all.end(), part.begin(), part.end());
   }
-  value = *v;
-  return true;
+  return all;
 }
 
-/// Args greedily binds `--flag token` even for boolean flags, so
-/// `scoris --stats a.fa b.fa` would silently swallow `a.fa`. Catch any
-/// value that is not a boolean spelling and say what happened.
-bool check_boolean_flag(const util::Args& args, const std::string& name,
-                        std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::string raw = args.get(name);
-  if (raw == "true" || raw == "false" || raw == "1" || raw == "0" ||
-      raw == "yes" || raw == "no") {
-    return true;
+std::vector<std::string> lines_of(const char* text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void print_usage(const Form& form, const std::string& program,
+                 std::ostream& os) {
+  const char* lead = "usage: ";
+  for (const std::string& line : lines_of(form.usage)) {
+    os << lead << program << ' ' << line << '\n';
+    lead = "       ";
   }
-  err << "error: --" << name << " does not take a value (got '" << raw
-      << "'); place boolean flags after the banks or write --" << name
-      << "=true\n";
-  return false;
+  os << '\n' << form.about << "\n\noptions:\n";
+  constexpr std::size_t kHelpColumn = 18;
+  for (const Flag& flag : form.flags) {
+    std::string head = std::string("  --") + flag.name;
+    if (*flag.arg != '\0') head += std::string(" ") + flag.arg;
+    head.append(head.size() + 2 < kHelpColumn ? kHelpColumn - head.size() : 2,
+                ' ');
+    for (const std::string& line : lines_of(flag.help)) {
+      os << head << line << '\n';
+      head.assign(kHelpColumn, ' ');
+    }
+  }
 }
 
-bool reject_unknown_flags(const util::Args& args,
-                          const std::vector<std::string>& known,
-                          std::ostream& err) {
+bool is_switch(Kind kind) {
+  return kind == Kind::kSwitch || kind == Kind::kClear || kind == Kind::kBool;
+}
+
+/// Read one valued (non-switch) flag into its target.
+bool read_value(const util::Args& args, const Flag& flag, std::ostream& err) {
+  const std::string raw = args.get(flag.name);
+  switch (flag.kind) {
+    case Kind::kInt: {
+      // Strict: Args::get_int silently falls back on unparsable text, and
+      // the range check runs before narrowing so huge values cannot wrap
+      // into range.  core::check_range is the helper Options::validate()
+      // uses, so the CLI and the library reject with identical wording.
+      const std::optional<std::int64_t> v = args.get_int_strict(flag.name);
+      if (!v) {
+        err << "error: --" << flag.name << " expects an integer, got '" << raw
+            << "'\n";
+        return false;
+      }
+      if (const auto issue = core::check_range(flag.name, *v, flag.lo,
+                                               flag.hi)) {
+        err << "error: " << issue->message << '\n';
+        return false;
+      }
+      if (int* const* i = std::get_if<int*>(&flag.target)) {
+        **i = static_cast<int>(*v);
+      } else {
+        *std::get<std::size_t*>(flag.target) = static_cast<std::size_t>(*v);
+      }
+      return true;
+    }
+    case Kind::kDouble: {
+      const std::optional<double> v = args.get_double_strict(flag.name);
+      if (!v) {
+        err << "error: --" << flag.name << " expects a number, got '" << raw
+            << "'\n";
+        return false;
+      }
+      *std::get<double*>(flag.target) = *v;
+      return true;
+    }
+    case Kind::kEndpoint:
+      try {
+        *std::get<net::Endpoint*>(flag.target) = net::parse_endpoint(raw);
+      } catch (const net::NetError& e) {
+        err << "error: " << e.what() << '\n';
+        return false;
+      }
+      return true;
+    case Kind::kLogLevel:
+      if (raw.empty()) return true;  // keep the default
+      if (!obs::parse_log_level(raw)) {
+        err << "error: --" << flag.name
+            << " must be error, warn, info, or debug (got '" << raw << "')\n";
+        return false;
+      }
+      *std::get<std::string*>(flag.target) = raw;
+      return true;
+    case Kind::kString:
+      *std::get<std::string*>(flag.target) = raw;
+      return true;
+    default:
+      return true;  // switches are read before any valued flag
+  }
+}
+
+/// Parse argv (argv[0] is the program or the subcommand token) into the
+/// targets of `form`'s rows.  On error, writes a one-line diagnostic to
+/// `err` and returns false.
+bool parse_form(const Form& form, int argc, const char* const* argv,
+                std::ostream& err) {
+  const util::Args args = util::Args::parse(argc, argv);
   for (const std::string& name : args.flag_names()) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
+    bool known = false;
+    for (const Flag& flag : form.flags) known |= name == flag.name;
+    if (!known) {
       err << "error: unknown flag --" << name << '\n';
       return false;
     }
   }
-  return true;
+
+  // Switches first: Args greedily binds `--flag token`, so `scoris --stats
+  // a.fa b.fa` would silently swallow a.fa.  Catch any value that is not a
+  // boolean spelling and say what happened.
+  bool stop = false;
+  for (const Flag& flag : form.flags) {
+    if (!is_switch(flag.kind) || !args.has(flag.name)) continue;
+    const std::string raw = args.get(flag.name);
+    if (raw != "true" && raw != "false" && raw != "1" && raw != "0" &&
+        raw != "yes" && raw != "no") {
+      if (flag.kind == Kind::kBool) {
+        err << "error: --" << flag.name << " expects true or false (got '"
+            << raw << "')\n";
+      } else {
+        err << "error: --" << flag.name << " does not take a value (got '"
+            << raw << "'); place boolean flags after the banks or write --"
+            << flag.name << "=true\n";
+      }
+      return false;
+    }
+    const bool value = args.get_flag(flag.name);
+    if (flag.kind != Kind::kClear) {
+      *std::get<bool*>(flag.target) = value;
+    } else if (value) {
+      *std::get<bool*>(flag.target) = false;
+    }
+    stop |= flag.ends_parse && value;
+  }
+  if (stop) return true;
+
+  std::string slot_names;
+  std::string required_names;
+  std::size_t slots = 0;
+  std::size_t required = 0;
+  bool slot_named = false;
+  for (const Flag& flag : form.flags) {
+    if (flag.slot >= 0) {
+      slot_names += (slots++ == 0 ? "--" : "/--") + std::string(flag.name);
+      slot_named |= !args.get(flag.name).empty();
+    }
+    if (flag.is_required) {
+      required_names +=
+          (required++ == 0 ? "--" : " and --") + std::string(flag.name);
+    }
+  }
+  const std::vector<std::string>& positional = args.positional();
+  const bool by_position = !positional.empty();
+  if (by_position && slots == 0) {
+    err << "error: " << args.program()
+        << " takes no positional arguments, got '" << positional[0] << "'\n";
+    return false;
+  }
+  if (by_position && (slot_named || positional.size() != slots)) {
+    err << "error: give " << slot_names << " either as flags or as " << slots
+        << " positional argument(s), not " << positional.size()
+        << (slot_named ? " besides the flags\n" : "\n");
+    return false;
+  }
+  for (const Flag& flag : form.flags) {
+    const bool filled = by_position && flag.slot >= 0;
+    if (flag.is_required && !filled && args.get(flag.name).empty()) {
+      err << "error: " << (required > 1 ? "both " : "") << required_names
+          << (required > 1 ? " are" : " is") << " required\n";
+      return false;
+    }
+  }
+
+  for (const Flag& flag : form.flags) {
+    if (by_position && flag.slot >= 0) {
+      *std::get<std::string*>(flag.target) =
+          positional[static_cast<std::size_t>(flag.slot)];
+    } else if (!is_switch(flag.kind) && args.has(flag.name) &&
+               !read_value(args, flag, err)) {
+      return false;
+    }
+  }
+  return !form.check || form.check(err);
 }
+
+// ---- The forms ------------------------------------------------------------
+
+/// What `scoris index` parsed.  (Stride-subsampled payloads exist in the
+/// .scix format for the library API, but the CLI always builds stride-1
+/// indexes — the only stride `search` consumes for the bank1 side.)
+struct IndexConfig {
+  std::string bank_path;
+  std::string out_path;
+  int w = 11;
+  bool dust = true;
+  bool stats = false;
+  bool help = false;
+};
+
+/// What both daemons (serve, worker) parsed: where they listen and how
+/// they log.
+struct DaemonConfig {
+  net::Endpoint endpoint;          ///< parsed --listen
+  int backlog = 16;                ///< kernel accept-queue bound
+  std::string log_level = "info";  ///< error | warn | info | debug
+  std::string log_file;  ///< structured-log path; empty = error stream
+  bool help = false;
+};
+
+/// What `scoris serve` parsed: a search configuration (same fields,
+/// flags and validation as `scoris search`) plus daemon knobs.
+struct ServeConfig : DaemonConfig {
+  CliConfig search;
+  std::size_t max_clients = 4;  ///< concurrent admitted connections
+};
+
+/// What `scoris query` parsed.
+struct QueryConfig {
+  net::Endpoint endpoint;  ///< parsed --connect
+  std::string bank2_path;
+  std::string out_path;  ///< empty = stdout
+  std::string strand;    ///< empty = server default; plus|minus|both
+  bool stats = false;    ///< print the DONE summary to stderr
+  /// Retry a BUSY admission refusal up to this many times with capped
+  /// exponential backoff (net::RetryPolicy — the same policy the
+  /// distributed coordinator re-dials workers with).  0 = fail fast.
+  int retry = 0;
+  int retry_backoff_ms = 100;  ///< delay before the first retry
+  bool help = false;
+};
+
+/// What `scoris worker` parsed.
+struct WorkerConfig : DaemonConfig {
+  int threads = 1;           ///< engine threads per job
+  std::size_t max_jobs = 2;  ///< concurrent coordinator connections
+};
+
+/// What `scoris stats` parsed.
+struct StatsConfig {
+  net::Endpoint endpoint;  ///< parsed --connect
+  bool help = false;
+};
 
 /// Map a parsed CliConfig onto core::Options and validate.  Options::
 /// validate() (plus set_strand/set_schedule for the name-to-enum maps)
 /// is the single source of truth for what is legal, so the CLI rejects
 /// exactly what Session's constructor would reject — every diagnostic is
 /// printed as "error: <message>" and the caller exits 2.
-bool build_options(const CliConfig& config, core::Options& options,
-                   std::ostream& err) {
+bool build_options(CliConfig& config, std::ostream& err) {
+  core::Options& options = config.options;
   options = core::Options{};
   options.w = config.w;
   options.threads = config.threads;
@@ -225,74 +418,282 @@ bool build_options(const CliConfig& config, core::Options& options,
   };
   report(core::set_strand(options, config.strand));
   report(core::set_schedule(options, config.schedule));
-  for (const core::OptionIssue& issue : options.validate()) {
-    err << "error: " << issue.message << '\n';
-    ok = false;
-  }
+  for (const core::OptionIssue& issue : options.validate()) report(issue);
   return ok;
 }
 
-/// Flags shared by the flat compare form and `scoris search`.  Numeric
-/// values are parsed strictly (and range-checked through the same
-/// core::check_range the library validator uses); names and the
-/// assembled option set are validated by build_options afterwards.
-bool parse_search_options(const util::Args& args, CliConfig& config,
-                          std::ostream& err) {
-  config.out_path = args.get("out");
-  if (!parse_int_flag(args, "w", core::Options::kMinW, core::Options::kMaxW,
-                      config.w, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "threads", core::Options::kMinThreads,
-                      core::Options::kMaxThreads, config.threads, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "s1", 0, core::Options::kMaxHspScore,
-                      config.min_hsp_score, err)) {
-    return false;
-  }
-  if (!parse_double_flag(args, "evalue", config.max_evalue, err)) return false;
-
-  config.strand = args.get("strand", config.strand);
-  if (!parse_size_flag(args, "shards", 0,
-                       static_cast<int>(core::Options::kMaxShards),
-                       config.shards, err)) {
-    return false;
-  }
-  config.schedule = args.get("schedule", config.schedule);
-  if (!parse_size_flag(args, "memory-budget-mb", 1, 1 << 20,
-                       config.memory_budget_mb, err)) {
-    return false;
-  }
-  if (!parse_size_flag(args, "delivery-budget-kb", 1, 1 << 20,
-                       config.delivery_budget_kb, err)) {
-    return false;
-  }
-  config.tmp_dir = args.get("tmp-dir");
-  config.trace_json_path = args.get("trace-json");
-
-  config.workers = args.get("workers");
-  if (!parse_int_flag(args, "worker-timeout-ms", 1, 1 << 30,
-                      config.worker_timeout_ms, err)) {
-    return false;
-  }
-  if (!parse_size_flag(args, "dist-slices", 0, 1 << 20, config.dist_slices,
-                       err)) {
-    return false;
-  }
-
-  config.dust = args.get_flag("dust", true);
-  if (args.get_flag("no-dust")) config.dust = false;
-  config.asymmetric = args.get_flag("asymmetric");
-  config.force_scalar = args.get_flag("force-scalar");
-  config.stats = args.get_flag("stats");
-
-  return build_options(config, config.options, err);
+Flag help_flag(bool& help) {
+  return on("help", help, "show this message and exit").stops();
 }
 
-void print_stats(std::ostream& err, const core::PipelineStats& s,
-                 std::size_t alignments) {
-  err << "scoris: " << alignments << " alignments, " << s.hit_pairs
+/// How the reference is indexed and searched: shared by the flat form,
+/// `search` and `serve`.
+std::vector<Flag> session_flags(CliConfig& c) {
+  using core::Options;
+  return {
+      number("w", "N", c.w, Options::kMinW, Options::kMaxW,
+             "seed length, 4..14 (default 11); must match\n"
+             "the artifact when searching a .scix"),
+      number("threads", "N", c.threads, Options::kMinThreads,
+             Options::kMaxThreads, "worker threads for steps 2-3 (default 1)"),
+      number("shards", "N", c.shards, 0,
+             static_cast<std::int64_t>(Options::kMaxShards),
+             "step-2 seed-code shards per strand/slice group\n"
+             "(default 0 = auto; output-invariant)"),
+      text("schedule", "S", c.schedule,
+           "shard scheduler: stealing (default) or static"),
+      text("strand", "S", c.strand,
+           "plus (default, paper's -S 1), minus, or both"),
+      number("evalue", "E", c.max_evalue, "e-value cutoff (default 1e-3)"),
+      boolean("dust", c.dust,
+              "low-complexity filter (default true); must\n"
+              "match the artifact when searching a .scix"),
+      off("no-dust", c.dust, "shorthand for --dust false"),
+      on("asymmetric", c.asymmetric,
+         "10-nt words, stride-2 index on bank2 (a .scix\n"
+         "must hold a w=10 payload)"),
+      number("s1", "SCORE", c.min_hsp_score, 0, Options::kMaxHspScore,
+             "minimum HSP raw score (default 25)"),
+      number("memory-budget-mb", "N", c.memory_budget_mb, 1, 1 << 20,
+             "stream bank2 in slices under N MB of\n"
+             "index memory (default: no slicing)"),
+      number("delivery-budget-kb", "N", c.delivery_budget_kb, 1, 1 << 20,
+             "bound the multi-group merge's output\n"
+             "buffering to N KB; sorted group runs spill to\n"
+             "temp files over it (default: unbounded)"),
+      text("tmp-dir", "DIR", c.tmp_dir,
+           "directory for spill-run temp files (default:\n"
+           "the system temp directory)"),
+  };
+}
+
+/// Where a one-shot comparison's results and diagnostics go, and who
+/// computes it: shared by the flat form and `search`.
+std::vector<Flag> run_flags(CliConfig& c) {
+  return {
+      text("out", "FILE", c.out_path,
+           "write m8 output to FILE (default: stdout)"),
+      text("trace-json", "FILE", c.trace_json_path,
+           "write per-stage spans (index/scan/gapped/\n"
+           "merge) as Chrome trace_event JSON to FILE"),
+      text("workers", "LIST", c.workers,
+           "comma-separated `scoris worker` endpoints\n"
+           "(host:port or unix:/path); distribute plan\n"
+           "groups over them, byte-identical output"),
+      number("worker-timeout-ms", "N", c.worker_timeout_ms, 1, 1 << 30,
+             "per-worker connect deadline and recv\n"
+             "silence bound (default 30000)"),
+      number("dist-slices", "N", c.dist_slices, 0, 1 << 20,
+             "minimum bank2 slices when distributing\n"
+             "(default 0 = auto; output-invariant)"),
+      on("force-scalar", c.force_scalar,
+         "pin step 2 to the scalar match-run kernel\n"
+         "instead of the best SIMD one (output-invariant;\n"
+         "for A/B timing)"),
+      on("stats", c.stats, "print per-step statistics to stderr"),
+  };
+}
+
+Flag bank2_flag(CliConfig& c) {
+  return text("bank2", "FILE", c.bank2_path,
+              "subject-side bank (m8 sseqid column)")
+      .required();
+}
+
+Flag connect_flag(net::Endpoint& endpoint) {
+  return address("connect", endpoint,
+                 "host:port or unix:/path, as given to --listen")
+      .required();
+}
+
+/// Where a daemon listens and how it logs: shared by serve and worker.
+std::vector<Flag> daemon_flags(DaemonConfig& c) {
+  return {address("listen", c.endpoint,
+                  "host:port (port 0 = ephemeral, real port in the\n"
+                  "ready line) or unix:/path/to.sock")
+              .required(),
+          number("backlog", "N", c.backlog, 1, 1 << 12,
+                 "kernel accept-queue bound (default 16)"),
+          {"log-level", Kind::kLogLevel, &c.log_level, "L",
+           "error, warn, info (default), or debug"},
+          text("log-file", "FILE", c.log_file,
+               "append structured logs to FILE (default: the\n"
+               "error stream)")};
+}
+
+Form flat_form(CliConfig& c) {
+  return {"--bank1 <a.fa> --bank2 <b.fa> [options]\n"
+          "<a.fa> <b.fa> [options]\n"
+          "index --bank <ref.fa> --out <ref.scix>\n"
+          "search --index <ref.scix> --bank2 <b.fa> [options]\n"
+          "serve --index <ref.scix> --listen <addr>\n"
+          "query --connect <addr> --bank2 <b.fa>\n"
+          "stats --connect <addr>\n"
+          "worker --listen <addr>",
+          "Compare two DNA banks with the ORIS pipeline and write BLAST -m 8\n"
+          "tabular output. Banks are FASTA files (or binary .scob banks);\n"
+          "`index`/`search` prebuild and reuse a .scix bank+index artifact\n"
+          "(see `scoris index --help`).",
+          concat({{text("bank1", "FILE", c.bank1_path,
+                        "query-side bank (m8 qseqid column)")
+                       .positional(0),
+                   bank2_flag(c).positional(1)},
+                  session_flags(c),
+                  run_flags(c),
+                  {on("kernel", c.kernel_probe,
+                      "print the match-run kernel this machine\n"
+                      "dispatches to (scalar/sse4.1/avx2) and exit")
+                       .stops(),
+                   help_flag(c.help),
+                   on("version", c.version, "show version and exit").stops()}}),
+          [&c](std::ostream& err) { return build_options(c, err); }};
+}
+
+Form search_form(CliConfig& c) {
+  return {"search --index <ref.scix> --bank2 <b.fa> [options]",
+          "Compare a prebuilt .scix artifact (the bank1/query side) against a\n"
+          "FASTA/.scob bank. Output is byte-identical to the flat invocation\n"
+          "on the artifact's source FASTA when the settings match. With\n"
+          "--workers, workers load the .scix from their own filesystem\n"
+          "(shared path required).",
+          concat({{text("index", "FILE", c.index_path,
+                        ".scix artifact built by `scoris index`")
+                       .required(),
+                   bank2_flag(c)},
+                  session_flags(c),
+                  run_flags(c),
+                  {help_flag(c.help)}}),
+          [&c](std::ostream& err) {
+            if (!build_options(c, err)) return false;
+            // The flat form's W=14 can never match a payload, so reject
+            // it as the usage error it is — except under --asymmetric,
+            // where the effective word length is 10.
+            if (c.w > kMaxArtifactW && !c.asymmetric) {
+              err << "error: --w must be <= 13 for search (.scix artifacts "
+                     "cap W at 13)\n";
+              return false;
+            }
+            return true;
+          }};
+}
+
+Form index_form(IndexConfig& c) {
+  return {"index --bank <ref.fa> --out <ref.scix> [options]",
+          "Build a persistent .scix artifact: the bank (2-bit packed) plus a\n"
+          "precomputed seed index, loadable by `scoris search` without\n"
+          "re-parsing FASTA or re-scanning a single sequence.",
+          {text("bank", "FILE", c.bank_path,
+                "bank to index (FASTA or .scob; also positional)")
+               .positional(0),
+           text("out", "FILE", c.out_path, "artifact path to create (required)")
+               .required(),
+           number("w", "N", c.w, core::Options::kMinW, kMaxArtifactW,
+                  "seed length, 4..13 (default 11; use 10 for\n"
+                  "searches that will run --asymmetric)"),
+           boolean("dust", c.dust,
+                   "DUST-mask before indexing (default true); the\n"
+                   "search must use the same setting"),
+           off("no-dust", c.dust, "shorthand for --dust false"),
+           on("stats", c.stats, "print a build summary to stderr"),
+           help_flag(c.help)}};
+}
+
+Form serve_form(ServeConfig& c) {
+  return {"serve --index <ref.scix> --listen <addr> [options]",
+          "Run the scorisd daemon: prepare the reference once, then answer\n"
+          "FASTA queries from concurrent network clients over one shared\n"
+          "immutable session (see docs/API.md for the wire protocol).\n"
+          "Prints `listening on <addr>` to stderr when ready; SIGINT or\n"
+          "SIGTERM drains in-flight queries and exits 0.",
+          concat({{text("index", "FILE", c.search.index_path,
+                        "reference: .scix artifact, .scob bank, or FASTA")
+                       .required()},
+                  daemon_flags(c),
+                  {number("max-clients", "N", c.max_clients, 1, 1 << 10,
+                          "concurrent admitted connections (default 4);\n"
+                          "excess connections get a BUSY frame")},
+                  session_flags(c.search),
+                  {help_flag(c.help)}}),
+          [&c](std::ostream& err) { return build_options(c.search, err); }};
+}
+
+Form query_form(QueryConfig& c) {
+  return {"query --connect <addr> --bank2 <b.fa> [options]",
+          "Send one bank to a running `scoris serve` daemon and stream the\n"
+          "m8 result to stdout (or --out). Exits 1 if the server is busy,\n"
+          "unreachable, or reports a query error.",
+          {connect_flag(c.endpoint),
+           text("bank2", "FILE", c.bank2_path,
+                "subject-side bank (FASTA or .scob)")
+               .required(),
+           text("out", "FILE", c.out_path,
+                "write m8 output to FILE (default: stdout)"),
+           text("strand", "S", c.strand,
+                "plus, minus, or both (default: the server's)"),
+           on("stats", c.stats,
+              "print the result summary to stderr (includes\n"
+              "the server-side query seconds on v2 servers)"),
+           number("retry", "N", c.retry, 0, 1000,
+                  "retry a BUSY refusal up to N times with capped\n"
+                  "exponential backoff (default 0 = fail fast)"),
+           number("retry-backoff-ms", "M", c.retry_backoff_ms, 1, 1 << 20,
+                  "delay before the first retry (default\n"
+                  "100; doubles per attempt, capped at 5000)"),
+           help_flag(c.help)},
+          [&c](std::ostream& err) {
+            if (c.strand.empty() || c.strand == "plus" ||
+                c.strand == "minus" || c.strand == "both") {
+              return true;
+            }
+            err << "error: --strand must be plus, minus, or both (got '"
+                << c.strand << "')\n";
+            return false;
+          }};
+}
+
+Form worker_form(WorkerConfig& c) {
+  return {"worker --listen <addr> [options]",
+          "Run a distributed shard worker: wait for a coordinator (`scoris`\n"
+          "with --workers), receive the reference + query bank + options,\n"
+          "execute assigned plan groups through the local engine, and stream\n"
+          "each sorted run back over the connection (docs/API.md, worker\n"
+          "protocol v1). Prints `listening on <addr>` when ready; SIGINT or\n"
+          "SIGTERM drains in-flight groups and exits 0.",
+          concat({daemon_flags(c),
+                  {number("threads", "N", c.threads,
+                          core::Options::kMinThreads,
+                          core::Options::kMaxThreads,
+                          "engine threads per job (default 1);\n"
+                          "output-invariant, chosen by the worker"),
+                   number("max-jobs", "N", c.max_jobs, 1, 1 << 10,
+                          "concurrent coordinator connections (default 2);\n"
+                          "excess connections are refused"),
+                   help_flag(c.help)}})};
+}
+
+Form stats_form(StatsConfig& c) {
+  return {"stats --connect <addr>",
+          "Fetch a live metrics snapshot from a running `scoris serve`\n"
+          "daemon and print it to stdout in Prometheus text exposition\n"
+          "format (see docs/OBSERVABILITY.md for the metric inventory).\n"
+          "Requires a protocol-v2 server. Exits 1 if the server is busy,\n"
+          "unreachable, or too old to answer STAT frames.",
+          {connect_flag(c.endpoint), help_flag(c.help)}};
+}
+
+// ---- The drivers ----------------------------------------------------------
+
+/// Load a bank from FASTA, or from the binary .scob format when the path
+/// ends in ".scob".
+seqio::SequenceBank load_bank(const std::string& path) {
+  if (path.size() > 5 && path.compare(path.size() - 5, 5, ".scob") == 0) {
+    return seqio::load_bank_file(path);
+  }
+  return seqio::read_fasta_file(path);
+}
+
+void print_stats(std::ostream& err, const core::PipelineStats& s) {
+  err << "scoris: " << s.alignments << " alignments, " << s.hit_pairs
       << " seed hits (" << s.order_aborts << " order-aborted), " << s.hsps
       << " HSPs, " << s.masked_bases << " DUST-masked bases\n"
       << "  step1 " << s.index_seconds << "s, step2 " << s.hsp_seconds
@@ -327,8 +728,7 @@ void print_stats(std::ostream& err, const core::PipelineStats& s,
     err << "  step2 shards: " << b.shards << ", wall min/median/max "
         << std::fixed << std::setprecision(4) << b.min_seconds << "/"
         << b.median_seconds << "/" << b.max_seconds << " s ("
-        << std::setprecision(2) << b.total_seconds
-        << " s CPU total)\n"
+        << std::setprecision(2) << b.total_seconds << " s CPU total)\n"
         << std::defaultfloat << std::setprecision(6);
   }
   // Per-group spreads for the other stages (one sample per strand/slice
@@ -346,57 +746,29 @@ void print_stats(std::ostream& err, const core::PipelineStats& s,
   print_group_balance("gapped", s.gapped_group_balance);
 }
 
-/// Open config.out_path (or fall back to `out`) before the potentially
-/// long pipeline run so an unwritable path fails fast.
-bool open_sink(const CliConfig& config, std::ostream& out,
-               std::ofstream& out_file, std::ostream*& sink,
-               std::ostream& err) {
-  sink = &out;
-  if (!config.out_path.empty()) {
-    out_file.open(config.out_path);
-    if (!out_file) {
-      err << "error: cannot create " << config.out_path << '\n';
-      return false;
-    }
-    sink = &out_file;
+/// The output stream: `out`, or the file `path` when non-empty, opened
+/// before the potentially long run so an unwritable path fails fast
+/// (nullptr after a diagnostic).
+std::ostream* open_sink(const std::string& path, std::ostream& out,
+                        std::ofstream& out_file, std::ostream& err) {
+  if (path.empty()) return &out;
+  out_file.open(path);
+  if (!out_file) {
+    err << "error: cannot create " << path << '\n';
+    return nullptr;
   }
-  return true;
+  return &out_file;
 }
 
-bool flush_sink(const CliConfig& config, std::ostream& sink,
+bool flush_sink(const std::string& path, std::ostream& sink,
                 std::ostream& err) {
   sink.flush();
   if (!sink) {
-    err << "error: writing m8 output"
-        << (config.out_path.empty() ? "" : " to " + config.out_path)
+    err << "error: writing m8 output" << (path.empty() ? "" : " to " + path)
         << " failed\n";
     return false;
   }
   return true;
-}
-
-/// Report the per-query streaming summary + stats (shared by the flat
-/// and search drivers).
-void print_outcome_stats(std::ostream& err, const CliConfig& config,
-                         const SearchOutcome& outcome) {
-  if (config.memory_budget_mb > 0) {
-    err << "scoris: streamed bank2 in " << outcome.slices
-        << " slice(s) under a " << config.memory_budget_mb
-        << " MB index budget\n";
-  }
-  print_stats(err, outcome.stats, outcome.stats.alignments);
-}
-
-/// Streaming writes m8 lines before the run completes, so a mid-run
-/// pipeline failure would otherwise leave a truncated (but well-formed)
-/// --out file behind.  Restore the old all-or-nothing file contract by
-/// truncating it; stdout streaming is inherently incremental and is
-/// covered by the exit code.
-void discard_partial_output(const CliConfig& config,
-                            std::ofstream& out_file) {
-  if (config.out_path.empty()) return;
-  out_file.close();
-  std::ofstream(config.out_path, std::ios::trunc);
 }
 
 /// Split `--workers host:port,unix:/path,...` into parsed endpoints.
@@ -427,97 +799,23 @@ bool parse_worker_list(const std::string& spec,
   return true;
 }
 
-/// One search through the distributed coordinator (--workers given):
-/// byte-identical m8, plan groups fanned out over the worker endpoints
-/// plus this process.  `index_path` non-empty ships the reference as a
-/// .scix path (the `search` form); otherwise the bank is inlined.
-SearchOutcome search_distributed(const Session& session,
-                                 const seqio::SequenceBank& bank2,
-                                 HitSink& sink, const SearchLimits& limits,
-                                 const CliConfig& config,
-                                 const std::string& index_path,
-                                 std::vector<net::Endpoint> workers,
-                                 std::ostream& err) {
-  dist::DistConfig dcfg;
-  dcfg.workers = std::move(workers);
-  dcfg.connect_timeout_ms = config.worker_timeout_ms;
-  dcfg.recv_timeout_ms = config.worker_timeout_ms;
-  dcfg.dist_slices = config.dist_slices;
-  dcfg.index_path = index_path;
-  // Worker lifecycle events (connects, retries, abandoned workers) are
-  // operational news the user should see; warn keeps the happy path
-  // quiet.
-  obs::Logger logger(err, obs::LogLevel::kWarn);
-  dcfg.logger = &logger;
-  return dist::run_distributed(session, bank2, sink, limits, dcfg);
-}
-
-int run_compare(const CliConfig& config, std::ostream& out,
-                std::ostream& err) {
-  seqio::SequenceBank bank1;
-  seqio::SequenceBank bank2;
-  try {
-    bank1 = load_bank(config.bank1_path);
-    bank2 = load_bank(config.bank2_path);
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
-  }
-
-  std::ofstream out_file;
-  std::ostream* sink = nullptr;
-  if (!open_sink(config, out, out_file, sink, err)) return kRuntimeError;
-
-  try {
-    // One-shot session: the reference is indexed once and m8 lines
-    // stream to the sink as they become final instead of accumulating.
-    Session session(std::move(bank1), config.options);
-    M8Writer writer(*sink);
-    obs::TraceRecorder trace;
-    SearchLimits limits;
-    limits.memory_budget_bytes =
-        static_cast<std::size_t>(config.memory_budget_mb) << 20;
-    if (!config.trace_json_path.empty()) limits.trace = &trace;
-    SearchOutcome outcome;
-    if (!config.workers.empty()) {
-      std::vector<net::Endpoint> workers;
-      if (!parse_worker_list(config.workers, workers, err)) return kUsage;
-      outcome = search_distributed(session, bank2, writer, limits, config,
-                                   /*index_path=*/"", std::move(workers),
-                                   err);
-    } else {
-      outcome = session.search(bank2, writer, limits);
-    }
-    if (!flush_sink(config, *sink, err)) return kRuntimeError;
-    if (!config.trace_json_path.empty()) {
-      trace.write_chrome_json(config.trace_json_path);
-    }
-    if (config.stats) print_outcome_stats(err, config, outcome);
-  } catch (const SinkError& e) {
-    // Output delivery failed (disk full, downstream pipe closed): the
-    // pipeline itself was fine, so say what actually went wrong instead
-    // of the generic pipeline diagnostic — and still exit 1, never 0
-    // with truncated output.
-    discard_partial_output(config, out_file);
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
-  } catch (const std::exception& e) {
-    discard_partial_output(config, out_file);
-    err << "error: pipeline failed: " << e.what() << '\n';
-    return kRuntimeError;
-  }
-  return kOk;
-}
-
-int run_search(const CliConfig& config, std::ostream& out,
-               std::ostream& err) {
+/// The flat compare form and `search`: they differ only in where the
+/// reference comes from (bank1, indexed here, or a .scix artifact) and, on
+/// a distributed run, in how it reaches the workers.
+int run_comparison(const CliConfig& config, std::ostream& out,
+                   std::ostream& err) {
   // Session's store constructor enforces that a payload matches this
   // search's effective settings; anything else silently changes the seed
   // set, so it throws with a diagnostic listing the available payloads.
   std::optional<Session> session;
+  seqio::SequenceBank bank1;
   seqio::SequenceBank bank2;
   try {
-    session.emplace(store::load_index(config.index_path), config.options);
+    if (config.index_path.empty()) {
+      bank1 = load_bank(config.bank1_path);
+    } else {
+      session.emplace(store::load_index(config.index_path), config.options);
+    }
     bank2 = load_bank(config.bank2_path);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
@@ -525,58 +823,92 @@ int run_search(const CliConfig& config, std::ostream& out,
   }
 
   std::ofstream out_file;
-  std::ostream* sink = nullptr;
-  if (!open_sink(config, out, out_file, sink, err)) return kRuntimeError;
+  std::ostream* const sink = open_sink(config.out_path, out, out_file, err);
+  if (sink == nullptr) return kRuntimeError;
 
   try {
+    // The flat form indexes bank1 only once --out proved writable.  m8
+    // lines then stream to the sink as they become final.
+    if (!session) session.emplace(std::move(bank1), config.options);
     M8Writer writer(*sink);
     obs::TraceRecorder trace;
     SearchLimits limits;
-    limits.memory_budget_bytes =
-        static_cast<std::size_t>(config.memory_budget_mb) << 20;
+    limits.memory_budget_bytes = config.memory_budget_mb << 20;
     if (!config.trace_json_path.empty()) limits.trace = &trace;
     SearchOutcome outcome;
     if (!config.workers.empty()) {
-      std::vector<net::Endpoint> workers;
-      if (!parse_worker_list(config.workers, workers, err)) return kUsage;
-      // Workers that share a filesystem load the .scix themselves; the
-      // coordinator only inlines bank bytes on the flat compare form.
-      outcome = search_distributed(*session, bank2, writer, limits, config,
-                                   config.index_path, std::move(workers),
-                                   err);
+      // Byte-identical m8, plan groups fanned out over the workers plus
+      // this process.  `search` ships the reference as its .scix path,
+      // which workers load from their own filesystem; the flat form
+      // inlines the bank bytes.
+      dist::DistConfig dcfg;
+      if (!parse_worker_list(config.workers, dcfg.workers, err)) {
+        return kUsage;
+      }
+      dcfg.connect_timeout_ms = config.worker_timeout_ms;
+      dcfg.recv_timeout_ms = config.worker_timeout_ms;
+      dcfg.dist_slices = config.dist_slices;
+      dcfg.index_path = config.index_path;
+      // Worker lifecycle events (connects, retries, abandoned workers)
+      // are operational news the user should see; warn keeps the happy
+      // path quiet.
+      obs::Logger logger(err, obs::LogLevel::kWarn);
+      dcfg.logger = &logger;
+      outcome = dist::run_distributed(*session, bank2, writer, limits, dcfg);
     } else {
       outcome = session->search(bank2, writer, limits);
     }
-    if (!flush_sink(config, *sink, err)) return kRuntimeError;
+    if (!flush_sink(config.out_path, *sink, err)) return kRuntimeError;
     if (!config.trace_json_path.empty()) {
       trace.write_chrome_json(config.trace_json_path);
     }
-    if (config.stats) print_outcome_stats(err, config, outcome);
-  } catch (const SinkError& e) {
-    discard_partial_output(config, out_file);
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
+    if (config.stats) {
+      if (config.memory_budget_mb > 0) {
+        err << "scoris: streamed bank2 in " << outcome.slices
+            << " slice(s) under a " << config.memory_budget_mb
+            << " MB index budget\n";
+      }
+      print_stats(err, outcome.stats);
+    }
   } catch (const std::exception& e) {
-    discard_partial_output(config, out_file);
-    err << "error: pipeline failed: " << e.what() << '\n';
+    // Streaming wrote m8 lines before the failure; truncate a partial
+    // --out file to keep its all-or-nothing contract (stdout is covered
+    // by the exit code).  A failed delivery (disk full, downstream pipe
+    // closed) is not a pipeline failure, so say what went wrong.
+    if (!config.out_path.empty()) {
+      out_file.close();
+      std::ofstream(config.out_path, std::ios::trunc);
+    }
+    err << "error: "
+        << (dynamic_cast<const SinkError*>(&e) ? "" : "pipeline failed: ")
+        << e.what() << '\n';
     return kRuntimeError;
   }
   return kOk;
 }
 
-int run_index(const IndexCliConfig& config, std::ostream& err) {
-  seqio::SequenceBank bank;
-  try {
-    bank = load_bank(config.bank_path);
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
+int run_flat(const CliConfig& config, std::ostream& out, std::ostream& err) {
+  if (config.version) {
+    out << kVersion << '\n';
+    return kOk;
   }
+  if (config.kernel_probe) {
+    // What a run on this machine would use: the best supported kernel,
+    // demoted to scalar when SCORIS_FORCE_SCALAR is set.
+    out << align::simd::dispatch().name << '\n';
+    return kOk;
+  }
+  return run_comparison(config, out, err);
+}
 
+int run_index(const IndexConfig& config, std::ostream& /*out*/,
+              std::ostream& err) {
+  seqio::SequenceBank bank;
   store::IndexKey key;
   key.w = config.w;
   key.dust = config.dust;
   try {
+    bank = load_bank(config.bank_path);
     store::write_index_file(config.out_path, bank, {&key, 1});
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
@@ -593,80 +925,65 @@ int run_index(const IndexCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-/// The serving daemon, reachable from the SIGINT/SIGTERM handlers.
-/// Server::request_stop is async-signal-safe (atomic store + write(2)),
-/// so the handler body is too.
-std::atomic<daemon::Server*> g_serving{nullptr};
-/// Likewise for `scoris worker` — Worker::request_stop shares the same
-/// atomic-plus-wake-pipe contract.  One process runs at most one of the
-/// two daemons, so a single handler checking both atomics suffices.
+/// The daemon SIGINT/SIGTERM stop.  Server::request_stop and
+/// Worker::request_stop are async-signal-safe (atomic store + write(2)),
+/// and so are lock-free atomics, so the handler body is too.  One process
+/// runs at most one daemon.
+std::atomic<daemon::Server*> g_server{nullptr};
 std::atomic<dist::Worker*> g_worker{nullptr};
+/// Handlers running now, on any thread; ~SignalScope waits for zero so a
+/// daemon is never destroyed under a handler still inside request_stop.
+std::atomic<int> g_handlers{0};
 
-extern "C" void serve_signal_handler(int /*signo*/) {
-  if (daemon::Server* server = g_serving.load(std::memory_order_acquire)) {
-    server->request_stop();
-  }
-  if (dist::Worker* worker = g_worker.load(std::memory_order_acquire)) {
-    worker->request_stop();
-  }
+extern "C" void stop_on_signal(int /*signo*/) {
+  g_handlers.fetch_add(1);
+  if (daemon::Server* server = g_server.load()) server->request_stop();
+  if (dist::Worker* worker = g_worker.load()) worker->request_stop();
+  g_handlers.fetch_sub(1);
 }
 
-/// Scoped SIGINT/SIGTERM -> request_stop installation around serve().
-class ServeSignalScope {
+/// Routes SIGINT/SIGTERM to a daemon's request_stop while it serves.
+class SignalScope {
  public:
-  explicit ServeSignalScope(daemon::Server& server) {
-    g_serving.store(&server, std::memory_order_release);
+  explicit SignalScope(daemon::Server& server) {
+    g_server.store(&server);
+    install();
+  }
+  explicit SignalScope(dist::Worker& worker) {
+    g_worker.store(&worker);
+    install();
+  }
+  ~SignalScope() {
+    ::sigaction(SIGINT, &old_int_, nullptr);
+    ::sigaction(SIGTERM, &old_term_, nullptr);
+    g_server.store(nullptr);
+    g_worker.store(nullptr);
+    while (g_handlers.load() != 0) std::this_thread::yield();
+  }
+  SignalScope(const SignalScope&) = delete;
+  SignalScope& operator=(const SignalScope&) = delete;
+
+ private:
+  void install() {
     struct sigaction action {};
-    action.sa_handler = &serve_signal_handler;
+    action.sa_handler = &stop_on_signal;
     ::sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, &old_int_);
     ::sigaction(SIGTERM, &action, &old_term_);
   }
-  ~ServeSignalScope() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    g_serving.store(nullptr, std::memory_order_release);
-  }
-  ServeSignalScope(const ServeSignalScope&) = delete;
-  ServeSignalScope& operator=(const ServeSignalScope&) = delete;
 
- private:
   struct sigaction old_int_ {};
   struct sigaction old_term_ {};
 };
 
-/// The worker-side twin of ServeSignalScope.
-class WorkerSignalScope {
- public:
-  explicit WorkerSignalScope(dist::Worker& worker) {
-    g_worker.store(&worker, std::memory_order_release);
-    struct sigaction action {};
-    action.sa_handler = &serve_signal_handler;
-    ::sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~WorkerSignalScope() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    g_worker.store(nullptr, std::memory_order_release);
-  }
-  WorkerSignalScope(const WorkerSignalScope&) = delete;
-  WorkerSignalScope& operator=(const WorkerSignalScope&) = delete;
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
-
-int run_serve(const ServeCliConfig& config, std::ostream& err) {
-  // All daemon output goes through the structured logger: RFC3339
-  // timestamps, levels, and key=value fields (connection ids come from
-  // the server).  --log-file redirects it; diagnostics the *CLI* emits
-  // before the daemon exists stay plain "error:" lines on err.
-  const obs::LogLevel level = obs::parse_log_level(config.log_level)
-                                  .value_or(obs::LogLevel::kInfo);
-  std::optional<obs::Logger> logger;
+/// The structured logger a daemon reports through: RFC3339 timestamps,
+/// levels, and key=value fields, to --log-file or the error stream.
+/// Diagnostics the CLI emits before the daemon exists stay plain
+/// "error:" lines on err.
+bool open_logger(std::optional<obs::Logger>& logger,
+                 const DaemonConfig& config, std::ostream& err) {
+  const obs::LogLevel level =
+      obs::parse_log_level(config.log_level).value_or(obs::LogLevel::kInfo);
   try {
     if (!config.log_file.empty()) {
       logger.emplace(config.log_file, level);
@@ -675,8 +992,15 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
     }
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
-    return kRuntimeError;
+    return false;
   }
+  return true;
+}
+
+int run_serve(const ServeConfig& config, std::ostream& /*out*/,
+              std::ostream& err) {
+  std::optional<obs::Logger> logger;
+  if (!open_logger(logger, config, err)) return kRuntimeError;
 
   std::optional<Session> session;
   try {
@@ -692,7 +1016,7 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
   server_config.backlog = config.backlog;
   server_config.max_clients = config.max_clients;
   server_config.base_limits.memory_budget_bytes =
-      static_cast<std::size_t>(config.search.memory_budget_mb) << 20;
+      config.search.memory_budget_mb << 20;
   server_config.logger = &*logger;
 
   try {
@@ -704,11 +1028,10 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
     logger->info("scoris serve: listening on " +
                      net::to_string(server.endpoint()),
                  {obs::kv("max_clients",
-                          static_cast<unsigned long long>(
-                              config.max_clients)),
+                          static_cast<unsigned long long>(config.max_clients)),
                   obs::kv("threads", config.search.threads)});
     {
-      ServeSignalScope signals(server);
+      SignalScope signals(server);
       server.serve();
     }
     const daemon::ServerCounters counters = server.counters();
@@ -724,7 +1047,7 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-int run_query(const QueryCliConfig& config, std::ostream& out,
+int run_query(const QueryConfig& config, std::ostream& out,
               std::ostream& err) {
   // Re-serialize through the bank loader so .scob inputs work and a
   // malformed FASTA fails here, with a local diagnostic, rather than as
@@ -746,15 +1069,8 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
   else if (config.strand == "both") strand = net::QueryStrand::kBoth;
 
   std::ofstream out_file;
-  std::ostream* sink = &out;
-  if (!config.out_path.empty()) {
-    out_file.open(config.out_path);
-    if (!out_file) {
-      err << "error: cannot create " << config.out_path << '\n';
-      return kRuntimeError;
-    }
-    sink = &out_file;
-  }
+  std::ostream* const sink = open_sink(config.out_path, out, out_file, err);
+  if (sink == nullptr) return kRuntimeError;
 
   try {
     // A saturated daemon refuses with BUSY instead of queueing; --retry
@@ -794,13 +1110,7 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
       err << "error: server: " << result.error << '\n';
       return kRuntimeError;
     }
-    sink->flush();
-    if (!*sink) {
-      err << "error: writing m8 output"
-          << (config.out_path.empty() ? "" : " to " + config.out_path)
-          << " failed\n";
-      return kRuntimeError;
-    }
+    if (!flush_sink(config.out_path, *sink, err)) return kRuntimeError;
     if (config.stats) {
       err << "scoris query: " << result.alignments << " alignments, "
           << result.row_bytes << " m8 bytes";
@@ -821,22 +1131,10 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
   return kOk;
 }
 
-int run_worker(const WorkerCliConfig& config, std::ostream& err) {
-  // Same logging discipline as serve: structured logger for everything
-  // the daemon says, plain "error:" lines only before it exists.
-  const obs::LogLevel level = obs::parse_log_level(config.log_level)
-                                  .value_or(obs::LogLevel::kInfo);
+int run_worker(const WorkerConfig& config, std::ostream& /*out*/,
+               std::ostream& err) {
   std::optional<obs::Logger> logger;
-  try {
-    if (!config.log_file.empty()) {
-      logger.emplace(config.log_file, level);
-    } else {
-      logger.emplace(err, level);
-    }
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
-  }
+  if (!open_logger(logger, config, err)) return kRuntimeError;
 
   dist::WorkerConfig worker_config;
   worker_config.endpoint = config.endpoint;
@@ -852,11 +1150,11 @@ int run_worker(const WorkerCliConfig& config, std::ostream& err) {
     // before the accept loop blocks, with the resolved endpoint.
     logger->info("scoris worker: listening on " +
                      net::to_string(worker.endpoint()),
-                 {obs::kv("max_jobs", static_cast<unsigned long long>(
-                                          config.max_jobs)),
+                 {obs::kv("max_jobs",
+                          static_cast<unsigned long long>(config.max_jobs)),
                   obs::kv("threads", config.threads)});
     {
-      WorkerSignalScope signals(worker);
+      SignalScope signals(worker);
       worker.serve();
     }
     const dist::WorkerCounters counters = worker.counters();
@@ -872,7 +1170,7 @@ int run_worker(const WorkerCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-int run_stats(const StatsCliConfig& config, std::ostream& out,
+int run_stats(const StatsConfig& config, std::ostream& out,
               std::ostream& err) {
   try {
     net::QueryClient client = net::QueryClient::connect(config.endpoint);
@@ -889,519 +1187,39 @@ int run_stats(const StatsCliConfig& config, std::ostream& out,
   return kOk;
 }
 
+/// argv as one entry form sees it: argv[0] is the program for the flat
+/// form and the subcommand token otherwise.
+struct Invocation {
+  std::string program;  ///< for the usage lines
+  int argc;
+  const char* const* argv;
+  std::ostream& out;
+  std::ostream& err;
+};
+
+/// Parse an invocation with `form` and run it with `execute`; a usage
+/// error prints the usage to err (exit 2), --help prints it to out.
+template <typename Config, Form (*form)(Config&),
+          int (*execute)(const Config&, std::ostream&, std::ostream&)>
+int command(const Invocation& inv) {
+  Config config;
+  const Form parsed = form(config);
+  if (!parse_form(parsed, inv.argc, inv.argv, inv.err)) {
+    print_usage(parsed, inv.program, inv.err);
+    return kUsage;
+  }
+  if (config.help) {
+    print_usage(parsed, inv.program, inv.out);
+    return kOk;
+  }
+  return execute(config, inv.out, inv.err);
+}
+
 }  // namespace
-
-void print_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " --bank1 <a.fa> --bank2 <b.fa> [options]\n"
-     << "       " << program << " <a.fa> <b.fa> [options]\n"
-     << "       " << program << " index --bank <ref.fa> --out <ref.scix>\n"
-     << "       " << program
-     << " search --index <ref.scix> --bank2 <b.fa> [options]\n"
-     << "       " << program << " serve --index <ref.scix> --listen <addr>\n"
-     << "       " << program << " query --connect <addr> --bank2 <b.fa>\n"
-     << "       " << program << " stats --connect <addr>\n"
-     << "       " << program << " worker --listen <addr>\n"
-     << "\n"
-     << "Compare two DNA banks with the ORIS pipeline and write BLAST -m 8\n"
-     << "tabular output. Banks are FASTA files (or binary .scob banks);\n"
-     << "`index`/`search` prebuild and reuse a .scix bank+index artifact\n"
-     << "(see `" << program << " index --help`).\n"
-     << "\n"
-     << "options:\n"
-     << "  --bank1 FILE    query-side bank (m8 qseqid column)\n"
-     << "  --bank2 FILE    subject-side bank (m8 sseqid column)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --w N           seed length, 4..14 (default 11)\n"
-     << "  --threads N     worker threads for steps 2-3 (default 1)\n"
-     << "  --shards N      step-2 seed-code shards per strand/slice group\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --schedule S    shard scheduler: stealing (default) or static\n"
-     << "  --strand S      plus (default, paper's -S 1), minus, or both\n"
-     << "  --evalue E      e-value cutoff (default 1e-3)\n"
-     << "  --dust BOOL     low-complexity filter (default true)\n"
-     << "  --no-dust       shorthand for --dust false\n"
-     << "  --asymmetric    10-nt words, stride-2 index on bank2\n"
-     << "  --s1 SCORE      minimum HSP raw score (default 25)\n"
-     << "  --memory-budget-mb N   stream bank2 in slices under N MB of\n"
-     << "                  index memory (default: no slicing)\n"
-     << "  --delivery-budget-kb N   bound the multi-group merge's output\n"
-     << "                  buffering to N KB; sorted group runs spill to\n"
-     << "                  temp files over it (default: unbounded)\n"
-     << "  --tmp-dir DIR   directory for spill-run temp files (default:\n"
-     << "                  the system temp directory)\n"
-     << "  --trace-json FILE   write per-stage spans (index/scan/gapped/\n"
-     << "                  merge) as Chrome trace_event JSON to FILE\n"
-     << "  --workers LIST  comma-separated `" << program
-     << " worker` endpoints\n"
-     << "                  (host:port or unix:/path); distribute plan\n"
-     << "                  groups over them, byte-identical output\n"
-     << "  --worker-timeout-ms N   per-worker connect deadline and recv\n"
-     << "                  silence bound (default 30000)\n"
-     << "  --dist-slices N minimum bank2 slices when distributing\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --force-scalar  pin step 2 to the scalar match-run kernel\n"
-     << "                  instead of the best SIMD one (output-invariant;\n"
-     << "                  for A/B timing)\n"
-     << "  --stats         print per-step statistics to stderr\n"
-     << "  --kernel        print the match-run kernel this machine\n"
-     << "                  dispatches to (scalar/sse4.1/avx2) and exit\n"
-     << "  --help          show this message and exit\n"
-     << "  --version       show version and exit\n";
-}
-
-void print_index_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " index --bank <ref.fa> --out <ref.scix> [options]\n"
-     << "\n"
-     << "Build a persistent .scix artifact: the bank (2-bit packed) plus a\n"
-     << "precomputed seed index, loadable by `" << program
-     << " search` without\n"
-     << "re-parsing FASTA or re-scanning a single sequence.\n"
-     << "\n"
-     << "options:\n"
-     << "  --bank FILE     bank to index (FASTA or .scob; also positional)\n"
-     << "  --out FILE      artifact path to create (required)\n"
-     << "  --w N           seed length, 4..13 (default 11; use 10 for\n"
-     << "                  searches that will run --asymmetric)\n"
-     << "  --dust BOOL     DUST-mask before indexing (default true); the\n"
-     << "                  search must use the same setting\n"
-     << "  --no-dust       shorthand for --dust false\n"
-     << "  --stats         print a build summary to stderr\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_search_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " search --index <ref.scix> --bank2 <b.fa> [options]\n"
-     << "\n"
-     << "Compare a prebuilt .scix artifact (the bank1/query side) against a\n"
-     << "FASTA/.scob bank. Output is byte-identical to the flat invocation\n"
-     << "on the artifact's source FASTA when the settings match.\n"
-     << "\n"
-     << "options:\n"
-     << "  --index FILE    .scix artifact built by `" << program
-     << " index`\n"
-     << "  --bank2 FILE    subject-side bank (m8 sseqid column)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --w N           seed length; must match the artifact (default 11)\n"
-     << "  --threads N     worker threads for steps 2-3 (default 1)\n"
-     << "  --shards N      step-2 seed-code shards per strand/slice group\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --schedule S    shard scheduler: stealing (default) or static\n"
-     << "  --strand S      plus (default), minus, or both\n"
-     << "  --evalue E      e-value cutoff (default 1e-3)\n"
-     << "  --dust BOOL / --no-dust   must match the artifact (default true)\n"
-     << "  --asymmetric    10-nt words, stride-2 index on bank2 (artifact\n"
-     << "                  must hold a w=10 payload)\n"
-     << "  --s1 SCORE      minimum HSP raw score (default 25)\n"
-     << "  --memory-budget-mb N   stream bank2 in slices under N MB of\n"
-     << "                  index memory (default: no slicing)\n"
-     << "  --delivery-budget-kb N   bound the multi-group merge's output\n"
-     << "                  buffering to N KB; sorted group runs spill to\n"
-     << "                  temp files over it (default: unbounded)\n"
-     << "  --tmp-dir DIR   directory for spill-run temp files (default:\n"
-     << "                  the system temp directory)\n"
-     << "  --trace-json FILE   write per-stage spans (index/scan/gapped/\n"
-     << "                  merge) as Chrome trace_event JSON to FILE\n"
-     << "  --workers LIST  comma-separated `" << program
-     << " worker` endpoints;\n"
-     << "                  workers load the .scix from their own\n"
-     << "                  filesystem (shared path required)\n"
-     << "  --worker-timeout-ms N   per-worker connect deadline and recv\n"
-     << "                  silence bound (default 30000)\n"
-     << "  --dist-slices N minimum bank2 slices when distributing\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --force-scalar  pin step 2 to the scalar match-run kernel\n"
-     << "                  instead of the best SIMD one (output-invariant;\n"
-     << "                  for A/B timing)\n"
-     << "  --stats         print per-step statistics to stderr\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_serve_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " serve --index <ref.scix> --listen <addr> [options]\n"
-     << "\n"
-     << "Run the scorisd daemon: prepare the reference once, then answer\n"
-     << "FASTA queries from concurrent network clients over one shared\n"
-     << "immutable session (see docs/API.md for the wire protocol).\n"
-     << "Prints `listening on <addr>` to stderr when ready; SIGINT or\n"
-     << "SIGTERM drains in-flight queries and exits 0.\n"
-     << "\n"
-     << "options:\n"
-     << "  --index FILE    reference: .scix artifact, .scob bank, or FASTA\n"
-     << "  --listen ADDR   host:port (port 0 = ephemeral, real port in the\n"
-     << "                  ready line) or unix:/path/to.sock\n"
-     << "  --max-clients N concurrent admitted connections (default 4);\n"
-     << "                  excess connections get a BUSY frame\n"
-     << "  --backlog N     kernel accept-queue bound (default 16)\n"
-     << "  --threads N     worker threads shared by all queries (default 1)\n"
-     << "  --w / --strand / --evalue / --dust / --no-dust / --asymmetric /\n"
-     << "  --s1 / --shards / --schedule   session options, as in `"
-     << program << " search`\n"
-     << "  --memory-budget-mb N / --delivery-budget-kb N / --tmp-dir DIR\n"
-     << "                  per-query memory discipline, as in `" << program
-     << " search`\n"
-     << "  --log-level L   error, warn, info (default), or debug\n"
-     << "  --log-file FILE append structured logs to FILE (default: the\n"
-     << "                  error stream)\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_query_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " query --connect <addr> --bank2 <b.fa> [options]\n"
-     << "\n"
-     << "Send one bank to a running `" << program
-     << " serve` daemon and stream the\n"
-     << "m8 result to stdout (or --out). Exits 1 if the server is busy,\n"
-     << "unreachable, or reports a query error.\n"
-     << "\n"
-     << "options:\n"
-     << "  --connect ADDR  host:port or unix:/path, as given to --listen\n"
-     << "  --bank2 FILE    subject-side bank (FASTA or .scob)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --strand S      plus, minus, or both (default: the server's)\n"
-     << "  --stats         print the result summary to stderr (includes\n"
-     << "                  the server-side query seconds on v2 servers)\n"
-     << "  --retry N       retry a BUSY refusal up to N times with capped\n"
-     << "                  exponential backoff (default 0 = fail fast)\n"
-     << "  --retry-backoff-ms M   delay before the first retry (default\n"
-     << "                  100; doubles per attempt, capped at 5000)\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_stats_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program << " stats --connect <addr>\n"
-     << "\n"
-     << "Fetch a live metrics snapshot from a running `" << program
-     << " serve`\n"
-     << "daemon and print it to stdout in Prometheus text exposition\n"
-     << "format (see docs/OBSERVABILITY.md for the metric inventory).\n"
-     << "Requires a protocol-v2 server. Exits 1 if the server is busy,\n"
-     << "unreachable, or too old to answer STAT frames.\n"
-     << "\n"
-     << "options:\n"
-     << "  --connect ADDR  host:port or unix:/path, as given to --listen\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_worker_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program << " worker --listen <addr> [options]\n"
-     << "\n"
-     << "Run a distributed shard worker: wait for a coordinator (`"
-     << program << "`\n"
-     << "with --workers), receive the reference + query bank + options,\n"
-     << "execute assigned plan groups through the local engine, and stream\n"
-     << "each sorted run back over the connection (docs/API.md, worker\n"
-     << "protocol v1). Prints `listening on <addr>` when ready; SIGINT or\n"
-     << "SIGTERM drains in-flight groups and exits 0.\n"
-     << "\n"
-     << "options:\n"
-     << "  --listen ADDR   host:port (port 0 = ephemeral, real port in the\n"
-     << "                  ready line) or unix:/path/to.sock\n"
-     << "  --threads N     engine threads per job (default 1);\n"
-     << "                  output-invariant, chosen by the worker\n"
-     << "  --max-jobs N    concurrent coordinator connections (default 2);\n"
-     << "                  excess connections are refused\n"
-     << "  --backlog N     kernel accept-queue bound (default 16)\n"
-     << "  --log-level L   error, warn, info (default), or debug\n"
-     << "  --log-file FILE append structured logs to FILE (default: the\n"
-     << "                  error stream)\n"
-     << "  --help          show this message and exit\n";
-}
 
 bool parse_cli(int argc, const char* const* argv, CliConfig& config,
                std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_flags(), err)) return false;
-
-  for (const char* name : {"stats", "asymmetric", "dust", "no-dust",
-                           "force-scalar", "kernel", "help", "version"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  config.version = args.get_flag("version");
-  config.kernel_probe = args.get_flag("kernel");
-  if (config.help || config.version || config.kernel_probe) return true;
-
-  config.bank1_path = args.get("bank1");
-  config.bank2_path = args.get("bank2");
-  const auto& positional = args.positional();
-  if (!positional.empty()) {
-    if (!config.bank1_path.empty() || !config.bank2_path.empty()) {
-      err << "error: unexpected positional argument '" << positional[0]
-          << "' (banks already given via --bank1/--bank2)\n";
-      return false;
-    }
-    if (positional.size() != 2) {
-      err << "error: expected exactly two positional banks, got "
-          << positional.size() << '\n';
-      return false;
-    }
-    config.bank1_path = positional[0];
-    config.bank2_path = positional[1];
-  }
-  if (config.bank1_path.empty() || config.bank2_path.empty()) {
-    err << "error: both --bank1 and --bank2 are required\n";
-    return false;
-  }
-
-  return parse_search_options(args, config, err);
-}
-
-bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
-                      std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_search_flags(), err)) return false;
-  for (const char* name : {"stats", "asymmetric", "dust", "no-dust",
-                           "force-scalar", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!args.positional().empty()) {
-    err << "error: search takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
-  config.index_path = args.get("index");
-  config.bank2_path = args.get("bank2");
-  if (config.index_path.empty() || config.bank2_path.empty()) {
-    err << "error: both --index and --bank2 are required\n";
-    return false;
-  }
-  if (!parse_search_options(args, config, err)) return false;
-  // Artifacts cap W at 13 (int32 chains); the flat form's W=14 can never
-  // match a payload, so reject it here as the usage error it is —
-  // except under --asymmetric, where the effective word length is 10.
-  if (config.w > 13 && !config.asymmetric) {
-    err << "error: --w must be <= 13 for search (.scix artifacts cap W at "
-           "13)\n";
-    return false;
-  }
-  return true;
-}
-
-bool parse_index_cli(int argc, const char* const* argv,
-                     IndexCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_index_flags(), err)) return false;
-  for (const char* name : {"stats", "dust", "no-dust", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  config.bank_path = args.get("bank");
-  const auto& positional = args.positional();
-  if (!positional.empty()) {
-    if (!config.bank_path.empty() || positional.size() != 1) {
-      err << "error: expected exactly one bank (--bank FILE or one "
-             "positional)\n";
-      return false;
-    }
-    config.bank_path = positional[0];
-  }
-  if (config.bank_path.empty()) {
-    err << "error: --bank is required\n";
-    return false;
-  }
-  config.out_path = args.get("out");
-  if (config.out_path.empty()) {
-    err << "error: --out is required\n";
-    return false;
-  }
-  if (!parse_int_flag(args, "w", 4, 13, config.w, err)) return false;
-  config.dust = args.get_flag("dust", true);
-  if (args.get_flag("no-dust")) config.dust = false;
-  config.stats = args.get_flag("stats");
-  return true;
-}
-
-bool parse_serve_cli(int argc, const char* const* argv,
-                     ServeCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_serve_flags(), err)) return false;
-  for (const char* name : {"asymmetric", "dust", "no-dust", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!args.positional().empty()) {
-    err << "error: serve takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
-  config.search.index_path = args.get("index");
-  const std::string listen = args.get("listen");
-  if (config.search.index_path.empty() || listen.empty()) {
-    err << "error: both --index and --listen are required\n";
-    return false;
-  }
-  try {
-    config.endpoint = net::parse_endpoint(listen);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
-  std::size_t max_clients = config.max_clients;
-  if (!parse_size_flag(args, "max-clients", 1, 1 << 10, max_clients, err)) {
-    return false;
-  }
-  config.max_clients = max_clients;
-  if (!parse_int_flag(args, "backlog", 1, 1 << 12, config.backlog, err)) {
-    return false;
-  }
-  const std::string log_level = args.get("log-level");
-  if (!log_level.empty()) {
-    if (!obs::parse_log_level(log_level)) {
-      err << "error: --log-level must be error, warn, info, or debug (got '"
-          << log_level << "')\n";
-      return false;
-    }
-    config.log_level = log_level;
-  }
-  config.log_file = args.get("log-file");
-  return parse_search_options(args, config.search, err);
-}
-
-bool parse_query_cli(int argc, const char* const* argv,
-                     QueryCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_query_flags(), err)) return false;
-  for (const char* name : {"stats", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!args.positional().empty()) {
-    err << "error: query takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
-  const std::string connect = args.get("connect");
-  config.bank2_path = args.get("bank2");
-  if (connect.empty() || config.bank2_path.empty()) {
-    err << "error: both --connect and --bank2 are required\n";
-    return false;
-  }
-  try {
-    config.endpoint = net::parse_endpoint(connect);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
-  config.out_path = args.get("out");
-  config.strand = args.get("strand");
-  if (!config.strand.empty() && config.strand != "plus" &&
-      config.strand != "minus" && config.strand != "both") {
-    err << "error: --strand must be plus, minus, or both (got '"
-        << config.strand << "')\n";
-    return false;
-  }
-  config.stats = args.get_flag("stats");
-  if (!parse_int_flag(args, "retry", 0, 1000, config.retry, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "retry-backoff-ms", 1, 1 << 20,
-                      config.retry_backoff_ms, err)) {
-    return false;
-  }
-  return true;
-}
-
-bool parse_worker_cli(int argc, const char* const* argv,
-                      WorkerCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_worker_flags(), err)) return false;
-  if (!check_boolean_flag(args, "help", err)) return false;
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!args.positional().empty()) {
-    err << "error: worker takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
-  const std::string listen = args.get("listen");
-  if (listen.empty()) {
-    err << "error: --listen is required\n";
-    return false;
-  }
-  try {
-    config.endpoint = net::parse_endpoint(listen);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
-  if (!parse_int_flag(args, "threads", 1, 1 << 10, config.threads, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "backlog", 1, 1 << 12, config.backlog, err)) {
-    return false;
-  }
-  std::size_t max_jobs = config.max_jobs;
-  if (!parse_size_flag(args, "max-jobs", 1, 1 << 10, max_jobs, err)) {
-    return false;
-  }
-  config.max_jobs = max_jobs;
-  const std::string log_level = args.get("log-level");
-  if (!log_level.empty()) {
-    if (!obs::parse_log_level(log_level)) {
-      err << "error: --log-level must be error, warn, info, or debug (got '"
-          << log_level << "')\n";
-      return false;
-    }
-    config.log_level = log_level;
-  }
-  config.log_file = args.get("log-file");
-  return true;
-}
-
-bool parse_stats_cli(int argc, const char* const* argv,
-                     StatsCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_stats_flags(), err)) return false;
-  if (!check_boolean_flag(args, "help", err)) return false;
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!args.positional().empty()) {
-    err << "error: stats takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
-  const std::string connect = args.get("connect");
-  if (connect.empty()) {
-    err << "error: --connect is required\n";
-    return false;
-  }
-  try {
-    config.endpoint = net::parse_endpoint(connect);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
-  return true;
+  return parse_form(flat_form(config), argc, argv, err);
 }
 
 int run(int argc, const char* const* argv, std::ostream& out,
@@ -1411,106 +1229,23 @@ int run(int argc, const char* const* argv, std::ostream& out,
   // EPIPE -> SinkError -> exit 1 instead of dying on SIGPIPE.
   net::ignore_sigpipe();
   const std::string program = argc > 0 ? argv[0] : "scoris";
-  const std::string subcommand = argc > 1 ? argv[1] : "";
-
-  if (subcommand == "index") {
-    IndexCliConfig config;
-    if (!parse_index_cli(argc - 1, argv + 1, config, err)) {
-      print_index_usage(err, program);
-      return kUsage;
+  const std::string_view subcommand = argc > 1 ? argv[1] : "";
+  static constexpr std::pair<std::string_view, int (*)(const Invocation&)>
+      kSubcommands[] = {
+          {"index", command<IndexConfig, index_form, run_index>},
+          {"search", command<CliConfig, search_form, run_comparison>},
+          {"serve", command<ServeConfig, serve_form, run_serve>},
+          {"query", command<QueryConfig, query_form, run_query>},
+          {"stats", command<StatsConfig, stats_form, run_stats>},
+          {"worker", command<WorkerConfig, worker_form, run_worker>},
+      };
+  for (const auto& [name, subcommand_main] : kSubcommands) {
+    if (subcommand == name) {
+      return subcommand_main({program, argc - 1, argv + 1, out, err});
     }
-    if (config.help) {
-      print_index_usage(out, program);
-      return kOk;
-    }
-    return run_index(config, err);
   }
-
-  if (subcommand == "search") {
-    CliConfig config;
-    if (!parse_search_cli(argc - 1, argv + 1, config, err)) {
-      print_search_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_search_usage(out, program);
-      return kOk;
-    }
-    return run_search(config, out, err);
-  }
-
-  if (subcommand == "serve") {
-    ServeCliConfig config;
-    if (!parse_serve_cli(argc - 1, argv + 1, config, err)) {
-      print_serve_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_serve_usage(out, program);
-      return kOk;
-    }
-    return run_serve(config, err);
-  }
-
-  if (subcommand == "query") {
-    QueryCliConfig config;
-    if (!parse_query_cli(argc - 1, argv + 1, config, err)) {
-      print_query_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_query_usage(out, program);
-      return kOk;
-    }
-    return run_query(config, out, err);
-  }
-
-  if (subcommand == "worker") {
-    WorkerCliConfig config;
-    if (!parse_worker_cli(argc - 1, argv + 1, config, err)) {
-      print_worker_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_worker_usage(out, program);
-      return kOk;
-    }
-    return run_worker(config, err);
-  }
-
-  if (subcommand == "stats") {
-    StatsCliConfig config;
-    if (!parse_stats_cli(argc - 1, argv + 1, config, err)) {
-      print_stats_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_stats_usage(out, program);
-      return kOk;
-    }
-    return run_stats(config, out, err);
-  }
-
-  CliConfig config;
-  if (!parse_cli(argc, argv, config, err)) {
-    print_usage(err, program);
-    return kUsage;
-  }
-  if (config.help) {
-    print_usage(out, program);
-    return kOk;
-  }
-  if (config.version) {
-    out << kVersion << '\n';
-    return kOk;
-  }
-  if (config.kernel_probe) {
-    // What a run on this machine would use: the best supported kernel,
-    // demoted to scalar when SCORIS_FORCE_SCALAR is set.
-    out << align::simd::dispatch().name << '\n';
-    return kOk;
-  }
-  return run_compare(config, out, err);
+  return command<CliConfig, flat_form, run_flat>(
+      {program, argc, argv, out, err});
 }
 
 }  // namespace scoris::cli

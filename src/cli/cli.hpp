@@ -9,12 +9,13 @@
 //   scoris stats --connect ADDR                  # scrape daemon metrics
 //   scoris worker --listen ADDR                  # distributed shard worker
 //
-// Wires util::Args -> FASTA/.scob/.scix loading -> scoris::Session ->
-// streaming M8Writer output.  Option values are validated by
-// core::Options::validate() (the same check Session's constructor runs),
-// so the CLI and the library reject identical configurations.  The whole
-// driver lives in the library (not in main.cpp) so the test suite can run
-// it in-process with captured streams and asserted exit codes.
+// Each form declares its flags once, in a table (cli.cpp) that drives
+// parsing, validation and the --help text.  Option values are validated
+// by core::Options::validate() (the same check Session's constructor
+// runs), so the CLI and the library reject identical configurations.
+// The whole driver lives in the library (not in main.cpp) so the test
+// suite can run it in-process with captured streams and asserted exit
+// codes.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,6 @@
 #include <string>
 
 #include "core/options.hpp"
-#include "net/socket.hpp"
 
 namespace scoris::cli {
 
@@ -89,109 +89,17 @@ struct CliConfig {
   core::Options options;
 };
 
-/// What `scoris index` parsed from argv.  (Stride-subsampled payloads
-/// exist in the .scix format for the library API, but the CLI always
-/// builds stride-1 indexes — that is the only stride `search` consumes
-/// for the bank1 side.)
-struct IndexCliConfig {
-  std::string bank_path;
-  std::string out_path;
-  int w = 11;
-  bool dust = true;
-  bool stats = false;
-  bool help = false;
-};
-
-/// What `scoris serve` parsed from argv.  The session surface (reference
-/// path, W, threads, spill budget, ...) rides in `search` — the same
-/// fields, flags, and validation as `scoris search` — so a serve
-/// configuration is exactly a search configuration plus daemon knobs.
-struct ServeCliConfig {
-  CliConfig search;
-  net::Endpoint endpoint;       ///< parsed --listen
-  std::size_t max_clients = 4;  ///< concurrent admitted connections
-  int backlog = 16;             ///< kernel accept-queue bound
-  std::string log_level = "info";  ///< error | warn | info | debug
-  std::string log_file;  ///< structured-log path; empty = stderr stream
-  bool help = false;
-};
-
-/// What `scoris query` parsed from argv.
-struct QueryCliConfig {
-  net::Endpoint endpoint;  ///< parsed --connect
-  std::string bank2_path;
-  std::string out_path;    ///< empty = stdout
-  std::string strand;      ///< empty = server default; plus|minus|both
-  bool stats = false;      ///< print the DONE summary to stderr
-  /// Retry a BUSY admission refusal up to this many times with capped
-  /// exponential backoff (net::RetryPolicy — the same policy the
-  /// distributed coordinator re-dials workers with).  0 = fail fast.
-  int retry = 0;
-  int retry_backoff_ms = 100;  ///< delay before the first retry
-  bool help = false;
-};
-
-/// What `scoris worker` parsed from argv.
-struct WorkerCliConfig {
-  net::Endpoint endpoint;  ///< parsed --listen
-  int threads = 1;         ///< engine threads per job
-  int backlog = 16;        ///< kernel accept-queue bound
-  std::size_t max_jobs = 2;  ///< concurrent coordinator connections
-  std::string log_level = "info";  ///< error | warn | info | debug
-  std::string log_file;  ///< structured-log path; empty = stderr stream
-  bool help = false;
-};
-
-/// What `scoris stats` parsed from argv.
-struct StatsCliConfig {
-  net::Endpoint endpoint;  ///< parsed --connect
-  bool help = false;
-};
-
 /// Parse argv into a CliConfig (the flat compare form). On error, writes a
 /// one-line diagnostic to `err` and returns false. `--bank1/--bank2` may
 /// also be given as the two positional arguments.
 bool parse_cli(int argc, const char* const* argv, CliConfig& config,
                std::ostream& err);
 
-/// Parse the `scoris search` argv (argv[0] is the subcommand token).
-bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
-                      std::ostream& err);
-
-/// Parse the `scoris index` argv (argv[0] is the subcommand token).
-bool parse_index_cli(int argc, const char* const* argv,
-                     IndexCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris serve` argv (argv[0] is the subcommand token).
-bool parse_serve_cli(int argc, const char* const* argv,
-                     ServeCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris query` argv (argv[0] is the subcommand token).
-bool parse_query_cli(int argc, const char* const* argv,
-                     QueryCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris stats` argv (argv[0] is the subcommand token).
-bool parse_stats_cli(int argc, const char* const* argv,
-                     StatsCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris worker` argv (argv[0] is the subcommand token).
-bool parse_worker_cli(int argc, const char* const* argv,
-                      WorkerCliConfig& config, std::ostream& err);
-
-/// Full driver: dispatch on the `index` / `search` subcommand (flat
-/// compare otherwise), load inputs, run, write m8 to `out` (or to
-/// config.out_path when given). Diagnostics and --stats go to `err`.
-/// Returns an ExitCode value.
+/// Full driver: dispatch on the subcommand token (flat compare
+/// otherwise), parse, run, and write results to `out` (or to the form's
+/// --out file).  Diagnostics, logs and --stats go to `err`.  Returns an
+/// ExitCode value.
 int run(int argc, const char* const* argv, std::ostream& out,
         std::ostream& err);
-
-/// The usage texts printed by --help and on usage errors.
-void print_usage(std::ostream& os, const std::string& program);
-void print_index_usage(std::ostream& os, const std::string& program);
-void print_search_usage(std::ostream& os, const std::string& program);
-void print_serve_usage(std::ostream& os, const std::string& program);
-void print_query_usage(std::ostream& os, const std::string& program);
-void print_stats_usage(std::ostream& os, const std::string& program);
-void print_worker_usage(std::ostream& os, const std::string& program);
 
 }  // namespace scoris::cli

@@ -9,10 +9,9 @@
 // are double-quoted).  Lines are written atomically under a mutex so
 // concurrent connection handlers never interleave.
 //
-// Unlike util/log.hpp (a global stderr convenience used by benches),
-// this logger is an object bound to a stream so the daemon can target
-// the CLI-provided error stream or a --log-file, and tests can capture
-// output in-process.
+// The logger is an object bound to a stream, not a global, so the
+// daemon can target the CLI-provided error stream or a --log-file, and
+// tests can capture output in-process.
 #pragma once
 
 #include <atomic>

@@ -13,11 +13,11 @@
 // legacy Pipeline::run* entry points.
 #pragma once
 
-#include "api/hit_sink.hpp"
 #include "api/session.hpp"
 #include "api/sinks.hpp"
 #include "compare/m8.hpp"
 #include "core/chunked.hpp"
+#include "core/hit_sink.hpp"
 #include "core/options.hpp"
 #include "core/pipeline.hpp"
 #include "daemon/server.hpp"

@@ -1,7 +1,8 @@
 // Synthetic sequence and bank generators.
 //
-// These replace the paper's GenBank-derived data sets (see DESIGN.md,
-// "Calibration-driven scope"): each generator reproduces the *shape* that
+// These replace the paper's GenBank-derived data sets (the recipes are in
+// simulate/paper_datasets.hpp; perfbench/README.md, "Workloads", lists
+// the sizes they yield): each generator reproduces the *shape* that
 // drives the algorithms — length distributions, cross-bank homology rates,
 // repeat content — with fully deterministic output.
 #pragma once

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -356,6 +358,102 @@ TEST_F(CliTest, HelpAndVersionExitZero) {
   const CliResult version = run_cli({"--version"});
   EXPECT_EQ(version.exit_code, kOk);
   EXPECT_NE(version.out.find("scoris"), std::string::npos);
+}
+
+/// The flags a help text documents: the leading `--name [ARG]` entries
+/// (joined by " / ") of every option row, i.e. every line that starts
+/// with "  --".  Flags mentioned in a row's description do not count, and
+/// names are whole tokens, so `--w` is not satisfied by `--workers`.
+std::set<std::string> help_flags(const std::string& help) {
+  static const std::regex kEntry(
+      "^(--[a-z0-9][a-z0-9-]*)(?: [A-Z]+)?(?: / ?)?");
+  std::set<std::string> flags;
+  std::istringstream lines(help);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  --", 0) != 0) continue;
+    std::string rest = line.substr(2);
+    std::smatch m;
+    while (std::regex_search(rest, m, kEntry)) {
+      flags.insert(m[1].str());
+      rest = m.suffix().str();
+    }
+  }
+  return flags;
+}
+
+TEST_F(CliTest, EveryFormHelpListsExactlyItsFlags) {
+  struct Form {
+    std::vector<std::string> prefix;
+    std::set<std::string> flags;
+  };
+  const std::vector<Form> forms = {
+      {{},
+       {"--bank1", "--bank2", "--out", "--w", "--threads", "--strand",
+        "--evalue", "--dust", "--no-dust", "--asymmetric", "--s1", "--stats",
+        "--help", "--version", "--shards", "--schedule", "--memory-budget-mb",
+        "--delivery-budget-kb", "--tmp-dir", "--trace-json", "--force-scalar",
+        "--kernel", "--workers", "--worker-timeout-ms", "--dist-slices"}},
+      {{"search"},
+       {"--index", "--bank2", "--out", "--w", "--threads", "--strand",
+        "--evalue", "--dust", "--no-dust", "--asymmetric", "--s1", "--stats",
+        "--memory-budget-mb", "--help", "--shards", "--schedule",
+        "--delivery-budget-kb", "--tmp-dir", "--trace-json", "--force-scalar",
+        "--workers", "--worker-timeout-ms", "--dist-slices"}},
+      {{"index"},
+       {"--bank", "--out", "--w", "--dust", "--no-dust", "--stats", "--help"}},
+      {{"serve"},
+       {"--index", "--listen", "--max-clients", "--backlog", "--w",
+        "--threads", "--strand", "--evalue", "--dust", "--no-dust",
+        "--asymmetric", "--s1", "--shards", "--schedule",
+        "--memory-budget-mb", "--delivery-budget-kb", "--tmp-dir", "--help",
+        "--log-level", "--log-file"}},
+      {{"query"},
+       {"--connect", "--bank2", "--out", "--strand", "--stats", "--help",
+        "--retry", "--retry-backoff-ms"}},
+      {{"worker"},
+       {"--listen", "--threads", "--backlog", "--max-jobs", "--log-level",
+        "--log-file", "--help"}},
+      {{"stats"}, {"--connect", "--help"}},
+  };
+  std::size_t entries = 0;
+  for (const Form& form : forms) {
+    const std::string label = form.prefix.empty() ? "flat" : form.prefix[0];
+    std::vector<std::string> help_argv = form.prefix;
+    help_argv.push_back("--help");
+    const CliResult help = run_cli(help_argv);
+    EXPECT_EQ(help.exit_code, kOk) << label;
+    EXPECT_EQ(help_flags(help.out), form.flags) << label << ":\n" << help.out;
+    entries += form.flags.size();
+
+    std::vector<std::string> bogus_argv = form.prefix;
+    bogus_argv.push_back("--frobnicate");
+    const CliResult bogus = run_cli(bogus_argv);
+    EXPECT_EQ(bogus.exit_code, kUsage) << label;
+    EXPECT_NE(bogus.err.find("unknown flag --frobnicate"), std::string::npos)
+        << label << ": " << bogus.err;
+  }
+  EXPECT_EQ(entries, 92u);
+}
+
+TEST_F(CliTest, BooleanValueFlagGetsItsOwnDiagnostic) {
+  // --dust takes a value, so "does not take a value" would be wrong.
+  const CliResult flat =
+      run_cli({"--dust", "maybe", "--bank1", bank1_, "--bank2", bank2_});
+  EXPECT_EQ(flat.exit_code, kUsage);
+  EXPECT_NE(flat.err.find("--dust expects true or false (got 'maybe')"),
+            std::string::npos)
+      << flat.err;
+  EXPECT_EQ(flat.err.find("does not take a value"), std::string::npos)
+      << flat.err;
+
+  const CliResult index =
+      run_cli({"index", "--bank", bank1_, "--out", bank1_ + ".scix",
+               "--dust", "sometimes"});
+  EXPECT_EQ(index.exit_code, kUsage);
+  EXPECT_NE(index.err.find("--dust expects true or false (got 'sometimes')"),
+            std::string::npos)
+      << index.err;
 }
 
 TEST_F(CliTest, ParseCliPopulatesConfig) {

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "util/argparse.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/threading.hpp"
@@ -167,25 +166,6 @@ TEST(Strings, HumanBytes) {
   EXPECT_EQ(human_bytes(512), "512 B");
   EXPECT_EQ(human_bytes(2048), "2.0 KB");
   EXPECT_EQ(human_bytes(5u * 1024 * 1024), "5.0 MB");
-}
-
-TEST(Log, LevelGateStored) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(before);
-}
-
-TEST(Log, EmitFunctionsDoNotCrash) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);  // silence the suite output
-  log_debug("debug ", 1);
-  log_info("info ", 2.5);
-  log_warn("warn ", "x");
-  set_log_level(before);
-  SUCCEED();
 }
 
 TEST(Timer, MeasuresNonNegativeTime) {
