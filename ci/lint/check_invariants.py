@@ -5,8 +5,9 @@ Generic tools (clang-tidy, -Wthread-safety) cannot see the contracts
 that make scoris correct: the wire-protocol tag tables must match the
 docs, the store format must keep every section CRC-framed, the whole
 tree must lock through the annotated util::Mutex wrappers, the
-deterministic pipeline must never read a wall clock or a PRNG, and the
-README's CLI flag table must match the flat form's flag table.  Each
+deterministic pipeline must never read a wall clock or a PRNG, the
+README's CLI flag table must match the flat form's flag table, and the
+metric inventory must match the registered metrics.  Each
 rule below failed-fast on a real class of past or near-miss defect;
 see docs/STATIC_ANALYSIS.md for the rationale per rule.
 
@@ -313,6 +314,43 @@ def check_readme_cli_sync() -> None:
                    f"form does not accept")
 
 
+# --------------------------------------------------------------------------
+# R7 — the docs/OBSERVABILITY.md metric inventory lists exactly the
+# metrics src/ registers.  A metric registered without a row is one an
+# operator cannot find out the meaning of; a row whose metric nothing
+# registers sends a dashboard after a series that never appears.
+# --------------------------------------------------------------------------
+
+R7_REGISTERED = re.compile(
+    r'\.(?:counter|gauge|histogram)\(\s*"([a-z_:][a-z0-9_:]*)"')
+R7_DOC_ROW = re.compile(
+    r"^\|\s*`([a-z_:][a-z0-9_:]*)`\s*\|\s*(?:counter|gauge|histogram)\s*\|")
+
+
+def check_metric_docs_sync() -> None:
+    registered: dict[str, tuple[Path, int]] = {}
+    for path in source_files(SRC):
+        text = path.read_text()
+        for m in R7_REGISTERED.finditer(text):
+            registered.setdefault(
+                m.group(1), (path, text.count("\n", 0, m.start()) + 1))
+    doc = REPO / "docs" / "OBSERVABILITY.md"
+    documented: dict[str, int] = {}
+    for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+        m = R7_DOC_ROW.match(line)
+        if m:
+            documented.setdefault(m.group(1), lineno)
+    for name, (path, line) in sorted(registered.items()):
+        if name not in documented:
+            report("R7-metric-undocumented", path, line,
+                   f"metric '{name}' has no row in docs/OBSERVABILITY.md")
+    for name, line in sorted(documented.items()):
+        if name not in registered:
+            report("R7-metric-stale-doc", doc, line,
+                   f"docs/OBSERVABILITY.md documents metric '{name}', "
+                   f"which nothing in src/ registers")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
@@ -320,6 +358,7 @@ def main() -> int:
     check_deterministic_paths()
     check_fuzz_corpora()
     check_readme_cli_sync()
+    check_metric_docs_sync()
     if violations:
         for v in violations:
             print(v)

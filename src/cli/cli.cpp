@@ -28,6 +28,7 @@
 #include "dist/worker.hpp"
 #include "net/client.hpp"
 #include "net/retry.hpp"
+#include "net/server.hpp"
 #include "net/socket.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
@@ -925,53 +926,41 @@ int run_index(const IndexConfig& config, std::ostream& /*out*/,
   return kOk;
 }
 
-/// The daemon SIGINT/SIGTERM stop.  Server::request_stop and
-/// Worker::request_stop are async-signal-safe (atomic store + write(2)),
-/// and so are lock-free atomics, so the handler body is too.  One process
-/// runs at most one daemon.
-std::atomic<daemon::Server*> g_server{nullptr};
-std::atomic<dist::Worker*> g_worker{nullptr};
+/// The daemon SIGINT/SIGTERM stop.  net::Server::request_stop is
+/// async-signal-safe (one write(2)), and so are lock-free atomics, so the
+/// handler body is too.  One process runs at most one daemon.
+std::atomic<net::Server*> g_server{nullptr};
 /// Handlers running now, on any thread; ~SignalScope waits for zero so a
 /// daemon is never destroyed under a handler still inside request_stop.
 std::atomic<int> g_handlers{0};
 
 extern "C" void stop_on_signal(int /*signo*/) {
   g_handlers.fetch_add(1);
-  if (daemon::Server* server = g_server.load()) server->request_stop();
-  if (dist::Worker* worker = g_worker.load()) worker->request_stop();
+  if (net::Server* server = g_server.load()) server->request_stop();
   g_handlers.fetch_sub(1);
 }
 
 /// Routes SIGINT/SIGTERM to a daemon's request_stop while it serves.
 class SignalScope {
  public:
-  explicit SignalScope(daemon::Server& server) {
+  explicit SignalScope(net::Server& server) {
     g_server.store(&server);
-    install();
-  }
-  explicit SignalScope(dist::Worker& worker) {
-    g_worker.store(&worker);
-    install();
-  }
-  ~SignalScope() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    g_server.store(nullptr);
-    g_worker.store(nullptr);
-    while (g_handlers.load() != 0) std::this_thread::yield();
-  }
-  SignalScope(const SignalScope&) = delete;
-  SignalScope& operator=(const SignalScope&) = delete;
-
- private:
-  void install() {
     struct sigaction action {};
     action.sa_handler = &stop_on_signal;
     ::sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, &old_int_);
     ::sigaction(SIGTERM, &action, &old_term_);
   }
+  ~SignalScope() {
+    ::sigaction(SIGINT, &old_int_, nullptr);
+    ::sigaction(SIGTERM, &old_term_, nullptr);
+    g_server.store(nullptr);
+    while (g_handlers.load() != 0) std::this_thread::yield();
+  }
+  SignalScope(const SignalScope&) = delete;
+  SignalScope& operator=(const SignalScope&) = delete;
 
+ private:
   struct sigaction old_int_ {};
   struct sigaction old_term_ {};
 };

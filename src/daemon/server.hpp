@@ -5,46 +5,26 @@
 // net/frame.hpp protocol.  This is the service the ROADMAP's Session API
 // was built for: the expensive reference preparation happens once, and
 // every client query rides Session::search's documented thread-safety —
-// the daemon adds only transport, admission, and lifecycle.
-//
-// Architecture:
-//
-//   * serve() is the blocking accept loop.  Each accepted connection is
-//     admitted (CAS on an active-client counter) or refused with a BUSY
-//     frame; admitted clients get a detached handler thread.
-//   * Handler threads hold a shared_ptr to the server's internal state,
-//     so a Server that is destroyed while stragglers run cannot leave
-//     them with dangling pointers (serve() drains before returning, but
-//     the ownership makes that a liveness property, not a memory-safety
-//     one).
-//   * Every blocking read (accept loop, idle client connections) also
-//     polls a WakePipe.  request_stop() writes one byte to it — nothing
-//     else — so it is async-signal-safe and callable straight from a
-//     SIGINT/SIGTERM handler.  The byte is never drained: the wake is
-//     level-triggered and reaches every poller.
-//   * Shutdown drains: in-flight queries run to completion and stream
-//     their DONE; only *idle* connections are closed.  serve() returns
-//     once the last handler exits.
+// the daemon adds only the query conversation.  Accepting, admission,
+// per-connection threads and the drain on request_stop() are
+// net::Server's (net/server.hpp); a connection refused by the
+// max_clients cap gets a BUSY frame.
 //
 // Failure containment: a SinkError/NetError inside one query (client
-// hung up mid-stream, send failed) aborts that query alone — the
-// handler logs-by-frame where possible and moves on; other clients
+// hung up mid-stream, send failed) aborts that query alone — its
+// conversation logs-by-frame where possible and moves on; other clients
 // never notice.  RunMerger's RAII spill directory reclaims the aborted
 // query's temp files on the unwind path, so a long-lived daemon does
 // not leak spill space however clients die.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "api/session.hpp"
-#include "net/frame.hpp"
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "obs/log.hpp"
 
 namespace scoris::daemon {
@@ -103,44 +83,20 @@ class SocketM8Sink final : public HitSink {
   std::uint64_t row_bytes_ = 0;
 };
 
-class Server {
+/// bind/serve/request_stop/endpoint are net::Server's.
+class Server : public net::Server {
  public:
   /// The session must outlive serve(); the server never copies it.
   Server(const Session& session, ServerConfig config);
-  ~Server();
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
-
-  /// Bind + listen now (throws NetError on failure), so callers know the
-  /// endpoint is live — and, for TCP port 0, what port it resolved to —
-  /// before serve() blocks.
-  void bind();
-
-  /// Accept loop.  Blocks until request_stop(), then drains in-flight
-  /// queries and returns.  Calls bind() if it has not happened yet.
-  void serve();
-
-  /// Async-signal-safe: one write(2) on the wake pipe.  Safe from any
-  /// thread and from SIGINT/SIGTERM handlers; idempotent.
-  void request_stop();
-
-  /// The resolved listen endpoint (real port for TCP port-0 binds).
-  /// Valid after bind().
-  [[nodiscard]] const net::Endpoint& endpoint() const;
 
   [[nodiscard]] ServerCounters counters() const;
 
  private:
-  struct Shared;
+  struct Conversation;
 
-  static void handle_client(std::shared_ptr<Shared> shared,
-                            net::Socket client, std::uint64_t conn_id);
-  static void serve_query(Shared& shared, net::Socket& client,
-                          const net::Frame& request, std::uint64_t conn_id);
+  explicit Server(std::shared_ptr<Conversation> conversation);
 
-  std::shared_ptr<Shared> shared_;
-  net::Socket listener_;
-  bool bound_ = false;
+  std::shared_ptr<Conversation> conversation_;
 };
 
 }  // namespace scoris::daemon

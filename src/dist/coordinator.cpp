@@ -59,13 +59,6 @@ struct DistMetrics {
   }
 };
 
-obs::Logger& silent_logger() {
-  static std::ostream* null_out = new std::ostream(nullptr);
-  static obs::Logger* logger = new obs::Logger(*null_out,
-                                               obs::LogLevel::kError);
-  return *logger;
-}
-
 /// Work-queue + completion state shared by the executor threads.  A
 /// task is either pending (in `pending`), in flight (popped, not yet
 /// completed), or done; a dying worker pushes its in-flight task back,
@@ -159,7 +152,7 @@ struct DistShared {
   core::exec::RunMerger* merger SCORIS_PT_GUARDED_BY(merge_mu) = nullptr;
 
   [[nodiscard]] obs::Logger& log() const {
-    return config.logger != nullptr ? *config.logger : silent_logger();
+    return config.logger != nullptr ? *config.logger : obs::null_logger();
   }
 };
 

@@ -1,11 +1,8 @@
 #include "dist/worker.hpp"
 
-#include <atomic>
 #include <exception>
-#include <filesystem>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,123 +73,6 @@ struct Job {
 };
 
 }  // namespace
-
-struct Worker::Shared {
-  WorkerConfig config;
-  net::WakePipe wake;
-  std::atomic<bool> stopping{false};
-  std::atomic<std::size_t> active{0};
-  std::atomic<std::uint64_t> next_conn_id{1};
-
-  [[nodiscard]] obs::Logger& log() {
-    static obs::Logger silent(null_stream(), obs::LogLevel::kError);
-    return config.logger != nullptr ? *config.logger : silent;
-  }
-
-  static std::ostream& null_stream() {
-    static std::ostream* s = new std::ostream(nullptr);
-    return *s;
-  }
-
-  util::Mutex mu;
-  util::CondVar cv;
-  WorkerCounters counters SCORIS_GUARDED_BY(mu);
-
-  bool admit() {
-    std::size_t current = active.load(std::memory_order_relaxed);
-    while (current < config.max_jobs) {
-      if (active.compare_exchange_weak(current, current + 1,
-                                       std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void release() {
-    {
-      util::MutexLock lock(mu);
-      active.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    cv.notify_all();
-  }
-
-  void count(std::uint64_t WorkerCounters::* field) {
-    util::MutexLock lock(mu);
-    counters.*field += 1;
-  }
-};
-
-Worker::Worker(WorkerConfig config) : shared_(std::make_shared<Shared>()) {
-  shared_->config = std::move(config);
-  net::ignore_sigpipe();
-}
-
-Worker::~Worker() {
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-  if (bound_ &&
-      shared_->config.endpoint.kind == net::Endpoint::Kind::kUnix) {
-    std::error_code ec;
-    std::filesystem::remove(shared_->config.endpoint.path, ec);
-  }
-}
-
-void Worker::bind() {
-  if (bound_) return;
-  listener_ =
-      net::listen_endpoint(shared_->config.endpoint, shared_->config.backlog);
-  bound_ = true;
-}
-
-const net::Endpoint& Worker::endpoint() const {
-  return shared_->config.endpoint;
-}
-
-WorkerCounters Worker::counters() const {
-  util::MutexLock lock(shared_->mu);
-  return shared_->counters;
-}
-
-void Worker::request_stop() {
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-}
-
-void Worker::serve() {
-  bind();
-  Shared& shared = *shared_;
-  while (!shared.stopping.load(std::memory_order_acquire)) {
-    const int ready =
-        net::wait_readable(listener_.fd(), shared.wake.read_fd(), -1);
-    if ((ready & 2) != 0) break;
-    if ((ready & 1) == 0) continue;
-    net::Socket conn = net::accept_connection(listener_);
-    if (!conn.valid()) continue;
-    if (!shared.admit()) {
-      // No BUSY tier here: a refused coordinator sees the close and
-      // treats the worker as dead, which is the correct fallback.
-      shared.log().warn("connection refused",
-                        {obs::kv("reason", "max jobs"),
-                         obs::kv("max_jobs",
-                                 static_cast<unsigned long long>(
-                                     shared.config.max_jobs))});
-      continue;
-    }
-    shared.count(&WorkerCounters::accepted);
-    WorkerMetrics::get().connections_accepted.inc();
-    const std::uint64_t conn_id =
-        shared.next_conn_id.fetch_add(1, std::memory_order_relaxed);
-    shared.log().info("coordinator connected", {obs::kv("conn", conn_id)});
-    std::thread(&Worker::handle_conn, shared_, std::move(conn), conn_id)
-        .detach();
-  }
-  listener_.close();
-  util::MutexLock lock(shared.mu);
-  while (shared.active.load(std::memory_order_acquire) != 0) {
-    shared.cv.wait(shared.mu);
-  }
-}
 
 namespace {
 
@@ -268,9 +148,8 @@ void send_error(net::Socket& conn, const std::string& message) {
 /// Execute one WGRP and stream its run back.  Returns true on WEND,
 /// false on a WERR (engine error); transport errors (NetError)
 /// propagate and end the connection.
-[[nodiscard]] bool serve_group(obs::Logger& log, net::Socket& conn,
-                               const Job& job, const GroupTask& task,
-                               std::uint64_t conn_id) {
+[[nodiscard]] bool serve_group(net::Connection& conn, const Job& job,
+                               const GroupTask& task) {
   WorkerMetrics& metrics = WorkerMetrics::get();
   util::WallTimer timer;
   core::exec::ExecResult result;
@@ -302,14 +181,14 @@ void send_error(net::Socket& conn, const std::string& message) {
     // collect-then-stream), so WERR leaves the coordinator's view
     // clean and the connection serving.
     metrics.groups_failed.inc();
-    log.warn("group failed",
-             {obs::kv("conn", conn_id), obs::kv("group", task.id),
-              obs::kv("error", e.what())});
-    send_error(conn, e.what());
+    conn.log().warn("group failed",
+                    {obs::kv("conn", conn.id()), obs::kv("group", task.id),
+                     obs::kv("error", e.what())});
+    send_error(conn.socket(), e.what());
     return false;
   }
 
-  RunFrameWriter writer(conn);
+  RunFrameWriter writer(conn.socket());
   std::ostream os(&writer);
   // Without this, a NetError thrown inside a streambuf write would be
   // swallowed into badbit by std::ostream; with badbit in the
@@ -325,105 +204,114 @@ void send_error(net::Socket& conn, const std::string& message) {
   net::PayloadWriter done;
   write_group_end(done, end);
   const std::vector<std::uint8_t> payload = done.take();
-  net::write_frame(conn, kGroupEndTag, payload);
+  net::write_frame(conn.socket(), kGroupEndTag, payload);
 
   const double seconds = timer.seconds();
   metrics.groups_executed.inc();
   metrics.run_bytes_sent.inc(end.run_bytes);
   metrics.group_seconds.observe(seconds);
-  log.info("group served",
-           {obs::kv("conn", conn_id), obs::kv("group", task.id),
-            obs::kv("minus", task.minus ? 1 : 0),
-            obs::kv("elements", end.elements),
-            obs::kv("bytes", end.run_bytes), obs::kv("seconds", seconds)});
+  conn.log().info("group served",
+                  {obs::kv("conn", conn.id()), obs::kv("group", task.id),
+                   obs::kv("minus", task.minus ? 1 : 0),
+                   obs::kv("elements", end.elements),
+                   obs::kv("bytes", end.run_bytes),
+                   obs::kv("seconds", seconds)});
   return true;
 }
 
 }  // namespace
 
-void Worker::handle_conn(std::shared_ptr<Shared> shared, net::Socket conn,
-                         std::uint64_t conn_id) {
-  struct SlotGuard {
-    Shared& shared;
-    std::uint64_t conn_id;
-    ~SlotGuard() {
-      shared.log().info("coordinator disconnected",
-                        {obs::kv("conn", conn_id)});
-      shared.release();
-    }
-  } guard{*shared, conn_id};
+struct Worker::Conversation final : net::Service {
+  explicit Conversation(WorkerConfig config) : config(std::move(config)) {}
 
+  WorkerConfig config;
+
+  util::Mutex mu;
+  WorkerCounters counters SCORIS_GUARDED_BY(mu);
+
+  void count(std::uint64_t WorkerCounters::* field) {
+    util::MutexLock lock(mu);
+    counters.*field += 1;
+  }
+
+  void converse(net::Connection& conn) override;
+  void refuse(net::Socket& sock, obs::Logger& log) override;
+  void connection_failed() override { count(&WorkerCounters::failed); }
+};
+
+Worker::Worker(WorkerConfig config)
+    : Worker(std::make_shared<Conversation>(std::move(config))) {}
+
+Worker::Worker(std::shared_ptr<Conversation> conversation)
+    : net::Server({conversation->config.endpoint,
+                   conversation->config.backlog,
+                   conversation->config.max_jobs,
+                   conversation->config.logger},
+                  conversation),
+      conversation_(std::move(conversation)) {}
+
+WorkerCounters Worker::counters() const {
+  util::MutexLock lock(conversation_->mu);
+  return conversation_->counters;
+}
+
+void Worker::Conversation::refuse(net::Socket& /*sock*/, obs::Logger& log) {
+  // No BUSY tier here: a refused coordinator sees the close and treats
+  // the worker as dead, which is the correct fallback.
+  log.warn("connection refused",
+           {obs::kv("reason", "max jobs"),
+            obs::kv("max_jobs",
+                    static_cast<unsigned long long>(config.max_jobs))});
+}
+
+void Worker::Conversation::converse(net::Connection& conn) {
+  count(&WorkerCounters::accepted);
+  WorkerMetrics::get().connections_accepted.inc();
+
+  net::PayloadWriter hello;
+  hello.put_u32(kWorkerProtocolVersion);
+  const std::vector<std::uint8_t> hello_payload = hello.take();
+  net::write_frame(conn.socket(), kWorkerHelloTag, hello_payload);
+
+  // Job setup first: exactly one WJOB opens the conversation.
+  net::Frame frame;
+  if (!conn.next_frame(frame)) return;
+  if (frame.tag != kJobTag) {
+    throw net::NetError("expected WJOB, got '" + net::tag_name(frame.tag) +
+                        "'");
+  }
+  Job job;
   try {
-    net::PayloadWriter hello;
-    hello.put_u32(kWorkerProtocolVersion);
-    const std::vector<std::uint8_t> hello_payload = hello.take();
-    net::write_frame(conn, kWorkerHelloTag, hello_payload);
+    job = prepare_job(frame, config.threads);
+  } catch (const std::exception& e) {
+    // Setup failure is connection-fatal by design: a coordinator
+    // cannot dispatch groups to a worker with no reference.
+    count(&WorkerCounters::failed);
+    conn.log().warn("job setup failed", {obs::kv("conn", conn.id()),
+                                         obs::kv("error", e.what())});
+    send_error(conn.socket(), e.what());
+    return;
+  }
+  count(&WorkerCounters::jobs);
+  WorkerMetrics::get().jobs_prepared.inc();
+  net::write_frame(conn.socket(), kJobAckTag, std::string_view{});
+  conn.log().info("job prepared",
+                  {obs::kv("conn", conn.id()),
+                   obs::kv("reference_seqs", job.bank1->size()),
+                   obs::kv("query_seqs", job.bank2.size())});
 
-    net::Frame frame;
-    // Job setup first: exactly one WJOB opens the conversation.
-    {
-      const int ready =
-          net::wait_readable(conn.fd(), shared->wake.read_fd(), -1);
-      if ((ready & 2) != 0 &&
-          shared->stopping.load(std::memory_order_acquire)) {
-        return;
-      }
-      if (!net::read_frame(conn, frame)) return;  // coordinator hung up
-    }
-    if (frame.tag != kJobTag) {
-      throw net::NetError("expected WJOB, got '" + net::tag_name(frame.tag) +
+  while (conn.next_frame(frame)) {
+    if (frame.tag != kGroupTag) {
+      throw net::NetError("expected WGRP, got '" + net::tag_name(frame.tag) +
                           "'");
     }
-    Job job;
-    try {
-      job = prepare_job(frame, shared->config.threads);
-    } catch (const std::exception& e) {
-      // Setup failure is connection-fatal by design: a coordinator
-      // cannot dispatch groups to a worker with no reference.
-      shared->count(&WorkerCounters::failed);
-      shared->log().warn("job setup failed", {obs::kv("conn", conn_id),
-                                              obs::kv("error", e.what())});
-      send_error(conn, e.what());
-      return;
+    net::PayloadReader reader(frame.payload, "WGRP");
+    const GroupTask task = read_group(reader);
+    if (serve_group(conn, job, task)) {
+      count(&WorkerCounters::groups);
+    } else {
+      count(&WorkerCounters::failed);
     }
-    shared->count(&WorkerCounters::jobs);
-    WorkerMetrics::get().jobs_prepared.inc();
-    net::write_frame(conn, kJobAckTag, std::string_view{});
-    shared->log().info(
-        "job prepared",
-        {obs::kv("conn", conn_id),
-         obs::kv("reference_seqs", job.bank1->size()),
-         obs::kv("query_seqs", job.bank2.size())});
-
-    for (;;) {
-      // Park on poll between groups so idle connections cost no CPU
-      // and shutdown does not wait on them.
-      const int ready =
-          net::wait_readable(conn.fd(), shared->wake.read_fd(), -1);
-      if ((ready & 2) != 0 &&
-          shared->stopping.load(std::memory_order_acquire)) {
-        return;
-      }
-      if ((ready & 1) == 0) continue;
-      if (!net::read_frame(conn, frame)) return;  // job over
-      if (frame.tag != kGroupTag) {
-        throw net::NetError("expected WGRP, got '" +
-                            net::tag_name(frame.tag) + "'");
-      }
-      net::PayloadReader reader(frame.payload, "WGRP");
-      const GroupTask task = read_group(reader);
-      if (serve_group(shared->log(), conn, job, task, conn_id)) {
-        shared->count(&WorkerCounters::groups);
-      } else {
-        shared->count(&WorkerCounters::failed);
-      }
-    }
-  } catch (const std::exception& e) {
-    // Transport died or the coordinator broke protocol: this
-    // connection is over; the accept loop keeps serving.
-    shared->count(&WorkerCounters::failed);
-    shared->log().warn("connection failed", {obs::kv("conn", conn_id),
-                                             obs::kv("error", e.what())});
   }
 }
 

@@ -8,29 +8,26 @@
 // worker runs each group through the ordinary exec engine and streams
 // the group's sorted step-4 run back as spill-run bytes.
 //
-// The daemon skeleton is daemon::Server's, deliberately: the same
-// WakePipe-driven accept loop, the same detached handler threads
-// holding a shared_ptr to the server state, the same drain-on-shutdown
-// semantics, the same async-signal-safe request_stop().  What differs
-// is the conversation — workers speak the worker protocol, not the
-// query protocol — and the per-connection state: a worker handler holds
-// a whole prepared job (reference bank + index + query bank + options)
-// for the life of its connection, where a scorisd handler holds nothing
-// between queries.
+// Accepting, admission, per-connection threads and the drain on
+// request_stop() are net::Server's (net/server.hpp).  A worker
+// conversation holds a whole prepared job (reference bank + index +
+// query bank + options) for the life of its connection; a connection
+// refused by the max_jobs cap is closed without a word, and a
+// coordinator treats that like a dead worker.
 //
 // Failure containment mirrors the daemon's: an engine error inside one
 // group produces a WERR frame and the connection keeps serving; only a
-// dead transport ends the connection, after which the handler discards
-// the job and the accept loop takes the next coordinator.  Workers
-// never create temp files — runs stream straight from memory to the
-// socket — so a coordinator that dies mid-stream leaks nothing here.
+// dead transport ends the connection, which discards the job while the
+// accept loop takes the next coordinator.  Workers never create temp
+// files — runs stream straight from memory to the socket — so a
+// coordinator that dies mid-stream leaks nothing here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 
-#include "net/socket.hpp"
+#include "net/server.hpp"
 #include "obs/log.hpp"
 
 namespace scoris::dist {
@@ -57,38 +54,19 @@ struct WorkerCounters {
   std::uint64_t failed = 0;    ///< WERR frames sent or connections dropped
 };
 
-class Worker {
+/// bind/serve/request_stop/endpoint are net::Server's.
+class Worker : public net::Server {
  public:
   explicit Worker(WorkerConfig config);
-  ~Worker();
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
-
-  /// Bind + listen now (throws NetError), resolving TCP port 0 so the
-  /// real address is known before serve() blocks.
-  void bind();
-
-  /// Accept loop.  Blocks until request_stop(), then drains in-flight
-  /// groups and returns.  Calls bind() if it has not happened yet.
-  void serve();
-
-  /// Async-signal-safe stop: one write(2) on the wake pipe.
-  void request_stop();
-
-  /// The resolved listen endpoint.  Valid after bind().
-  [[nodiscard]] const net::Endpoint& endpoint() const;
 
   [[nodiscard]] WorkerCounters counters() const;
 
  private:
-  struct Shared;
+  struct Conversation;
 
-  static void handle_conn(std::shared_ptr<Shared> shared, net::Socket conn,
-                          std::uint64_t conn_id);
+  explicit Worker(std::shared_ptr<Conversation> conversation);
 
-  std::shared_ptr<Shared> shared_;
-  net::Socket listener_;
-  bool bound_ = false;
+  std::shared_ptr<Conversation> conversation_;
 };
 
 }  // namespace scoris::dist

@@ -350,7 +350,7 @@ int wait_readable(int fd_a, int fd_b, int timeout_ms) {
 }
 
 WakePipe::WakePipe() {
-  if (::pipe(fds_) != 0) throw_errno("pipe");
+  if (::pipe2(fds_, O_CLOEXEC | O_NONBLOCK) != 0) throw_errno("pipe2");
 }
 
 WakePipe::~WakePipe() {
@@ -360,8 +360,10 @@ WakePipe::~WakePipe() {
 
 void WakePipe::signal_stop() {
   const char byte = 1;
-  // write(2) is async-signal-safe; a full pipe just means a previous
-  // stop signal is already pending, which is fine.
+  // write(2) is async-signal-safe.  Nothing drains the pipe, so enough
+  // signals fill it; the non-blocking write end then fails with EAGAIN
+  // instead of wedging a signal handler, and the pending bytes keep
+  // every poller woken.
   [[maybe_unused]] const ssize_t rc = ::write(fds_[1], &byte, 1);
 }
 

@@ -112,10 +112,12 @@ void set_recv_timeout(Socket& sock, int timeout_ms);
 /// threads.  signal_stop() only calls write(2), so it is async-signal-
 /// safe; the written byte is never drained, which makes the wake
 /// level-triggered — every poller (acceptor and all per-client loops)
-/// observes it for as long as the shutdown lasts.
+/// observes it for as long as the shutdown lasts.  Both ends are
+/// close-on-exec and non-blocking, so a signal_stop() into a full pipe
+/// returns at once.
 class WakePipe {
  public:
-  WakePipe();   ///< throws NetError if pipe(2) fails
+  WakePipe();   ///< throws NetError if pipe2(2) fails
   ~WakePipe();
   WakePipe(const WakePipe&) = delete;
   WakePipe& operator=(const WakePipe&) = delete;

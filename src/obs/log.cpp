@@ -96,6 +96,13 @@ LogField kv(std::string key, double value) {
   return LogField{std::move(key), out.str()};
 }
 
+Logger& null_logger() {
+  // An ostream with no streambuf sets badbit and discards all writes.
+  static std::ostream* const discard = new std::ostream(nullptr);
+  static Logger* const logger = new Logger(*discard, LogLevel::kError);
+  return *logger;
+}
+
 std::string rfc3339_utc_now() {
   const auto now = std::chrono::system_clock::now();
   const std::time_t secs = std::chrono::system_clock::to_time_t(now);

@@ -108,6 +108,11 @@ class Logger {
   std::atomic<LogLevel> level_;
 };
 
+/// A logger that discards every line: the stand-in wherever an embedder
+/// configured none.  Never destroyed, so detached threads may still log
+/// through it while the process exits.
+[[nodiscard]] Logger& null_logger();
+
 /// RFC3339 UTC timestamp with millisecond precision, e.g.
 /// "2026-08-08T12:34:56.789Z".  Exposed for tests.
 [[nodiscard]] std::string rfc3339_utc_now();

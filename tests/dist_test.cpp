@@ -1,15 +1,17 @@
 // Coverage for distributed execution (src/dist/): worker-protocol
 // payload round-trips, WRUN framing over real sockets feeding
 // SpillRunReader exactly like an on-disk spill file, end-to-end
-// coordinator + worker byte-identity against Session::search, and the
+// coordinator + worker byte-identity against Session::search, the
 // fault matrix — dead endpoints, future-version and lying workers,
 // coordinator death mid-stream — all of which must degrade to the
-// identical single-process output, never to wrong output.
+// identical single-process output, never to wrong output, and the
+// worker's admission and shutdown lifecycle.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <istream>
@@ -667,6 +669,131 @@ TEST(Distributed, StrandLimitOverrideDistributes) {
   const std::string both = fixture.direct_m8();
   ASSERT_NE(reference, both) << "strand byte must be observable";
   EXPECT_EQ(fixture.dist_m8({}, minus), reference);
+}
+
+// --- worker lifecycle (the shared net::Server loop) --------------------------
+
+/// A worker on a unix socket in its own scratch dir, driven by raw frames
+/// rather than a coordinator.  Stops and joins on destruction.
+class ServedWorker {
+ public:
+  explicit ServedWorker(std::size_t max_jobs = 2) {
+    dist::WorkerConfig config;
+    config.endpoint.kind = net::Endpoint::Kind::kUnix;
+    config.endpoint.path =
+        (std::filesystem::path(scratch_.path()) / "worker.sock").string();
+    config.max_jobs = max_jobs;
+    worker_.emplace(config);
+    worker_->bind();
+    thread_ = std::thread([this] { worker_->serve(); });
+  }
+  ~ServedWorker() { stop(); }
+  ServedWorker(const ServedWorker&) = delete;
+  ServedWorker& operator=(const ServedWorker&) = delete;
+
+  /// request_stop(), then wait for serve() to return.
+  void stop() {
+    if (worker_.has_value()) worker_->request_stop();
+    if (thread_.joinable()) thread_.join();
+  }
+  void destroy() {
+    stop();
+    worker_.reset();
+  }
+  [[nodiscard]] dist::Worker& worker() { return *worker_; }
+
+ private:
+  ScratchDir scratch_;
+  std::optional<dist::Worker> worker_;
+  std::thread thread_;
+};
+
+/// A worker's first frame on a fresh connection: true for WHLO
+/// (admitted), false for a close with nothing said (refused).
+bool greeted(net::Socket& conn) {
+  net::Frame frame;
+  if (!net::read_frame(conn, frame)) return false;
+  EXPECT_EQ(frame.tag, dist::kWorkerHelloTag);
+  return true;
+}
+
+TEST(WorkerLifecycle, MaxJobsRefusesWithACloseAndReopensAdmission) {
+  ServedWorker served(/*max_jobs=*/1);
+  const net::Endpoint ep = served.worker().endpoint();
+  net::Socket first = net::connect_endpoint(ep);
+  ASSERT_TRUE(greeted(first));  // holds the only slot
+  net::Socket second = net::connect_endpoint(ep);
+  EXPECT_FALSE(greeted(second)) << "a refused coordinator gets EOF, no WHLO";
+
+  // Releasing the slot re-opens admission.
+  first.close();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 200 && !admitted; ++attempt) {
+    net::Socket next = net::connect_endpoint(ep);
+    admitted = greeted(next);
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(admitted) << "slot never released";
+  served.stop();
+  EXPECT_EQ(served.worker().counters().accepted, 2u);
+}
+
+TEST(WorkerLifecycle, StopReturnsWhileACoordinatorHasNotSentItsJob) {
+  ServedWorker served;
+  net::Socket conn = net::connect_endpoint(served.worker().endpoint());
+  ASSERT_TRUE(greeted(conn));
+  served.stop();  // would hang if the drain waited for the WJOB
+  net::Frame frame;
+  EXPECT_FALSE(net::read_frame(conn, frame)) << "closed without a word";
+}
+
+TEST(WorkerLifecycle, StopReturnsWhileACoordinatorIdlesBetweenGroups) {
+  DistFixture fixture;
+  net::Socket conn = net::connect_endpoint(fixture.worker().endpoint());
+  ASSERT_TRUE(greeted(conn));
+
+  std::ostringstream bank1_bytes;
+  seqio::save_bank(bank1_bytes, fixture.session().reference());
+  std::ostringstream bank2_bytes;
+  seqio::save_bank(bank2_bytes, fixture.bank2());
+  net::PayloadWriter job;
+  job.put_u8(static_cast<std::uint8_t>(dist::RefKind::kInlineBank));
+  job.put_string(bank1_bytes.str());
+  job.put_string(bank2_bytes.str());
+  dist::write_options(job, fixture.session().options());
+  const auto job_blob = job.take();
+  net::write_frame(conn, dist::kJobTag, job_blob);
+  net::Frame frame;
+  ASSERT_TRUE(net::read_frame(conn, frame));
+  ASSERT_EQ(frame.tag, dist::kJobAckTag);
+
+  // One whole group, then silence: the coordinator is idle between
+  // groups, holding its job.
+  dist::GroupTask task;
+  task.slice_to = fixture.bank2().size();
+  net::PayloadWriter group;
+  dist::write_group(group, task);
+  const auto group_blob = group.take();
+  net::write_frame(conn, dist::kGroupTag, group_blob);
+  do {
+    ASSERT_TRUE(net::read_frame(conn, frame));
+    ASSERT_NE(frame.tag, dist::kWorkerErrorTag);
+  } while (frame.tag != dist::kGroupEndTag);
+
+  fixture.stop();  // would hang if the drain waited for the next WGRP
+  EXPECT_EQ(fixture.worker().counters().jobs, 1u);
+  EXPECT_EQ(fixture.worker().counters().groups, 1u);
+  EXPECT_FALSE(net::read_frame(conn, frame)) << "closed without a word";
+}
+
+TEST(WorkerLifecycle, ServeReturnsListenerClosedAndTheSocketGoesWithIt) {
+  ServedWorker served;
+  const net::Endpoint ep = served.worker().endpoint();
+  ASSERT_TRUE(std::filesystem::exists(ep.path));
+  served.stop();
+  EXPECT_THROW((void)net::connect_endpoint(ep), net::NetError);
+  served.destroy();
+  EXPECT_FALSE(std::filesystem::exists(ep.path));
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 // Unit coverage for the scorisd transport layer (src/net/): endpoint
 // parsing, frame round-trips over a real socketpair, the corrupt-length
-// guard, truncation detection, and the payload scalar helpers.
+// guard, truncation detection, the payload scalar helpers, and the
+// shutdown wake pipe.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -281,6 +287,59 @@ TEST(Client, BusyFrameThrowsServerBusy) {
   });
   EXPECT_THROW((void)QueryClient::connect(ep), ServerBusy);
   server.join();
+}
+
+// --- wake pipe ---------------------------------------------------------------
+
+/// The other open descriptor naming the same FIFO as `fd`, or -1.
+int pipe_peer(int fd) {
+  struct stat mine {};
+  if (::fstat(fd, &mine) != 0) return -1;
+  for (int other = 0; other < 4096; ++other) {
+    struct stat st {};
+    if (other != fd && ::fstat(other, &st) == 0 && S_ISFIFO(st.st_mode) &&
+        st.st_dev == mine.st_dev && st.st_ino == mine.st_ino) {
+      return other;
+    }
+  }
+  return -1;
+}
+
+TEST(WakePipe, SignalStopNeverBlocks) {
+  // Nothing drains the pipe, so the stop bytes fill its buffer long
+  // before 100,000 signals; a signal_stop() that blocked then would
+  // wedge the signal handler calling it.
+  constexpr int kSignals = 100000;
+  WakePipe wake;
+  std::atomic<int> returned{0};
+  std::thread signaller([&wake, &returned] {
+    for (int i = 0; i < kSignals; ++i) {
+      wake.signal_stop();
+      returned.fetch_add(1, std::memory_order_release);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (returned.load(std::memory_order_acquire) < kSignals &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(returned.load(), kSignals) << "signal_stop() blocked";
+  EXPECT_EQ(wait_readable(wake.read_fd(), -1, 0), 1);
+  // A wedged signaller is drained loose so the failure reports instead
+  // of hanging the suite.
+  char discard[4096];
+  while (returned.load(std::memory_order_acquire) < kSignals) {
+    if (wait_readable(wake.read_fd(), -1, 10) != 0) {
+      (void)::read(wake.read_fd(), discard, sizeof(discard));
+    }
+  }
+  signaller.join();
+
+  const int write_fd = pipe_peer(wake.read_fd());
+  ASSERT_GE(write_fd, 0);
+  EXPECT_NE(::fcntl(wake.read_fd(), F_GETFD) & FD_CLOEXEC, 0);
+  EXPECT_NE(::fcntl(write_fd, F_GETFD) & FD_CLOEXEC, 0);
 }
 
 // --- retry policy ------------------------------------------------------------
