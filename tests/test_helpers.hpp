@@ -25,6 +25,17 @@ inline CodeStr codes_of(std::string_view bases) {
   return seqio::encode(bases);
 }
 
+/// 64-bit FNV-1a of `bytes` — a compact fingerprint for pinning output
+/// bytes in tests (not a cryptographic digest).
+inline std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// Flip one payload byte of the first section tagged `tag` (skipping
 /// `occurrence` earlier matches) in a store/format.hpp container blob —
 /// header `[magic 4][version u32][endian u32]`, then sections
