@@ -188,9 +188,9 @@ void BM_OrderedExtension(benchmark::State& state) {
   seqio::Pos p1 = 0, p2 = 0;
   bool found = false;
   for (index::SeedCode c = 0; c < coder.num_seeds() && !found; ++c) {
-    if (i1.first(c) >= 0 && i2.first(c) >= 0) {
-      p1 = static_cast<seqio::Pos>(i1.first(c));
-      p2 = static_cast<seqio::Pos>(i2.first(c));
+    if (i1.occurrence_count(c) > 0 && i2.occurrence_count(c) > 0) {
+      p1 = static_cast<seqio::Pos>(i1.occurrences_span(c).front());
+      p2 = static_cast<seqio::Pos>(i2.occurrences_span(c).front());
       found = true;
     }
   }

@@ -45,7 +45,7 @@ namespace {
 
 constexpr const char* kVersion = "scoris 0.1.0 (SCORIS-N, Lavenier'08 ORIS)";
 
-/// .scix artifacts cap W at 13 (int32 chains), below the flat form's 14.
+/// .scix artifacts cap W at 13 (BankIndex's limit), below the flat form's 14.
 constexpr int kMaxArtifactW = 13;
 
 // ---- Flag tables ----------------------------------------------------------
@@ -701,7 +701,8 @@ void print_stats(std::ostream& err, const core::PipelineStats& s) {
       << "s (kernel " << s.simd_kernel << "), step3 " << s.gapped_seconds
       << "s, total " << s.total_seconds << "s\n";
   // Index memory accounting (paper section 3.1: ~5 bytes per position =
-  // 4-byte chain entry + 1-byte SEQ code; dictionaries are O(4^W) apart).
+  // 4-byte INDEX entry + 1-byte SEQ code; the dictionaries, here the 4^W
+  // seed offsets, are apart).  "chains" are the positions arrays.
   const double per_pos =
       s.index_positions == 0
           ? 0.0

@@ -1,8 +1,6 @@
 #include "index/bank_index.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +8,34 @@
 
 namespace scoris::index {
 
-using seqio::Code;
+namespace {
+
+/// Call fn(p, local, code) for every all-ACGT W-word of `bank` — global
+/// start p, sequence-local start `local`, seed code — from the last
+/// sequence's last word down to the first sequence's first.  Words never
+/// span a sequence boundary.
+template <typename Fn>
+void for_each_word_descending(const seqio::SequenceBank& bank,
+                              const SeedCoder& coder, Fn&& fn) {
+  const auto codes = bank.data();
+  const auto w = static_cast<std::size_t>(coder.w());
+  for (std::size_t s = bank.size(); s-- > 0;) {
+    const std::size_t off = bank.offset(s);
+    std::size_t run = 0;  // concrete bases starting at the current position
+    SeedCode code = 0;
+    for (std::size_t local = bank.length(s); local-- > 0;) {
+      const seqio::Code c = codes[off + local];
+      if (!seqio::is_base(c)) {
+        run = 0;
+        continue;
+      }
+      code = coder.roll_left(code, c);
+      if (++run >= w) fn(off + local, local, code);
+    }
+  }
+}
+
+}  // namespace
 
 BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
                      const IndexOptions& options)
@@ -24,125 +49,50 @@ BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
   if (options.mask != nullptr && options.mask->size() != bank.data_size()) {
     throw std::invalid_argument("BankIndex: mask size mismatch");
   }
-
-  const auto codes = bank.data();
-  const std::size_t n = codes.size();
-  const int w = coder.w();
-
-  first_storage_.assign(coder.num_seeds(), -1);
-  next_storage_.assign(n, -1);
-  first_ = first_storage_;
-  next_ = next_storage_;
-  indexed_ = filter::MaskBitmap(n);
+  const auto w = static_cast<std::size_t>(coder.w());
+  const auto stride = static_cast<std::size_t>(options.stride);
+  const std::size_t num_seeds = coder.num_seeds();
+  indexed_ = filter::MaskBitmap(bank.data_size());
   if (options.mask != nullptr) masked_bases_ = options.mask->count();
-  if (n < static_cast<std::size_t>(w)) {
-    build_occurrence_lists();  // all-empty lists, but valid offsets
-    return;
-  }
 
-  // Walk sequences (and positions within them) from last to first so the
-  // chains come out in ascending position order.  `run` counts consecutive
-  // concrete bases starting at the current position; a position is a word
-  // start when run >= W.  The seed code is maintained by rolling left.
-  //
-  // The stride for asymmetric indexing applies to *sequence-local*
-  // offsets, so an indexed word set never depends on what precedes the
-  // sequence in the bank (this keeps sliced/chunked runs bit-identical,
-  // see core/chunked.hpp).
-  for (std::size_t s = bank.size(); s-- > 0;) {
-    const std::size_t off = bank.offset(s);
-    const std::size_t len = bank.length(s);
-    std::size_t run = 0;
-    SeedCode code = 0;
-    for (std::size_t local = len; local-- > 0;) {
-      const std::size_t p = off + local;
-      const Code c = codes[p];
-      if (!seqio::is_base(c)) {
-        run = 0;
-        continue;
-      }
-      ++run;
-      code = coder_.roll_left(code, c);
-      if (run < static_cast<std::size_t>(w)) continue;
-      if (options.stride > 1 &&
-          (local % static_cast<std::size_t>(options.stride)) != 0) {
-        continue;
-      }
-      if (options.mask != nullptr &&
-          options.mask->any_in(p, static_cast<std::size_t>(w))) {
-        continue;
-      }
-      if (first_storage_[code] < 0) ++distinct_seeds_;
-      next_storage_[p] = first_storage_[code];
-      first_storage_[code] = static_cast<std::int32_t>(p);
-      indexed_.set(p);
-      ++total_indexed_;
-    }
-  }
-  build_occurrence_lists();
-}
+  // Pass 1: select the word starts and count them per code.  The stride
+  // applies to *sequence-local* offsets, so the indexed word set never
+  // depends on what precedes a sequence in the bank (this keeps sliced
+  // and chunked runs bit-identical, see core/chunked.hpp).
+  offsets_storage_.assign(num_seeds + 1, 0);
+  for_each_word_descending(
+      bank, coder, [&](std::size_t p, std::size_t local, SeedCode code) {
+        if (local % stride != 0) return;
+        if (options.mask != nullptr && options.mask->any_in(p, w)) return;
+        indexed_.set(p);
+        if (offsets_storage_[code]++ == 0) ++distinct_seeds_;
+        ++total_indexed_;
+      });
 
-void BankIndex::build_occurrence_lists() {
-  const std::size_t codes = first_.size();
-  occ_offsets_storage_.resize(codes + 1);
-  occ_positions_storage_.clear();
-  occ_positions_storage_.reserve(total_indexed_);
-  for (std::size_t code = 0; code < codes; ++code) {
-    occ_offsets_storage_[code] =
-        static_cast<std::uint32_t>(occ_positions_storage_.size());
-    for (std::int32_t p = first_[code]; p >= 0;
-         p = next_[static_cast<std::size_t>(p)]) {
-      occ_positions_storage_.push_back(p);
-    }
+  // Running sums turn each count into its bucket's end; pass 2 fills
+  // every bucket back to front while walking positions downwards, which
+  // leaves each offset at its bucket's start and each bucket ascending.
+  std::uint32_t end = 0;
+  for (std::size_t code = 0; code < num_seeds; ++code) {
+    end += offsets_storage_[code];
+    offsets_storage_[code] = end;
   }
-  occ_offsets_storage_[codes] =
-      static_cast<std::uint32_t>(occ_positions_storage_.size());
-  occ_offsets_ = occ_offsets_storage_;
-  occ_positions_ = occ_positions_storage_;
-}
-
-BankIndex BankIndex::adopt(const seqio::SequenceBank& bank,
-                           const SeedCoder& coder, AdoptedIndex parts) {
-  if (parts.first.size() != coder.num_seeds()) {
-    throw std::invalid_argument("BankIndex::adopt: dictionary size mismatch");
-  }
-  if (parts.next.size() != bank.data_size()) {
-    throw std::invalid_argument("BankIndex::adopt: chain size mismatch");
-  }
-  if (parts.indexed.size() != bank.data_size()) {
-    throw std::invalid_argument("BankIndex::adopt: bitmap size mismatch");
-  }
-  const bool has_lists = !parts.occ_offsets.empty();
-  if (has_lists && parts.occ_offsets.size() != coder.num_seeds() + 1) {
-    throw std::invalid_argument(
-        "BankIndex::adopt: occurrence offsets size mismatch");
-  }
-  if (has_lists && parts.occ_positions.size() != parts.total_indexed) {
-    throw std::invalid_argument(
-        "BankIndex::adopt: occurrence positions size mismatch");
-  }
-  BankIndex idx(bank, coder, /*adopt_tag=*/0);
-  idx.owner_ = std::move(parts.owner);
-  idx.first_ = parts.first;
-  idx.next_ = parts.next;
-  idx.indexed_ = std::move(parts.indexed);
-  idx.total_indexed_ = parts.total_indexed;
-  idx.distinct_seeds_ = parts.distinct_seeds;
-  idx.masked_bases_ = parts.masked_bases;
-  if (has_lists) {
-    idx.occ_offsets_ = parts.occ_offsets;
-    idx.occ_positions_ = parts.occ_positions;
-  } else {
-    // Artifact predates serialized occurrence lists: flatten the adopted
-    // chains once, now, instead of chasing them on every scan.
-    idx.build_occurrence_lists();
-  }
-  return idx;
+  offsets_storage_[num_seeds] = end;
+  positions_storage_.resize(total_indexed_);
+  for_each_word_descending(
+      bank, coder, [&](std::size_t p, std::size_t, SeedCode code) {
+        if (indexed_.test(p)) {
+          positions_storage_[--offsets_storage_[code]] =
+              static_cast<std::int32_t>(p);
+        }
+      });
+  occ_offsets_ = offsets_storage_;
+  occ_positions_ = positions_storage_;
 }
 
 std::vector<std::size_t> BankIndex::occupancy_histogram(
     std::size_t buckets) const {
-  const std::size_t codes = first_.size();
+  const std::size_t codes = occ_offsets_.size() - 1;
   buckets = std::min(std::max<std::size_t>(1, buckets), codes);
   std::vector<std::size_t> hist(buckets, 0);
   const std::size_t per = (codes + buckets - 1) / buckets;
@@ -152,24 +102,12 @@ std::vector<std::size_t> BankIndex::occupancy_histogram(
   return hist;
 }
 
-namespace {
-
-constexpr store::Tag kIndexMagic = store::make_tag("SCOI");
-constexpr store::Tag kIndexSection = store::make_tag("INDX");
-constexpr std::uint32_t kIndexVersion = 2;
-
-}  // namespace
-
 void BankIndex::save_body(store::SectionWriter& section) const {
   section.put_u64(total_indexed_);
   section.put_u64(distinct_seeds_);
   section.put_u64(masked_bases_);
-  section.put_array(first_);
-  section.put_array(next_);
   section.put_array(std::span<const std::uint64_t>(indexed_.words()));
   section.put_u64(indexed_.size());
-  // Optional trailing fields (readers written before these existed stop at
-  // the bitmap size and ignore the rest; load_body probes remaining()).
   section.put_array(occ_offsets_);
   section.put_array(occ_positions_);
 }
@@ -178,57 +116,45 @@ BankIndex BankIndex::load_body(store::SectionReader& section,
                                const seqio::SequenceBank& bank,
                                const SeedCoder& coder,
                                const std::string& what) {
-  AdoptedIndex parts;
-  parts.total_indexed = section.read_u64();
-  parts.distinct_seeds = section.read_u64();
-  parts.masked_bases = section.read_u64();
-  // Dictionary and chain stay in the section payload (the load path's big
-  // buffers); the bitmap is rebuilt because MaskBitmap owns its words.
-  parts.first = section.read_array_view<std::int32_t>();
-  parts.next = section.read_array_view<std::int32_t>();
+  const auto fail = [&what](const char* problem) {
+    throw std::runtime_error(what + ": INDX payload " + problem);
+  };
+  BankIndex idx(bank, coder, Unbuilt{});
+  idx.total_indexed_ = section.read_u64();
+  idx.distinct_seeds_ = section.read_u64();
+  idx.masked_bases_ = section.read_u64();
+  // The bitmap is copied because MaskBitmap owns its words; offsets and
+  // positions (the big arrays) stay in the section payload.
   auto words = section.read_array<std::uint64_t>();
-  const std::uint64_t bit_size = section.read_u64();
-  parts.indexed = filter::MaskBitmap::from_words(
-      std::move(words), static_cast<std::size_t>(bit_size));
-  if (section.remaining() > 0) {
-    // Flattened occurrence lists ride as optional trailing fields; older
-    // artifacts end here and adopt() rebuilds the lists from the chains.
-    parts.occ_offsets = section.read_array_view<std::uint32_t>();
-    parts.occ_positions = section.read_array_view<std::int32_t>();
+  const std::uint64_t bits = section.read_u64();
+  if (bits != bank.data_size() || words.size() != (bits + 63) / 64) {
+    fail("bitmap size mismatch");
   }
-  parts.owner = section.payload_owner();
-  try {
-    return adopt(bank, coder, std::move(parts));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(what + ": " + e.what());
+  idx.indexed_ = filter::MaskBitmap::from_words(
+      std::move(words), static_cast<std::size_t>(bits));
+  idx.occ_offsets_ = section.read_array_view<std::uint32_t>();
+  idx.occ_positions_ = section.read_array_view<std::int32_t>();
+  idx.owner_ = section.payload_owner();
+  if (idx.occ_offsets_.size() != coder.num_seeds() + 1) {
+    fail("offsets size mismatch");
   }
-}
+  if (idx.occ_positions_.size() != idx.total_indexed_) {
+    fail("positions size mismatch");
+  }
 
-void BankIndex::save(std::ostream& os) const {
-  store::write_header(os, kIndexMagic, kIndexVersion);
-  store::SectionWriter section(kIndexSection);
-  section.put_u32(static_cast<std::uint32_t>(coder_.w()));
-  section.put_u64(bank_->data_size());
-  save_body(section);
-  section.finish(os);
-  if (!os) throw std::runtime_error("index save: write failed");
-}
-
-BankIndex BankIndex::load(std::istream& is, const seqio::SequenceBank& bank) {
-  const std::string what = "index load";
-  store::read_header(is, kIndexMagic, kIndexVersion, what);
-  store::SectionReader section(is, what);
-  if (!section.is(kIndexSection)) {
-    throw std::runtime_error(what + ": unexpected " + section.tag_name() +
-                             " section");
+  if (idx.occ_offsets_.front() != 0 ||
+      idx.occ_offsets_.back() != idx.total_indexed_ ||
+      !std::is_sorted(idx.occ_offsets_.begin(), idx.occ_offsets_.end())) {
+    fail("offsets are not ascending from 0 to the position count");
   }
-  const auto w = static_cast<int>(section.read_u32());
-  const std::uint64_t data_size = section.read_u64();
-  if (data_size != bank.data_size()) {
-    throw std::runtime_error(
-        what + ": bank size mismatch (index built for another bank?)");
+  const auto w = static_cast<std::size_t>(coder.w());
+  for (const std::int32_t p : idx.occ_positions_) {
+    if (p < 0 || static_cast<std::size_t>(p) + w > bank.data_size() ||
+        !idx.indexed_.test(static_cast<std::size_t>(p))) {
+      fail("position outside the bank's indexed word starts");
+    }
   }
-  return load_body(section, bank, SeedCoder(w), what);
+  return idx;
 }
 
 }  // namespace scoris::index

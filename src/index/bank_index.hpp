@@ -1,36 +1,37 @@
-// BankIndex — the paper's figure-2 structure.
+// BankIndex — the paper's figure-2 structure, laid out by seed.
 //
-// A dictionary of 4^W int32 entries (first occurrence of each seed, -1 when
-// absent) plus an INDEX array parallel to the bank's SEQ array chaining the
-// positions of identical seeds in ascending position order.  Memory is
-// therefore ~ 4 bytes per position (INDEX) + 1 byte per position (SEQ,
-// owned by the bank) + 4*4^W dictionary bytes — the paper's "approximately
-// 5 N bytes" (section 3.1), which bench_a4_index_cost verifies.
+// The paper indexes a bank with a 4^W dictionary plus an INDEX array of
+// one int32 per position (section 3.1).  Here the same occurrences live in
+// one CSR structure:
+//
+//   offsets    4^W + 1 uint32 entries — the dictionary's role: the
+//              occurrences of code c are positions[offsets[c] ..
+//              offsets[c+1]);
+//   positions  one int32 per indexed word start, grouped by code and
+//              ascending within a code — the INDEX array sorted by seed.
+//
+// The step-2 scan walks each code's occurrences as one contiguous slice,
+// and occurrence counts are O(1) offset subtractions.  Memory is 4 bytes
+// per indexed position plus the 1-byte SEQ array the bank owns, plus the
+// 4·(4^W+1) offset bytes — the paper's "approximately 5 N bytes", which
+// index_test and bench_a4_index_cost verify.  A two-pass counting sort
+// builds it: the first pass counts each code's word starts, the second
+// places them.
 //
 // Options cover the paper's two indexing variants:
-//  * a low-complexity mask: masked words are not chained (section 2.1);
+//  * a low-complexity mask: masked words are not indexed (section 2.1);
 //  * stride-2 subsampling ("asymmetric indexing" of 10-nt words, section
 //    3.4): only every other word of the bank is indexed.
 //
-// The dictionary and chain live behind spans: an index either owns its
-// buffers (built by the constructor) or *adopts* externally owned ones
-// (deserialized from a .scix store, or — later — a 2-bit-packed chain
-// experiment) without copying or re-scanning the bank.
-//
-// Alongside the paper's chains the index keeps *flattened occurrence
-// lists* in CSR layout (offsets + positions): the step-2 scan walks
-// occurrences of a seed as one contiguous int32 slice instead of chasing
-// `next` pointers across the whole INDEX array, occurrence counts become
-// O(1) offset subtractions, and the scan can prefetch and pre-size from
-// exact per-code counts.  The lists ride the same adopt() seam — newly
-// written artifacts serialize them (optional trailing payload fields, see
-// save_body), older artifacts fall back to a one-pass reconstruction.
+// The arrays live behind spans: an index built by the constructor owns
+// them, and one read from a .scix store (load_body) views the section
+// payload without copying or re-scanning the bank.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "filter/mask.hpp"
@@ -52,40 +53,13 @@ struct IndexOptions {
   const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
 };
 
-/// Prebuilt index buffers handed to BankIndex::adopt. `first`/`next` may
-/// point into memory owned elsewhere; `owner` keeps that memory alive for
-/// the index's lifetime.
-struct AdoptedIndex {
-  std::span<const std::int32_t> first;  ///< 4^W entries, -1 = absent
-  std::span<const std::int32_t> next;   ///< one per bank data position
-  filter::MaskBitmap indexed;           ///< word-start membership bitmap
-  std::size_t total_indexed = 0;
-  std::size_t distinct_seeds = 0;
-  std::size_t masked_bases = 0;  ///< mask popcount at build time
-  /// Optional flattened occurrence lists (CSR layout, see
-  /// BankIndex::occurrences_span).  When empty — e.g. loading an artifact
-  /// written before the lists were serialized — adopt() reconstructs them
-  /// from the chains in one pass; when present they must be consistent
-  /// with `first`/`next` (sizes are validated, contents trusted like the
-  /// other adopted buffers — the store's CRC guards the bytes).
-  std::span<const std::uint32_t> occ_offsets;  ///< 4^W + 1 entries
-  std::span<const std::int32_t> occ_positions;  ///< total_indexed entries
-  std::shared_ptr<const void> owner;  ///< keep-alive for the spans above
-};
-
 class BankIndex {
  public:
   /// Build the index for `bank` with word length `coder.w()`.
   /// The bank must outlive the index. Throws std::invalid_argument for
-  /// W > 13 (dictionary would exceed 1 GiB).
+  /// W > 13 (the offsets would take 1 GiB or more).
   BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
             const IndexOptions& options = {});
-
-  /// Wrap prebuilt buffers without re-scanning the bank. Sizes are
-  /// validated against the bank and coder (std::invalid_argument).
-  [[nodiscard]] static BankIndex adopt(const seqio::SequenceBank& bank,
-                                       const SeedCoder& coder,
-                                       AdoptedIndex parts);
 
   // Spans into owned storage make copies unsafe; the pipeline only ever
   // builds in place or moves.
@@ -98,16 +72,6 @@ class BankIndex {
   [[nodiscard]] const SeedCoder& coder() const { return coder_; }
   [[nodiscard]] int w() const { return coder_.w(); }
 
-  /// First occurrence (lowest global position) of `code`, or -1.
-  [[nodiscard]] std::int32_t first(SeedCode code) const {
-    return first_[code];
-  }
-
-  /// Next occurrence of the same seed after global position `pos`, or -1.
-  [[nodiscard]] std::int32_t next(std::int32_t pos) const {
-    return next_[static_cast<std::size_t>(pos)];
-  }
-
   /// True when global position `pos` is a word start present in the index
   /// (i.e. all-ACGT, not masked, stride-selected).  The ORIS seed-order
   /// abort must only trigger on seeds that are actually enumerable, which
@@ -117,11 +81,7 @@ class BankIndex {
   }
 
   /// All occurrences of `code` in ascending position order, as one
-  /// contiguous slice of the flattened occurrence array.  This is the
-  /// step-2 scan's view of the index: where the `first`/`next` chains
-  /// cost one dependent load per occurrence (a pointer chase across the
-  /// whole INDEX array), the CSR slice streams linearly and its length
-  /// is known up front.
+  /// contiguous slice of the positions array.
   [[nodiscard]] std::span<const std::int32_t> occurrences_span(
       SeedCode code) const {
     return occ_positions_.subspan(occ_offsets_[code],
@@ -137,7 +97,7 @@ class BankIndex {
     }
   }
 
-  /// Number of occurrences of `code` — O(1) from the CSR offsets.
+  /// Number of occurrences of `code` — O(1) from the offsets.
   [[nodiscard]] std::size_t occurrence_count(SeedCode code) const {
     return occ_offsets_[code + 1] - occ_offsets_[code];
   }
@@ -145,9 +105,8 @@ class BankIndex {
   /// Occupancy histogram over the seed-code space: bucket b counts the
   /// indexed positions whose code falls in [b*ceil(4^W/buckets), ...).
   /// The bucket sum equals total_indexed().  `buckets` is clamped to
-  /// [1, 4^W].  O(4^W) over the CSR offsets — no chain walk — so plan
-  /// compilation places its adaptive shard boundaries without re-reading
-  /// the whole INDEX array.
+  /// [1, 4^W].  O(4^W) over the offsets, so plan compilation places its
+  /// adaptive shard boundaries without reading the positions.
   [[nodiscard]] std::vector<std::size_t> occupancy_histogram(
       std::size_t buckets) const;
 
@@ -162,35 +121,27 @@ class BankIndex {
   /// a fresh build without rerunning DUST.
   [[nodiscard]] std::size_t masked_bases() const { return masked_bases_; }
 
-  /// Bytes of the 4^W first-occurrence dictionary.
+  /// Bytes of the 4^W + 1 offsets (the paper's dictionary).
   [[nodiscard]] std::size_t dictionary_bytes() const {
-    return first_.size() * sizeof(std::int32_t);
+    return occ_offsets_.size() * sizeof(std::uint32_t);
   }
 
-  /// Bytes of the per-position occurrence chain (the paper's INDEX array).
+  /// Bytes of the positions array (the paper's INDEX array): 4 per
+  /// indexed word start.
   [[nodiscard]] std::size_t chain_bytes() const {
-    return next_.size() * sizeof(std::int32_t);
+    return occ_positions_.size() * sizeof(std::int32_t);
   }
 
-  /// Bytes of the flattened occurrence lists (CSR offsets + positions) —
-  /// the scan-side mirror of dictionary + chain, reported separately so
-  /// the paper's ~5N chain accounting stays comparable.
-  [[nodiscard]] std::size_t occurrence_bytes() const {
-    return occ_offsets_.size() * sizeof(std::uint32_t) +
-           occ_positions_.size() * sizeof(std::int32_t);
-  }
+  /// Always 0: the offsets and positions are the whole index.  Only
+  /// perfbench still reads this, as `index.occ_bytes`.
+  [[nodiscard]] std::size_t occurrence_bytes() const { return 0; }
 
-  /// Bytes held by the paper's index structures (dictionary + chain; the
-  /// CSR occurrence lists are accounted via occurrence_bytes()).
+  /// Bytes held by the index: offsets plus positions.
   [[nodiscard]] std::size_t memory_bytes() const {
     return dictionary_bytes() + chain_bytes();
   }
 
-  /// Raw buffer access (serialization).
-  [[nodiscard]] std::span<const std::int32_t> dictionary() const {
-    return first_;
-  }
-  [[nodiscard]] std::span<const std::int32_t> chain() const { return next_; }
+  /// Raw array access (serialization and tests).
   [[nodiscard]] std::span<const std::uint32_t> occurrence_offsets() const {
     return occ_offsets_;
   }
@@ -201,54 +152,40 @@ class BankIndex {
     return indexed_;
   }
 
-  /// Serialize the index (magic "SCOI"). The bank itself is not stored;
-  /// pair with seqio::save_bank. Throws std::runtime_error on failure.
-  void save(std::ostream& os) const;
-
-  /// Deserialize an index previously saved for `bank` (the bank's data
-  /// size is validated). Throws std::runtime_error on mismatch.
-  [[nodiscard]] static BankIndex load(std::istream& is,
-                                      const seqio::SequenceBank& bank);
-
-  /// Append the index body — counters, dictionary, chain, word-start
-  /// bitmap — to a section.  One layout shared by the bare .scoi format
-  /// and the .scix store's INDX payloads.
+  /// Append the index body — counters, word-start bitmap, offsets,
+  /// positions — to a .scix INDX section.
   void save_body(store::SectionWriter& section) const;
 
-  /// Read a body written by save_body and adopt its buffers: dictionary
-  /// and chain become zero-copy views pinned by the section's payload
-  /// owner.  `what` prefixes diagnostics; throws std::runtime_error when
-  /// the body does not fit `bank`/`coder`.
+  /// Read a body written by save_body: offsets and positions become
+  /// zero-copy views pinned by the section's payload owner.  The body is
+  /// input from outside the process, so it is checked in one pass before
+  /// use — sizes against `bank`/`coder`, offsets ascending from 0 to
+  /// total_indexed, every position a word start of the bitmap whose W
+  /// bases lie inside the bank.  `what` prefixes diagnostics; throws
+  /// std::runtime_error when a check fails.
   [[nodiscard]] static BankIndex load_body(store::SectionReader& section,
                                            const seqio::SequenceBank& bank,
                                            const SeedCoder& coder,
                                            const std::string& what);
 
  private:
-  BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
-            int /*adopt_tag*/)
+  /// An index with no arrays yet, for load_body to fill.
+  struct Unbuilt {};
+  BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder, Unbuilt)
       : bank_(&bank), coder_(coder) {}
-
-  /// Flatten the first/next chains into the CSR arrays (one chain walk;
-  /// positions come out in the chains' ascending order).
-  void build_occurrence_lists();
 
   const seqio::SequenceBank* bank_;
   SeedCoder coder_;
-  // Owned storage when built in place; empty when adopting, in which case
-  // owner_ pins the external memory behind the spans.
-  std::vector<std::int32_t> first_storage_;
-  std::vector<std::int32_t> next_storage_;
-  std::vector<std::uint32_t> occ_offsets_storage_;
-  std::vector<std::int32_t> occ_positions_storage_;
+  // Owned storage when built in place; empty when loaded, in which case
+  // owner_ pins the section payload behind the spans.
+  std::vector<std::uint32_t> offsets_storage_;
+  std::vector<std::int32_t> positions_storage_;
   std::shared_ptr<const void> owner_;
-  std::span<const std::int32_t> first_;  // 4^W entries, -1 = absent
-  std::span<const std::int32_t> next_;   // one per bank data position
-  // CSR occurrence lists: positions of code c live at
-  // occ_positions_[occ_offsets_[c] .. occ_offsets_[c+1]), ascending.
+  // Positions of code c live at occ_positions_[occ_offsets_[c] ..
+  // occ_offsets_[c+1]), ascending.
   std::span<const std::uint32_t> occ_offsets_;   // 4^W + 1 entries
   std::span<const std::int32_t> occ_positions_;  // total_indexed entries
-  filter::MaskBitmap indexed_;           // word-start membership bitmap
+  filter::MaskBitmap indexed_;                   // word-start membership
   std::size_t total_indexed_ = 0;
   std::size_t distinct_seeds_ = 0;
   std::size_t masked_bases_ = 0;

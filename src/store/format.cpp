@@ -16,8 +16,8 @@ constexpr std::uint32_t kEndianTag = 0x01020304;
 // Slicing-by-8 tables: table[0] is the classic byte-at-a-time table, and
 // table[k][b] is the CRC of byte b followed by k zero bytes, which lets the
 // hot loop fold 8 input bytes per iteration.  Checksumming is on the
-// artifact load path (a multi-MB dictionary per index payload), so the
-// plain byte loop's ~400 MB/s is a real cost there.
+// artifact load path (multi-MB offsets and positions per index payload),
+// so the plain byte loop's ~400 MB/s is a real cost there.
 std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
   std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {

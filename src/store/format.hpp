@@ -1,7 +1,7 @@
 // Shared binary container plumbing for every scoris on-disk artifact.
 //
-// All formats (.scob banks, .scoi bare indexes, .scix index stores) are
-// versioned little-endian containers with the same skeleton:
+// All formats (.scob banks, .scix index stores, spill runs) are versioned
+// little-endian containers with the same skeleton:
 //
 //   [magic 4][format version u32][endianness tag u32]
 //   section*  where section = [tag 4][payload length u64][crc32 u32][payload]

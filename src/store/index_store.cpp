@@ -15,7 +15,7 @@ namespace {
 constexpr Tag kStoreMagic = make_tag("SCIX");
 constexpr Tag kBankSection = make_tag("BANK");
 constexpr Tag kIndexSection = make_tag("INDX");
-constexpr std::uint32_t kStoreVersion = 1;
+constexpr std::uint32_t kStoreVersion = 2;
 
 /// 2-bit-pack the concatenated bases of a bank (sentinels excluded, 4 bases
 /// per byte, little-endian within the byte). Ambiguous bases pack as 0 and

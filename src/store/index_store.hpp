@@ -8,15 +8,19 @@
 //
 //   BANK  the sequence bank, 2-bit packed (4 bases/byte) with the name
 //         table and an exception list for ambiguous bases;
-//   IDX0+ one or more BankIndex payloads (dictionary + occurrence chains +
-//         word-start bitmap), each keyed by the W/stride/DUST settings it
-//         was built with.
+//   INDX+ one or more BankIndex payloads (counters, word-start bitmap,
+//         seed offsets and positions), each keyed by the W/stride/DUST
+//         settings it was built with.
 //
 // Every section carries a CRC-32, so truncation and bit-flips are rejected
 // with a diagnostic naming the failing section instead of producing garbage
-// hits.  Loading reconstructs the bank from the packed codes and *adopts*
-// the serialized dictionary/chain buffers into BankIndex without re-scanning
-// a single sequence (see BankIndex::adopt).
+// hits.  Loading reconstructs the bank from the packed codes and views the
+// serialized offsets and positions in place, without re-scanning a single
+// sequence; BankIndex::load_body checks them against the bank first, since
+// a crafted file can carry a valid CRC.  Version 2 is the first to store
+// only these arrays; version 1 artifacts, which also carried the
+// dictionary and chains, are rejected and must be rebuilt with
+// `scoris index`.
 #pragma once
 
 #include <iosfwd>

@@ -32,7 +32,9 @@ std::vector<Hsp> enumerate_ordered_hsps(const BankIndex& idx1,
                                         std::size_t* aborts = nullptr) {
   std::vector<Hsp> out;
   for (SeedCode code = 0; code < idx1.coder().num_seeds(); ++code) {
-    if (idx1.first(code) < 0 || idx2.first(code) < 0) continue;
+    if (idx1.occurrence_count(code) == 0 || idx2.occurrence_count(code) == 0) {
+      continue;
+    }
     idx1.for_each(code, [&](seqio::Pos p1) {
       idx2.for_each(code, [&](seqio::Pos p2) {
         const auto o = extend_ordered(idx1, idx2, p1, p2, params);

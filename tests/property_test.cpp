@@ -30,7 +30,7 @@ std::vector<Hsp> ordered_hsps(const BankIndex& i1, const BankIndex& i2,
                               const align::ScoringParams& params) {
   std::vector<Hsp> out;
   for (SeedCode c = 0; c < i1.coder().num_seeds(); ++c) {
-    if (i1.first(c) < 0 || i2.first(c) < 0) continue;
+    if (i1.occurrence_count(c) == 0 || i2.occurrence_count(c) == 0) continue;
     i1.for_each(c, [&](seqio::Pos p1) {
       i2.for_each(c, [&](seqio::Pos p2) {
         const auto o = core::extend_ordered(i1, i2, p1, p2, c, params);

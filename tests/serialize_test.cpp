@@ -1,10 +1,8 @@
-// Tests for binary serialization of banks and indexes.
+// Tests for binary serialization of banks (.scob).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "filter/dust.hpp"
-#include "index/bank_index.hpp"
 #include "seqio/serialize.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -105,62 +103,6 @@ TEST(BankSerialize, RejectsCorruptPayloadByChecksum) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
   }
-}
-
-TEST(IndexSerialize, RoundTripBehavesIdentically) {
-  const auto bank = make_bank(709, 6);
-  const index::SeedCoder coder(9);
-  const index::BankIndex original(bank, coder);
-  std::stringstream buf;
-  original.save(buf);
-  const index::BankIndex loaded = index::BankIndex::load(buf, bank);
-
-  EXPECT_EQ(loaded.w(), original.w());
-  EXPECT_EQ(loaded.total_indexed(), original.total_indexed());
-  EXPECT_EQ(loaded.distinct_seeds(), original.distinct_seeds());
-  for (index::SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    ASSERT_EQ(loaded.first(c), original.first(c)) << c;
-  }
-  for (std::size_t p = 0; p < bank.data_size(); ++p) {
-    EXPECT_EQ(loaded.is_indexed(static_cast<seqio::Pos>(p)),
-              original.is_indexed(static_cast<seqio::Pos>(p)));
-  }
-}
-
-TEST(IndexSerialize, RoundTripWithStrideAndMask) {
-  seqio::SequenceBank bank("m");
-  bank.add("s", std::string(60, 'A') + "ACGTACGTACGTACGTACGTACGT");
-  const auto mask = filter::dust_mask(bank);
-  index::IndexOptions opt;
-  opt.stride = 2;
-  opt.mask = &mask;
-  const index::SeedCoder coder(6);
-  const index::BankIndex original(bank, coder, opt);
-  std::stringstream buf;
-  original.save(buf);
-  const auto loaded = index::BankIndex::load(buf, bank);
-  EXPECT_EQ(loaded.total_indexed(), original.total_indexed());
-  for (index::SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    std::vector<seqio::Pos> a, b;
-    original.for_each(c, [&](seqio::Pos p) { a.push_back(p); });
-    loaded.for_each(c, [&](seqio::Pos p) { b.push_back(p); });
-    EXPECT_EQ(a, b);
-  }
-}
-
-TEST(IndexSerialize, RejectsWrongBank) {
-  const auto bank = make_bank(711, 4);
-  const auto other = make_bank(712, 5);
-  const index::BankIndex original(bank, index::SeedCoder(8));
-  std::stringstream buf;
-  original.save(buf);
-  EXPECT_THROW((void)index::BankIndex::load(buf, other), std::runtime_error);
-}
-
-TEST(IndexSerialize, RejectsGarbage) {
-  const auto bank = make_bank(713, 2);
-  std::stringstream buf("garbage");
-  EXPECT_THROW((void)index::BankIndex::load(buf, bank), std::runtime_error);
 }
 
 }  // namespace

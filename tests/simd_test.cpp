@@ -6,7 +6,9 @@
 // skipped, never failed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "align/simd/kernels.hpp"
 #include "align/ungapped.hpp"
 #include "core/ordered_extend.hpp"
+#include "filter/dust.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -348,33 +351,103 @@ TEST(SimdDifferential, SeedsFlushAgainstSentinelsExtendIdentically) {
   }
 }
 
-// --- CSR occurrence lists ---------------------------------------------------
+// --- the index's occurrence lists ------------------------------------------
 
-TEST(OccurrenceLists, SpanMatchesChainWalk) {
-  simulate::Rng rng(99);
-  auto bank = nasty_bank(rng, "b", 6, 200);
-  const SeedCoder coder(6);
-  const BankIndex idx(bank, coder);
-
-  std::size_t covered = 0;
-  for (SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    std::vector<std::int32_t> chain;
-    for (std::int32_t p = idx.first(c); p >= 0; p = idx.next(p)) {
-      chain.push_back(p);
+/// Brute-force reference for a BankIndex build: code every position with
+/// SeedCoder::code_at, keep those the sequence-local stride and the mask
+/// select, and bucket them by code in ascending position order.
+std::vector<std::vector<std::int32_t>> oracle_buckets(
+    const seqio::SequenceBank& bank, const SeedCoder& coder, int stride,
+    const filter::MaskBitmap* mask) {
+  std::vector<std::vector<std::int32_t>> buckets(coder.num_seeds());
+  const auto w = static_cast<std::size_t>(coder.w());
+  for (std::size_t s = 0; s < bank.size(); ++s) {
+    for (std::size_t local = 0; local < bank.length(s); ++local) {
+      const std::size_t p = bank.offset(s) + local;
+      const auto code = coder.code_at(bank.data(), p);
+      if (!code || local % static_cast<std::size_t>(stride) != 0) continue;
+      if (mask != nullptr && mask->any_in(p, w)) continue;
+      buckets[*code].push_back(static_cast<std::int32_t>(p));
     }
-    const auto span = idx.occurrences_span(c);
-    ASSERT_EQ(span.size(), chain.size()) << "code " << c;
-    EXPECT_TRUE(std::equal(span.begin(), span.end(), chain.begin()))
-        << "code " << c;
-    EXPECT_EQ(idx.occurrence_count(c), chain.size()) << "code " << c;
-    covered += chain.size();
   }
-  EXPECT_EQ(covered, idx.total_indexed());
-  EXPECT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
-  EXPECT_EQ(idx.occurrence_positions().size(), idx.total_indexed());
-  EXPECT_EQ(idx.occurrence_bytes(),
-            (coder.num_seeds() + 1) * sizeof(std::uint32_t) +
-                idx.total_indexed() * sizeof(std::int32_t));
+  return buckets;
+}
+
+TEST(OccurrenceLists, MatchBruteForceOracle) {
+  simulate::Rng rng(99);
+  seqio::SequenceBank low_complexity("dusty");
+  low_complexity.add("poly_a", std::string(60, 'A') + "ACGTTGCAAGCTTCGA");
+  low_complexity.add("repeat", "ACACACACACACACACACACACACACACGGATCCTTAG");
+  low_complexity.add_codes("random", simulate::random_codes(rng, 300));
+  seqio::SequenceBank n_runs("n_runs");
+  n_runs.add("a", "ACGTACNNNNNACGTACGTANACGTTTGCANNNGATTACAGATTACA");
+  n_runs.add("b", "NNNNNNNNNN");
+  n_runs.add("c", "GATTACNGATTAC");
+  seqio::SequenceBank short_seqs("short");
+  short_seqs.add("a", "ACG");
+  short_seqs.add("b", "ACGTA");
+  short_seqs.add("c", "ACGTAC");
+  short_seqs.add("d", "T");
+  const seqio::SequenceBank nasty = nasty_bank(rng, "nasty", 8, 200);
+  const seqio::SequenceBank empty("empty");
+  const filter::MaskBitmap dust = filter::dust_mask(low_complexity);
+  ASSERT_GT(dust.count(), 0u);
+
+  struct Case {
+    const char* name;
+    const seqio::SequenceBank* bank;
+    int stride;
+    const filter::MaskBitmap* mask;
+  };
+  const SeedCoder coder(6);
+  const Case cases[] = {
+      {"nasty stride 1", &nasty, 1, nullptr},
+      {"nasty stride 2", &nasty, 2, nullptr},
+      {"nasty stride W", &nasty, coder.w(), nullptr},
+      {"dust stride 1", &low_complexity, 1, &dust},
+      {"dust stride 2", &low_complexity, 2, &dust},
+      {"N runs", &n_runs, 1, nullptr},
+      {"N runs stride 2", &n_runs, 2, nullptr},
+      {"shorter than W", &short_seqs, 1, nullptr},
+      {"empty bank", &empty, 1, nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    index::IndexOptions opt;
+    opt.stride = c.stride;
+    opt.mask = c.mask;
+    const BankIndex idx(*c.bank, coder, opt);
+    const auto buckets = oracle_buckets(*c.bank, coder, c.stride, c.mask);
+
+    ASSERT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
+    filter::MaskBitmap starts(c.bank->data_size());
+    std::size_t total = 0;
+    std::size_t distinct = 0;
+    for (SeedCode code = 0; code < coder.num_seeds(); ++code) {
+      const auto span = idx.occurrences_span(code);
+      const auto& want = buckets[code];
+      ASSERT_EQ(span.size(), want.size()) << "code " << code;
+      ASSERT_TRUE(std::equal(span.begin(), span.end(), want.begin()))
+          << "code " << code;
+      EXPECT_EQ(idx.occurrence_count(code), want.size());
+      for (const std::int32_t p : want) {
+        starts.set(static_cast<std::size_t>(p));
+      }
+      total += want.size();
+      distinct += want.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(idx.total_indexed(), total);
+    EXPECT_EQ(idx.distinct_seeds(), distinct);
+    for (std::size_t p = 0; p < c.bank->data_size(); ++p) {
+      ASSERT_EQ(idx.is_indexed(static_cast<seqio::Pos>(p)), starts.test(p))
+          << "position " << p;
+    }
+    EXPECT_EQ(idx.dictionary_bytes(),
+              (coder.num_seeds() + 1) * sizeof(std::uint32_t));
+    EXPECT_EQ(idx.chain_bytes(), total * sizeof(std::int32_t));
+    EXPECT_EQ(idx.memory_bytes(), idx.dictionary_bytes() + idx.chain_bytes());
+    EXPECT_EQ(idx.occurrence_bytes(), 0u);
+  }
 }
 
 }  // namespace

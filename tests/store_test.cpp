@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -64,6 +66,64 @@ std::string m8_of(const std::vector<align::GappedAlignment>& alignments,
                   const seqio::SequenceBank& b2) {
   std::ostringstream os;
   compare::write_m8(os, alignments, b1, b2);
+  return os.str();
+}
+
+/// The diagnostic of loading `blob`, or "" when it loads.
+std::string load_error(const std::string& blob) {
+  try {
+    (void)load_blob(blob);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Bytes of a .scix blob's header plus its leading BANK section: the
+/// 12-byte header, then [tag 4][len u64][crc u32][payload].
+std::size_t bank_prefix_size(const std::string& blob) {
+  std::uint64_t len = 0;
+  for (int i = 0; i < 8; ++i) {
+    len |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(blob[16 + i]))
+           << (8 * i);
+  }
+  return 28 + static_cast<std::size_t>(len);
+}
+
+using IndexEdit = std::function<void(std::vector<std::uint32_t>& offsets,
+                                     std::vector<std::int32_t>& positions)>;
+
+/// A .scix blob for `bank` whose one INDX payload (w=8, stride 1, DUST
+/// off) is written field by field through SectionWriter — so its CRC is
+/// valid — from a fresh build's arrays after `edit` has changed them.
+std::string crafted_blob(const seqio::SequenceBank& bank,
+                         const IndexEdit& edit) {
+  const store::IndexKey key{.w = 8, .dust = false};
+  const std::string blob = store_blob(bank, {key});
+  const index::BankIndex fresh(bank, index::SeedCoder(key.w));
+  std::vector<std::uint32_t> offsets(fresh.occurrence_offsets().begin(),
+                                     fresh.occurrence_offsets().end());
+  std::vector<std::int32_t> positions(fresh.occurrence_positions().begin(),
+                                      fresh.occurrence_positions().end());
+  edit(offsets, positions);
+
+  store::SectionWriter section(store::make_tag("INDX"));
+  for (const std::uint32_t field : {8u, 1u, 0u, 0u, 0u}) {
+    section.put_u32(field);  // w, stride, dust, window, level
+  }
+  section.put_u64(bank.data_size());
+  section.put_u64(fresh.total_indexed());
+  section.put_u64(fresh.distinct_seeds());
+  section.put_u64(fresh.masked_bases());
+  section.put_array(
+      std::span<const std::uint64_t>(fresh.indexed_bitmap().words()));
+  section.put_u64(fresh.indexed_bitmap().size());
+  section.put_array(std::span<const std::uint32_t>(offsets));
+  section.put_array(std::span<const std::int32_t>(positions));
+  std::ostringstream os;
+  os << blob.substr(0, bank_prefix_size(blob));
+  section.finish(os);
   return os.str();
 }
 
@@ -249,39 +309,49 @@ TEST(IndexStoreBank, AmbiguityCodesCollapseToN) {
 // --- adopted indexes --------------------------------------------------------
 
 TEST(IndexStoreIndex, AdoptedIndexMatchesFreshBuild) {
-  const auto bank = make_bank(803, 5);
-  store::IndexKey key;
-  key.w = 9;
-  key.dust = true;
-  const auto loaded = load_blob(store_blob(bank, {key}));
-  const index::BankIndex* adopted = loaded.find(key);
-  ASSERT_NE(adopted, nullptr);
+  auto bank = make_bank(803, 5);
+  // Low-complexity sequence so the DUST mask removes words.
+  bank.add("low_complexity",
+           std::string(60, 'A') + "ACGTACGTACGTACGTACGTACGT");
+  store::IndexKey w9;
+  w9.w = 9;
+  store::IndexKey stride2;
+  stride2.w = 6;
+  stride2.stride = 2;
+  const auto loaded = load_blob(store_blob(bank, {w9, stride2}));
 
-  const auto mask = filter::dust_mask(bank, key.dust_params);
-  index::IndexOptions iopt;
-  iopt.mask = &mask;
-  const index::BankIndex fresh(bank, index::SeedCoder(key.w), iopt);
+  for (const store::IndexKey& key : {w9, stride2}) {
+    SCOPED_TRACE(store::to_string(key));
+    const index::BankIndex* adopted = loaded.find(key);
+    ASSERT_NE(adopted, nullptr);
+    const auto mask = filter::dust_mask(bank, key.dust_params);
+    ASSERT_GT(mask.count(), 0u);
+    index::IndexOptions iopt;
+    iopt.stride = key.stride;
+    iopt.mask = &mask;
+    const index::BankIndex fresh(bank, index::SeedCoder(key.w), iopt);
 
-  EXPECT_EQ(adopted->total_indexed(), fresh.total_indexed());
-  EXPECT_EQ(adopted->distinct_seeds(), fresh.distinct_seeds());
-  EXPECT_EQ(adopted->masked_bases(), fresh.masked_bases());
-  EXPECT_EQ(adopted->memory_bytes(), fresh.memory_bytes());
-  for (index::SeedCode c = 0; c < fresh.coder().num_seeds(); ++c) {
-    std::vector<seqio::Pos> a, b;
-    adopted->for_each(c, [&](seqio::Pos p) { a.push_back(p); });
-    fresh.for_each(c, [&](seqio::Pos p) { b.push_back(p); });
-    ASSERT_EQ(a, b) << "seed code " << c;
-  }
-  for (std::size_t p = 0; p < bank.data_size(); ++p) {
-    ASSERT_EQ(adopted->is_indexed(static_cast<seqio::Pos>(p)),
-              fresh.is_indexed(static_cast<seqio::Pos>(p)));
+    EXPECT_EQ(adopted->total_indexed(), fresh.total_indexed());
+    EXPECT_EQ(adopted->distinct_seeds(), fresh.distinct_seeds());
+    EXPECT_EQ(adopted->masked_bases(), fresh.masked_bases());
+    EXPECT_EQ(adopted->memory_bytes(), fresh.memory_bytes());
+    for (index::SeedCode c = 0; c < fresh.coder().num_seeds(); ++c) {
+      std::vector<seqio::Pos> a, b;
+      adopted->for_each(c, [&](seqio::Pos p) { a.push_back(p); });
+      fresh.for_each(c, [&](seqio::Pos p) { b.push_back(p); });
+      ASSERT_EQ(a, b) << "seed code " << c;
+    }
+    for (std::size_t p = 0; p < bank.data_size(); ++p) {
+      ASSERT_EQ(adopted->is_indexed(static_cast<seqio::Pos>(p)),
+                fresh.is_indexed(static_cast<seqio::Pos>(p)));
+    }
   }
 }
 
 TEST(IndexStoreIndex, OccurrenceListsRideTheArtifact) {
-  // New artifacts serialize the flattened occurrence lists as trailing
-  // INDX payload fields; the adopted index must expose the same CSR view
-  // as a fresh build (same spans, counts, byte accounting).
+  // INDX payloads carry the offsets and positions; the adopted index must
+  // expose the same view as a fresh build (same spans, counts, byte
+  // accounting).
   const auto bank = make_bank(812, 5);
   store::IndexKey key;
   const auto loaded = load_blob(store_blob(bank, {key}));
@@ -293,7 +363,7 @@ TEST(IndexStoreIndex, OccurrenceListsRideTheArtifact) {
   iopt.mask = &mask;
   const index::BankIndex fresh(bank, index::SeedCoder(key.w), iopt);
 
-  EXPECT_EQ(adopted->occurrence_bytes(), fresh.occurrence_bytes());
+  EXPECT_EQ(adopted->memory_bytes(), fresh.memory_bytes());
   ASSERT_EQ(adopted->occurrence_offsets().size(),
             fresh.occurrence_offsets().size());
   for (index::SeedCode c = 0; c < fresh.coder().num_seeds(); ++c) {
@@ -303,60 +373,6 @@ TEST(IndexStoreIndex, OccurrenceListsRideTheArtifact) {
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
         << "seed code " << c;
     ASSERT_EQ(adopted->occurrence_count(c), fresh.occurrence_count(c));
-  }
-}
-
-TEST(IndexStoreIndex, BareIndexRoundTripsOccurrenceLists) {
-  const auto bank = make_bank(813, 4);
-  const index::SeedCoder coder(8);
-  const index::BankIndex fresh(bank, coder);
-
-  std::stringstream buf;
-  fresh.save(buf);
-  const auto loaded = index::BankIndex::load(buf, bank);
-  ASSERT_EQ(loaded.total_indexed(), fresh.total_indexed());
-  for (index::SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    const auto a = loaded.occurrences_span(c);
-    const auto b = fresh.occurrences_span(c);
-    ASSERT_EQ(a.size(), b.size()) << "seed code " << c;
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-        << "seed code " << c;
-  }
-}
-
-TEST(IndexStoreIndex, LegacyArtifactWithoutOccurrenceListsStillLoads) {
-  // Artifacts written before the occurrence lists existed stop after the
-  // bitmap size; load_body must fall back to reconstructing the lists
-  // from the chains.  Hand-write that old body layout.
-  const auto bank = make_bank(814, 4);
-  const index::SeedCoder coder(8);
-  const index::BankIndex fresh(bank, coder);
-
-  std::stringstream buf;
-  store::write_header(buf, store::make_tag("SCOI"), 2);
-  store::SectionWriter section(store::make_tag("INDX"));
-  section.put_u32(8);
-  section.put_u64(bank.data_size());
-  section.put_u64(fresh.total_indexed());
-  section.put_u64(fresh.distinct_seeds());
-  section.put_u64(fresh.masked_bases());
-  section.put_array(fresh.dictionary());
-  section.put_array(fresh.chain());
-  section.put_array(
-      std::span<const std::uint64_t>(fresh.indexed_bitmap().words()));
-  section.put_u64(fresh.indexed_bitmap().size());
-  section.finish(buf);
-
-  const auto loaded = index::BankIndex::load(buf, bank);
-  EXPECT_EQ(loaded.total_indexed(), fresh.total_indexed());
-  ASSERT_EQ(loaded.occurrence_offsets().size(), coder.num_seeds() + 1);
-  ASSERT_EQ(loaded.occurrence_positions().size(), fresh.total_indexed());
-  for (index::SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    const auto a = loaded.occurrences_span(c);
-    const auto b = fresh.occurrences_span(c);
-    ASSERT_EQ(a.size(), b.size()) << "seed code " << c;
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-        << "seed code " << c;
   }
 }
 
@@ -545,6 +561,69 @@ TEST(IndexStoreReject, FutureVersionNamedInDiagnostic) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("newer"), std::string::npos);
   }
+}
+
+TEST(IndexStoreReject, OlderVersionRejectedAsOutdated) {
+  // Version 1 artifacts also carried the dictionary and chains; this
+  // build reads version 2 only and asks for a rebuild.
+  std::string blob = store_blob(make_bank(831, 2), {store::IndexKey{.w = 8}});
+  blob[4] = 1;  // version u32 starts at byte 4
+  const std::string error = load_error(blob);
+  EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("older"), std::string::npos) << error;
+}
+
+TEST(IndexStoreReject, IndexForAnotherBankRejected) {
+  // The BANK section of one artifact followed by the INDX payload built
+  // for a bank of another size.
+  const store::IndexKey key{.w = 8};
+  const std::string mine = store_blob(make_bank(711, 4), {key});
+  const std::string theirs = store_blob(make_bank(712, 5), {key});
+  const std::string spliced = mine.substr(0, bank_prefix_size(mine)) +
+                              theirs.substr(bank_prefix_size(theirs));
+  const std::string error = load_error(spliced);
+  EXPECT_NE(error.find("does not match BANK"), std::string::npos) << error;
+}
+
+TEST(IndexStoreReject, HandWrittenIndexBodyLoads) {
+  // The control for the crafted-body tests below: unedited, the
+  // field-by-field payload is exactly what write_index produces.
+  const auto bank = make_bank(833, 4);
+  const std::string blob =
+      crafted_blob(bank, [](std::vector<std::uint32_t>&,
+                            std::vector<std::int32_t>&) {});
+  EXPECT_EQ(blob, store_blob(bank, {store::IndexKey{.w = 8, .dust = false}}));
+  EXPECT_EQ(load_error(blob), "");
+}
+
+TEST(IndexStoreReject, DecreasingOffsetRejected) {
+  // Unchecked, code k-1's bucket would end before it starts and
+  // occurrences_span would build a subspan past the positions array.
+  const auto bank = make_bank(833, 4);
+  const std::string blob = crafted_blob(
+      bank, [](std::vector<std::uint32_t>& offsets,
+               std::vector<std::int32_t>&) {
+        const std::size_t k = offsets.size() / 2;
+        ASSERT_GT(offsets[k - 1], 0u);
+        offsets[k] = offsets[k - 1] - 1;
+      });
+  const std::string error = load_error(blob);
+  EXPECT_NE(error.find("INDX"), std::string::npos) << error;
+  EXPECT_NE(error.find("offsets"), std::string::npos) << error;
+}
+
+TEST(IndexStoreReject, PositionOutsideBankRejected) {
+  // Unchecked, the scan would extend from a word past the bank's end.
+  const auto bank = make_bank(833, 4);
+  const std::string blob = crafted_blob(
+      bank, [&bank](std::vector<std::uint32_t>&,
+                    std::vector<std::int32_t>& positions) {
+        positions[positions.size() / 2] =
+            static_cast<std::int32_t>(bank.data_size());
+      });
+  const std::string error = load_error(blob);
+  EXPECT_NE(error.find("INDX"), std::string::npos) << error;
+  EXPECT_NE(error.find("position"), std::string::npos) << error;
 }
 
 TEST(IndexStoreReject, EmptyKeyListAndBadW) {
