@@ -141,7 +141,7 @@ class BankIndex {
     return dictionary_bytes() + chain_bytes();
   }
 
-  /// Raw array access (serialization and tests).
+  /// Raw array access, for tests that inspect or craft index payloads.
   [[nodiscard]] std::span<const std::uint32_t> occurrence_offsets() const {
     return occ_offsets_;
   }
