@@ -92,7 +92,7 @@ BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
 
 std::vector<std::size_t> BankIndex::occupancy_histogram(
     std::size_t buckets) const {
-  const std::size_t codes = occ_offsets_.size() - 1;
+  const std::size_t codes = coder_.num_seeds();
   buckets = std::min(std::max<std::size_t>(1, buckets), codes);
   std::vector<std::size_t> hist(buckets, 0);
   const std::size_t per = (codes + buckets - 1) / buckets;

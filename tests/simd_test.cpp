@@ -375,9 +375,17 @@ std::vector<std::vector<std::int32_t>> oracle_buckets(
 
 TEST(OccurrenceLists, MatchBruteForceOracle) {
   simulate::Rng rng(99);
+  // Low-complexity runs between random flanks, so some words straddle a
+  // masked region's edge.
   seqio::SequenceBank low_complexity("dusty");
-  low_complexity.add("poly_a", std::string(60, 'A') + "ACGTTGCAAGCTTCGA");
-  low_complexity.add("repeat", "ACACACACACACACACACACACACACACGGATCCTTAG");
+  for (const char base : {'A', 'C'}) {
+    auto codes = simulate::random_codes(rng, 120);
+    const auto run = testing::codes_of(std::string(60, base));
+    const auto tail = simulate::random_codes(rng, 120);
+    codes.insert(codes.end(), run.begin(), run.end());
+    codes.insert(codes.end(), tail.begin(), tail.end());
+    low_complexity.add_codes(std::string("poly_") + base, codes);
+  }
   low_complexity.add_codes("random", simulate::random_codes(rng, 300));
   seqio::SequenceBank n_runs("n_runs");
   n_runs.add("a", "ACGTACNNNNNACGTACGTANACGTTTGCANNNGATTACAGATTACA");

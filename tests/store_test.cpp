@@ -91,6 +91,14 @@ std::size_t bank_prefix_size(const std::string& blob) {
   return 28 + static_cast<std::size_t>(len);
 }
 
+/// A w=8 index key, DUST on unless `dust` is false.
+store::IndexKey w8_key(bool dust = true) {
+  store::IndexKey key;
+  key.w = 8;
+  key.dust = dust;
+  return key;
+}
+
 using IndexEdit = std::function<void(std::vector<std::uint32_t>& offsets,
                                      std::vector<std::int32_t>& positions)>;
 
@@ -99,7 +107,7 @@ using IndexEdit = std::function<void(std::vector<std::uint32_t>& offsets,
 /// valid — from a fresh build's arrays after `edit` has changed them.
 std::string crafted_blob(const seqio::SequenceBank& bank,
                          const IndexEdit& edit) {
-  const store::IndexKey key{.w = 8, .dust = false};
+  const store::IndexKey key = w8_key(/*dust=*/false);
   const std::string blob = store_blob(bank, {key});
   const index::BankIndex fresh(bank, index::SeedCoder(key.w));
   std::vector<std::uint32_t> offsets(fresh.occurrence_offsets().begin(),
@@ -109,7 +117,8 @@ std::string crafted_blob(const seqio::SequenceBank& bank,
   edit(offsets, positions);
 
   store::SectionWriter section(store::make_tag("INDX"));
-  for (const std::uint32_t field : {8u, 1u, 0u, 0u, 0u}) {
+  const auto w = static_cast<std::uint32_t>(key.w);
+  for (const std::uint32_t field : {w, 1u, 0u, 0u, 0u}) {
     section.put_u32(field);  // w, stride, dust, window, level
   }
   section.put_u64(bank.data_size());
@@ -566,7 +575,7 @@ TEST(IndexStoreReject, FutureVersionNamedInDiagnostic) {
 TEST(IndexStoreReject, OlderVersionRejectedAsOutdated) {
   // Version 1 artifacts also carried the dictionary and chains; this
   // build reads version 2 only and asks for a rebuild.
-  std::string blob = store_blob(make_bank(831, 2), {store::IndexKey{.w = 8}});
+  std::string blob = store_blob(make_bank(831, 2), {w8_key()});
   blob[4] = 1;  // version u32 starts at byte 4
   const std::string error = load_error(blob);
   EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
@@ -576,7 +585,7 @@ TEST(IndexStoreReject, OlderVersionRejectedAsOutdated) {
 TEST(IndexStoreReject, IndexForAnotherBankRejected) {
   // The BANK section of one artifact followed by the INDX payload built
   // for a bank of another size.
-  const store::IndexKey key{.w = 8};
+  const store::IndexKey key = w8_key();
   const std::string mine = store_blob(make_bank(711, 4), {key});
   const std::string theirs = store_blob(make_bank(712, 5), {key});
   const std::string spliced = mine.substr(0, bank_prefix_size(mine)) +
@@ -592,7 +601,7 @@ TEST(IndexStoreReject, HandWrittenIndexBodyLoads) {
   const std::string blob =
       crafted_blob(bank, [](std::vector<std::uint32_t>&,
                             std::vector<std::int32_t>&) {});
-  EXPECT_EQ(blob, store_blob(bank, {store::IndexKey{.w = 8, .dust = false}}));
+  EXPECT_EQ(blob, store_blob(bank, {w8_key(/*dust=*/false)}));
   EXPECT_EQ(load_error(blob), "");
 }
 
