@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
 
     core::Options ordered;
     ordered.threads = args.threads;
-    const auto ron = core::Pipeline(ordered).run(bank1, bank2);
+    const auto ron = Session(bank1, ordered).search_collect(bank2);
 
     core::Options naive = ordered;
     naive.enforce_order = false;
-    const auto roff = core::Pipeline(naive).run(bank1, bank2);
+    const auto roff = Session(bank1, naive).search_collect(bank2);
 
     const double dup_ratio =
         roff.stats.hsps == 0

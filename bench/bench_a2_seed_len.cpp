@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     opt.w = w;
     opt.asymmetric = asym;
     opt.threads = args.threads;
-    const auto r = core::Pipeline(opt).run(bank1, bank2);
+    const auto r = Session(bank1, opt).search_collect(bank2);
     table.add_row(
         {label, util::Table::fmt_int(static_cast<long long>(r.stats.hit_pairs)),
          util::Table::fmt_int(static_cast<long long>(r.stats.hsps)),

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   {
     core::Options opt;
     opt.threads = args.threads;
-    const auto r = core::Pipeline(opt).run(est3, est4);
+    const auto r = Session(est3, opt).search_collect(est4);
     table.add_row(
         {"SCORIS-N (full 11-mer index)",
          util::Table::fmt_int(static_cast<long long>(r.alignments.size())),
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   {
     core::Options opt;
     opt.dust = false;
-    const auto r = core::Pipeline(opt).run(hp.bank1, hp.bank2);
+    const auto r = Session(hp.bank1, opt).search_collect(hp.bank2);
     hi.add_row({"SCORIS-N",
                 util::Table::fmt_int(static_cast<long long>(r.alignments.size())),
                 util::Table::fmt(r.stats.total_seconds, 2)});

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
     core::Options sopt;
     sopt.threads = args.threads;
-    const auto sr = core::Pipeline(sopt).run(chr_a, chr_b);
+    const auto sr = Session(chr_a, sopt).search_collect(chr_b);
     blast::BlastOptions bopt;
     bopt.threads = args.threads;
     const auto br = blast::BlastN(bopt).run(chr_a, chr_b);

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
 #include "compare/sensitivity.hpp"
-#include "core/pipeline.hpp"
 #include "simulate/paper_datasets.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
@@ -84,7 +84,7 @@ inline PairRun run_pair(const simulate::PaperData& data, const PairSpec& spec,
 
   core::Options sopt;
   sopt.threads = threads;
-  out.scoris = core::Pipeline(sopt).run(bank1, bank2);
+  out.scoris = Session(bank1, sopt).search_collect(bank2);
 
   blast::BlastOptions bopt;
   bopt.threads = threads;

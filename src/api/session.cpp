@@ -4,7 +4,6 @@
 
 #include "api/sinks.hpp"
 #include "core/chunked.hpp"
-#include "core/exec/engine.hpp"
 #include "filter/dust.hpp"
 #include "seqio/fasta.hpp"
 #include "seqio/serialize.hpp"
@@ -121,12 +120,10 @@ const seqio::SequenceBank& Session::reference() const {
   return store_ != nullptr ? store_->bank() : *bank_;
 }
 
-SearchOutcome Session::search(const seqio::SequenceBank& bank2,
-                              HitSink& sink,
-                              const SearchLimits& limits) const {
+core::exec::ExecRequest Session::exec_request(
+    const seqio::SequenceBank& bank2, const SearchLimits& limits) const {
   core::exec::ExecRequest request;
-  request.bank1 = &reference();
-  request.prebuilt1 = idx1_;
+  request.idx1 = idx1_;
   request.bank2 = &bank2;
   request.options = options_;
   if (limits.strand) request.options.strand = *limits.strand;
@@ -156,9 +153,14 @@ SearchOutcome Session::search(const seqio::SequenceBank& bank2,
         reference().data_size() * sizeof(seqio::Code);
     request.slices = core::plan_budget_slices(bank1_bytes, bank2, copt);
   }
+  return request;
+}
 
+SearchOutcome Session::search(const seqio::SequenceBank& bank2,
+                              HitSink& sink,
+                              const SearchLimits& limits) const {
   const core::exec::ExecSummary summary =
-      core::exec::execute(request, sink);
+      core::exec::execute(exec_request(bank2, limits), sink);
   // Count (and charge the one-time build to) successful queries only: a
   // throwing execute must not consume the first-query accounting.  The
   // atomic fetch_add makes exactly one concurrent caller the "first"

@@ -1,10 +1,8 @@
-// scoris::Session — the resident-reference entry point of the public API.
+// scoris::Session — the entry point of the public API.
 //
 // The ROADMAP's target workload is a service answering heavy repeated
-// query traffic against one fixed reference bank.  The legacy entry
-// points (Pipeline::run*, run_chunked) re-wire BankIndex + Pipeline
-// plumbing per call and re-index the reference every time; a Session
-// does the expensive preparation exactly once —
+// query traffic against one fixed reference bank.  A Session does the
+// expensive preparation exactly once —
 //
 //   * load the reference (FASTA/.scob bank, or a prebuilt .scix store),
 //   * DUST-mask and index it (skipped entirely for .scix artifacts),
@@ -35,6 +33,7 @@
 #include <optional>
 #include <string>
 
+#include "core/exec/engine.hpp"
 #include "core/hit_sink.hpp"
 #include "core/options.hpp"
 #include "core/pipeline.hpp"
@@ -100,7 +99,7 @@ class Session {
  public:
   /// Own `reference` and index it now, exactly once, with the validated
   /// `options` (throws std::invalid_argument listing every validation
-  /// issue; std::invalid_argument from the indexer for W > 13).
+  /// issue).
   explicit Session(seqio::SequenceBank reference, Options options = {});
 
   /// Adopt a loaded .scix store: no indexing happens at all.  The store
@@ -126,11 +125,22 @@ class Session {
   SearchOutcome search(const seqio::SequenceBank& bank2, HitSink& sink,
                        const SearchLimits& limits = {}) const;
 
-  /// Convenience: search into a Collector and return the historical
-  /// whole-result vector (Pipeline::run semantics).
+  /// Convenience: search into a Collector and return every alignment in
+  /// one vector, with the query's stats.
   [[nodiscard]] core::Result search_collect(
       const seqio::SequenceBank& bank2,
       const SearchLimits& limits = {}) const;
+
+  /// The engine request search() runs for (bank2, limits): the session
+  /// options with the limits' strand, delivery-budget and tmp-dir
+  /// overrides applied and re-validated (std::invalid_argument on a bad
+  /// override), the Karlin parameters, and the bank2 slices that the
+  /// memory budget and min_chunks call for (empty = one whole-bank
+  /// slice).  The request points into this session and `bank2`, so it
+  /// is valid while both are.  dist::run_distributed plans its groups
+  /// from it.
+  [[nodiscard]] core::exec::ExecRequest exec_request(
+      const seqio::SequenceBank& bank2, const SearchLimits& limits) const;
 
   [[nodiscard]] const seqio::SequenceBank& reference() const;
   [[nodiscard]] const index::BankIndex& reference_index() const {

@@ -1,10 +1,10 @@
 // Shipped HitSink implementations.
 //
 //   M8Writer     stream BLAST -m 8 lines to an ostream as batches arrive
-//                (byte-identical to core::write_result_m8 on the same
+//                (byte-identical to compare::write_m8 on the same
 //                alignments, without ever retaining them);
-//   Collector    restore the historical vector semantics — gather every
-//                batch plus the final stats into a core::Result;
+//   Collector    gather every batch plus the final stats into a
+//                core::Result;
 //   CountingSink count alignments and batches without retaining them
 //                (smoke tests, dashboards, capacity probes).
 #pragma once
@@ -19,7 +19,7 @@
 namespace scoris {
 
 /// Streams m8 lines as alignments arrive.  With HitOrdering::kGlobal the
-/// byte stream equals write_result_m8 of the collected result; with
+/// byte stream equals compare::write_m8 of the collected result; with
 /// kGroupLocal the same lines appear in group-major order.  A stream that
 /// enters a failed state (disk full, closed pipe) raises SinkError from
 /// on_group, aborting the query instead of truncating its output.
@@ -38,8 +38,8 @@ class M8Writer final : public HitSink {
   std::size_t written_ = 0;
 };
 
-/// Collects every batch into a core::Result — the compatibility sink the
-/// legacy Pipeline::run* entry points are shims over.
+/// Collects every batch into a core::Result (Session::search_collect,
+/// and the distributed coordinator and worker, which ship whole groups).
 class Collector final : public HitSink {
  public:
   void on_group(std::span<const align::GappedAlignment> hits,

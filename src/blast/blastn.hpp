@@ -105,8 +105,9 @@ class BlastN {
   explicit BlastN(BlastOptions options = {});
 
   /// Compare bank1 (database / m8 query column) against bank2 (scanned
-  /// stream / m8 subject column).  Same orientation as core::Pipeline so
-  /// outputs are directly comparable.
+  /// stream / m8 subject column).  Same orientation as a scoris::Session
+  /// search of bank2 against reference bank1, so outputs are directly
+  /// comparable.
   [[nodiscard]] BlastResult run(const seqio::SequenceBank& bank1,
                                 const seqio::SequenceBank& bank2) const;
 

@@ -65,7 +65,7 @@ class BlatLike {
   explicit BlatLike(BlatOptions options = {});
 
   /// Compare bank1 (database, tiled index) against bank2 (scanned query
-  /// stream).  Same orientation as core::Pipeline / BlastN.
+  /// stream).  Same orientation as scoris::Session / BlastN.
   [[nodiscard]] BlatResult run(const seqio::SequenceBank& bank1,
                                const seqio::SequenceBank& bank2) const;
 

@@ -45,9 +45,6 @@ namespace {
 
 constexpr const char* kVersion = "scoris 0.1.0 (SCORIS-N, Lavenier'08 ORIS)";
 
-/// .scix artifacts cap W at 13 (BankIndex's limit), below the flat form's 14.
-constexpr int kMaxArtifactW = 13;
-
 // ---- Flag tables ----------------------------------------------------------
 //
 // Every form declares its flags once, as rows of a table.  One routine
@@ -433,7 +430,7 @@ std::vector<Flag> session_flags(CliConfig& c) {
   using core::Options;
   return {
       number("w", "N", c.w, Options::kMinW, Options::kMaxW,
-             "seed length, 4..14 (default 11); must match\n"
+             "seed length, 4..13 (default 11); must match\n"
              "the artifact when searching a .scix"),
       number("threads", "N", c.threads, Options::kMinThreads,
              Options::kMaxThreads, "worker threads for steps 2-3 (default 1)"),
@@ -564,18 +561,7 @@ Form search_form(CliConfig& c) {
                   session_flags(c),
                   run_flags(c),
                   {help_flag(c.help)}}),
-          [&c](std::ostream& err) {
-            if (!build_options(c, err)) return false;
-            // The flat form's W=14 can never match a payload, so reject
-            // it as the usage error it is — except under --asymmetric,
-            // where the effective word length is 10.
-            if (c.w > kMaxArtifactW && !c.asymmetric) {
-              err << "error: --w must be <= 13 for search (.scix artifacts "
-                     "cap W at 13)\n";
-              return false;
-            }
-            return true;
-          }};
+          [&c](std::ostream& err) { return build_options(c, err); }};
 }
 
 Form index_form(IndexConfig& c) {
@@ -588,7 +574,7 @@ Form index_form(IndexConfig& c) {
                .positional(0),
            text("out", "FILE", c.out_path, "artifact path to create (required)")
                .required(),
-           number("w", "N", c.w, core::Options::kMinW, kMaxArtifactW,
+           number("w", "N", c.w, core::Options::kMinW, core::Options::kMaxW,
                   "seed length, 4..13 (default 11; use 10 for\n"
                   "searches that will run --asymmetric)"),
            boolean("dust", c.dust,

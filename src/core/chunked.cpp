@@ -63,40 +63,4 @@ std::vector<exec::SliceRange> plan_budget_slices(
   return slices;
 }
 
-namespace {
-
-ChunkedResult to_chunked(Result&& part, std::size_t chunks) {
-  ChunkedResult result;
-  result.alignments = std::move(part.alignments);
-  result.stats = std::move(part.stats);
-  result.chunks = chunks;
-  return result;
-}
-
-}  // namespace
-
-ChunkedResult run_chunked(const seqio::SequenceBank& bank1,
-                          const seqio::SequenceBank& bank2,
-                          const ChunkedOptions& options) {
-  const Pipeline pipeline(options.pipeline);
-  const std::size_t bytes1 =
-      estimated_index_bytes(bank1, options.pipeline.effective_w());
-  const auto slices = plan_budget_slices(bytes1, bank2, options);
-  return to_chunked(pipeline.run_sliced(bank1, bank2, slices),
-                    slices.size());
-}
-
-ChunkedResult run_chunked(const index::BankIndex& idx1,
-                          const seqio::SequenceBank& bank2,
-                          const ChunkedOptions& options) {
-  const Pipeline pipeline(options.pipeline);
-  // The prebuilt index reports its actual footprint; add the SEQ bytes the
-  // bank itself holds, mirroring estimated_index_bytes's N * (4 + 1).
-  const std::size_t bytes1 =
-      idx1.memory_bytes() + idx1.bank().data_size() * sizeof(seqio::Code);
-  const auto slices = plan_budget_slices(bytes1, bank2, options);
-  return to_chunked(pipeline.run_sliced(idx1, bank2, slices),
-                    slices.size());
-}
-
 }  // namespace scoris::core

@@ -1,18 +1,23 @@
-// Memory-bounded bank comparison.
+// Bank2 slicing under a memory budget.
 //
 // The paper bounds bank size by available memory (section 3.1: the index
 // costs ~5 N bytes per bank, so "comparing two chromosomes of 40 MBytes
 // will require, at least, a free memory space of 400 MBytes").  When the
-// banks do not fit the budget, this driver cuts bank2 into sequence
-// ranges and hands the slice list to the exec engine (Pipeline::
-// run_sliced), which processes one slice index at a time and remaps
+// reference index plus a bank2 index do not fit the budget,
+// plan_budget_slices cuts bank2 into sequence ranges; the exec engine
+// processes one slice at a time (slice_bank materializes it) and remaps
 // results back to the original bank's coordinates.  Because ORIS
 // statistics use |bank1| x |subject sequence| as the search space and
-// sequences are never split, the merged result is bit-identical to an
-// unchunked run.
+// sequences are never split, the result is bit-identical to an unsliced
+// run.  Session::search plans the slices from SearchLimits.
 #pragma once
 
-#include "core/pipeline.hpp"
+#include <cstddef>
+#include <vector>
+
+#include "core/exec/plan.hpp"
+#include "core/options.hpp"
+#include "seqio/sequence_bank.hpp"
 
 namespace scoris::core {
 
@@ -26,12 +31,6 @@ struct ChunkedOptions {
   std::size_t min_chunks = 0;
 };
 
-struct ChunkedResult {
-  std::vector<align::GappedAlignment> alignments;  ///< original coordinates
-  PipelineStats stats;       ///< accumulated over slices
-  std::size_t chunks = 0;    ///< number of bank2 slices processed
-};
-
 /// Estimated index bytes for a bank at word length w (the paper's ~5N plus
 /// the 4^W dictionary).
 [[nodiscard]] std::size_t estimated_index_bytes(
@@ -42,29 +41,13 @@ struct ChunkedResult {
 [[nodiscard]] seqio::SequenceBank slice_bank(const seqio::SequenceBank& bank,
                                              std::size_t from, std::size_t to);
 
-/// The budget-driven slice plan both run_chunked overloads hand to the
-/// exec engine: bank2 is cut into the fewest contiguous sequence ranges
-/// whose estimated slice index fits next to `bank1_bytes` under the
-/// budget (at least options.min_chunks slices, never more than one per
-/// sequence).  An empty bank yields one empty slice.
+/// The budget-driven slice plan for the exec engine: bank2 is cut into
+/// the fewest contiguous sequence ranges whose estimated slice index fits
+/// next to `bank1_bytes` under the budget (at least options.min_chunks
+/// slices, never more than one per sequence).  An empty bank yields one
+/// empty slice.
 [[nodiscard]] std::vector<exec::SliceRange> plan_budget_slices(
     std::size_t bank1_bytes, const seqio::SequenceBank& bank2,
     const ChunkedOptions& options);
-
-/// Run bank1 x bank2 within the memory budget.  Results are sorted with
-/// the usual step-4 ordering and carry bank2's original sequence ids and
-/// global positions.
-[[nodiscard]] ChunkedResult run_chunked(const seqio::SequenceBank& bank1,
-                                        const seqio::SequenceBank& bank2,
-                                        const ChunkedOptions& options = {});
-
-/// Same driver with a prebuilt bank1 index (e.g. loaded from a .scix
-/// store): bank1 is never re-indexed, bank2 is sliced to fit the budget
-/// next to the index's *actual* memory footprint, and the merged result is
-/// bit-identical to the FASTA-built unchunked run.  The index's word
-/// length must match options.pipeline (std::invalid_argument otherwise).
-[[nodiscard]] ChunkedResult run_chunked(const index::BankIndex& idx1,
-                                        const seqio::SequenceBank& bank2,
-                                        const ChunkedOptions& options = {});
 
 }  // namespace scoris::core

@@ -11,6 +11,7 @@
 #include "core/chunked.hpp"
 #include "core/exec/run_merge.hpp"
 #include "core/ordered_extend.hpp"
+#include "filter/dust.hpp"
 #include "obs/metrics.hpp"
 #include "seqio/strand.hpp"
 #include "util/threading.hpp"
@@ -75,52 +76,25 @@ stats::KarlinParams group_karlin(const ExecRequest& request,
       freqs));
 }
 
-/// Minimal internal collector for the vector-result wrapper.  (The
-/// public Collector lives in api/sinks.hpp, a layer above this one.)
-struct VectorSink final : HitSink {
-  std::vector<align::GappedAlignment> alignments;
-  void on_group(std::span<const align::GappedAlignment> hits,
-                const HitBatch& /*batch*/) override {
-    alignments.insert(alignments.end(), hits.begin(), hits.end());
-  }
-};
-
 }  // namespace
 
 ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   const Options& options = request.options;
-  const seqio::SequenceBank& bank1 = *request.bank1;
+  const BankIndex& idx1 = *request.idx1;
+  const seqio::SequenceBank& bank1 = idx1.bank();
   const seqio::SequenceBank& bank2 = *request.bank2;
 
   ExecSummary result;
   PipelineStats& st = result.stats;
   util::WallTimer total;
 
-  // ---- step 1 (bank1 side, exactly once) ---------------------------------
-  obs::Span index1_span(request.trace, "index", "bank1");
-  util::WallTimer t1;
   const int w = options.effective_w();
-  if (request.prebuilt1 != nullptr && request.prebuilt1->w() != w) {
-    throw std::invalid_argument(
-        "pipeline: prebuilt index has w=" +
-        std::to_string(request.prebuilt1->w()) + " but the run needs w=" +
-        std::to_string(w));
+  if (idx1.w() != w) {
+    throw std::invalid_argument("exec: reference index has w=" +
+                                std::to_string(idx1.w()) +
+                                " but the run needs w=" + std::to_string(w));
   }
   const index::SeedCoder coder(w);
-  filter::MaskBitmap mask1;
-  index::IndexOptions iopt1;
-  std::optional<BankIndex> own1;
-  if (request.prebuilt1 == nullptr) {
-    if (options.dust) {
-      mask1 = filter::dust_mask(bank1, options.dust_params);
-      iopt1.mask = &mask1;
-    }
-    own1.emplace(bank1, coder, iopt1);
-  }
-  const BankIndex& idx1 =
-      request.prebuilt1 != nullptr ? *request.prebuilt1 : *own1;
-  st.index_seconds += t1.seconds();
-  index1_span.finish();
 
   // ---- plan ---------------------------------------------------------------
   PlanRequest preq;
@@ -329,7 +303,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
           std::max(st.peak_delivery_bytes,
                    alignments.size() * sizeof(align::GappedAlignment));
       HitBatch batch;
-      batch.bank1 = request.bank1;
+      batch.bank1 = &bank1;
       batch.bank2 = request.bank2;
       batch.index = batches++;
       batch.last = gid + 1 == plan.groups.size();
@@ -347,7 +321,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   if (!stream_groups) {
     obs::Span merge_span(request.trace, "merge", "global");
     HitBatch batch;
-    batch.bank1 = request.bank1;
+    batch.bank1 = &bank1;
     batch.bank2 = request.bank2;
     batch.index = batches;
     emitted += merger->merge(sink, batch);
@@ -357,12 +331,10 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
         std::max(st.peak_delivery_bytes, ms.peak_delivery_bytes);
     st.spilled_runs += ms.spilled_runs;
     st.spill_bytes += ms.spill_bytes;
-    result.spilled_runs = ms.spilled_runs;
-    result.spill_bytes = ms.spill_bytes;
   } else if (batches == 0) {
     // Zero-group plans still owe the sink its final (empty) delivery.
     HitBatch batch;
-    batch.bank1 = request.bank1;
+    batch.bank1 = &bank1;
     batch.bank2 = request.bank2;
     batch.last = true;
     sink.on_group({}, batch);
@@ -381,17 +353,6 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   st.alignments = emitted;
   st.total_seconds = total.seconds();
   sink.on_stats(st);
-  return result;
-}
-
-ExecResult execute(const ExecRequest& request) {
-  VectorSink sink;
-  ExecSummary summary = execute(request, sink);
-  ExecResult result;
-  result.alignments = std::move(sink.alignments);
-  result.stats = std::move(summary.stats);
-  result.groups = summary.groups;
-  result.slices = summary.slices;
   return result;
 }
 

@@ -1,10 +1,9 @@
-// The sharded execution engine behind every pipeline entry path.
+// The sharded execution engine: the one way a comparison runs.
 //
 // execute() compiles a comparison into an ExecutionPlan (see plan.hpp)
-// and runs it:
+// and runs it against a reference index built beforehand (Session's
+// constructor, a .scix store, or a distributed worker's job setup):
 //
-//   step 1   bank1 is masked+indexed once (or adopted prebuilt) — never
-//            per slice or per strand;
 //   groups   each (strand x bank2-slice) group is processed in plan
 //            order: the slice is materialized (and reverse-complemented
 //            for minus groups), masked, indexed, its seed-code shards run
@@ -21,27 +20,29 @@
 // Determinism: shard outputs concatenate in ascending seed-code order, so
 // the HSP stream — and therefore the m8 output — is byte-identical for
 // any thread count, shard count, or schedule.  Timing and shard-balance
-// numbers land in PipelineStats via the ShardStatsReducer; the bank1
-// index is accounted exactly once (seconds and bytes), fixing the
-// per-slice double counting the old per-path drivers had.
+// numbers land in PipelineStats via the ShardStatsReducer; the reference
+// index is counted once (bytes and masked bases), whatever the number of
+// slices or strands.
 #pragma once
 
 #include <vector>
 
 #include "core/exec/plan.hpp"
 #include "core/hit_sink.hpp"
+#include "core/options.hpp"
 #include "core/pipeline.hpp"
 #include "obs/trace.hpp"
+#include "stats/karlin.hpp"
 
 namespace scoris::core::exec {
 
-/// One comparison, ready for planning.  `bank1`/`bank2` are required;
-/// `prebuilt1` (e.g. adopted from a .scix store) suppresses the bank1
-/// indexing step and must have been built for `bank1` with the run's
-/// effective word length (std::invalid_argument otherwise).
+/// One comparison, ready for planning.  `idx1` and `bank2` are required.
+/// `idx1` is the reference (query-side) index; the engine reads bank1
+/// from `idx1->bank()`.  It must have been built with the run's
+/// effective word length (std::invalid_argument otherwise), stride 1,
+/// and the run's DUST setting.
 struct ExecRequest {
-  const seqio::SequenceBank* bank1 = nullptr;
-  const index::BankIndex* prebuilt1 = nullptr;
+  const index::BankIndex* idx1 = nullptr;
   const seqio::SequenceBank* bank2 = nullptr;
   /// Bank2 sequence slices in processing order; empty = one whole-bank
   /// slice.  Must partition [0, bank2->size()) for exact results.
@@ -50,7 +51,7 @@ struct ExecRequest {
   /// Base Karlin-Altschul parameters (composition_stats re-solves per
   /// group from the actual bank compositions).
   stats::KarlinParams karlin;
-  /// Delivery order for the sink-driven execute (see HitOrdering).
+  /// Delivery order (see HitOrdering).
   HitOrdering ordering = HitOrdering::kGlobal;
   /// Reusable worker pool (a Session's); nullptr = spawn workers per
   /// scheduling point as before.
@@ -62,20 +63,8 @@ struct ExecRequest {
   obs::TraceRecorder* trace = nullptr;
 };
 
-/// What a sink-driven run reports besides the alignments it streamed.
+/// What a run reports besides the alignments it streamed.
 struct ExecSummary {
-  PipelineStats stats;
-  std::size_t groups = 0;  ///< (strand x slice) groups executed
-  std::size_t slices = 0;  ///< bank2 slices in the plan
-  /// Spill-run counters of the kGlobal cross-group merge (also in
-  /// stats): how many sorted group runs went to temp files and the
-  /// bytes they framed on disk.  0/0 for streamed or in-memory runs.
-  std::size_t spilled_runs = 0;
-  std::size_t spill_bytes = 0;
-};
-
-struct ExecResult {
-  std::vector<align::GappedAlignment> alignments;  ///< bank2-global coords
   PipelineStats stats;
   std::size_t groups = 0;  ///< (strand x slice) groups executed
   std::size_t slices = 0;  ///< bank2 slices in the plan
@@ -83,11 +72,8 @@ struct ExecResult {
 
 /// Compile and run the comparison, streaming alignments through `sink`
 /// (at least one on_group call, then exactly one on_stats).  Throws
-/// std::invalid_argument on a word-length mismatch with `prebuilt1`.
+/// std::invalid_argument when `idx1`'s word length differs from the
+/// options' effective W.
 ExecSummary execute(const ExecRequest& request, HitSink& sink);
-
-/// Collector-backed wrapper preserving the historical whole-result
-/// vector; the legacy Pipeline::run* entry points are shims over this.
-[[nodiscard]] ExecResult execute(const ExecRequest& request);
 
 }  // namespace scoris::core::exec

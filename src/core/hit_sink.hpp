@@ -41,15 +41,15 @@ namespace scoris {
 
 /// How the engine orders the alignments it hands to a sink.
 enum class HitOrdering {
-  /// Canonical step-4 global order (increasing e-value, ...), exactly
-  /// the historical Result/write_result_m8 output.  Single-group plans
-  /// stream the group the moment it finishes; multi-group plans (both
-  /// strands, budget-sliced bank2) wait for the deterministic
-  /// cross-group merge, because the globally best hit can come from the
-  /// last group.  That merge is a spill-run k-way merge: each finished
-  /// group is a sorted run, kept in memory under the delivery budget or
-  /// spilled to a CRC-framed temp file over it, so peak delivery memory
-  /// is O(batch + groups x head) instead of the whole hit set (see
+  /// Canonical step-4 global order (increasing e-value, ...), the order
+  /// gapped_stage sorts each group in.  Single-group plans stream the
+  /// group the moment it finishes; multi-group plans (both strands,
+  /// budget-sliced bank2) wait for the deterministic cross-group merge,
+  /// because the globally best hit can come from the last group.  That
+  /// merge is a spill-run k-way merge: each finished group is a sorted
+  /// run, kept in memory under the delivery budget or spilled to a
+  /// CRC-framed temp file over it, so peak delivery memory is O(batch +
+  /// groups x head) instead of the whole hit set (see
   /// Options::delivery_budget_bytes).
   kGlobal,
   /// Stream every (strand x slice) group the moment it finishes, in
@@ -92,8 +92,8 @@ struct HitBatch {
 };
 
 /// Streaming consumer driven by the exec engine.  Implementations ship
-/// in api/sinks.hpp: M8Writer (stream m8 text), Collector (restore the
-/// historical vector result), CountingSink (count without retaining).
+/// in api/sinks.hpp: M8Writer (stream m8 text), Collector (gather one
+/// vector result), CountingSink (count without retaining).
 class HitSink {
  public:
   virtual ~HitSink() = default;

@@ -1,8 +1,9 @@
 // Pipeline options and their validation — the single source of truth for
 // what a well-formed configuration is.
 //
-// Every frontend (the scoris::Session API, core::Pipeline, the CLI) runs
-// the same comparison, so they must agree on which settings are legal.
+// Every frontend (the scoris::Session API, the CLI, the daemon, the
+// distributed worker) runs the same comparison, so they must agree on
+// which settings are legal.
 // Options::validate() returns structured diagnostics instead of throwing
 // so callers can report every problem at once; the CLI prints each issue
 // verbatim (prefixed "error: ") and exits 2, and Session's constructor
@@ -19,6 +20,7 @@
 
 #include "align/scoring.hpp"
 #include "filter/dust.hpp"
+#include "index/seed_coder.hpp"
 #include "seqio/strand.hpp"
 #include "util/threading.hpp"
 
@@ -26,7 +28,7 @@ namespace scoris::core {
 
 /// One validation failure.  `field` is the option's flag-style name
 /// ("w", "threads", ...); `message` is a full human-readable sentence
-/// ("--w must be in [4, 14], got 99") ready for CLI printing.
+/// ("--w must be in [4, 13], got 99") ready for CLI printing.
 struct OptionIssue {
   std::string field;
   std::string message;
@@ -91,12 +93,12 @@ struct Options {
   /// Effective word length (asymmetric mode drops to 10-nt).
   [[nodiscard]] int effective_w() const { return asymmetric ? 10 : w; }
 
-  // Canonical bounds.  kMaxW caps the in-memory dictionary at 4^14 int32
-  // entries (1 GiB); .scix artifacts additionally cap W at 13 (see the
-  // index subcommand).  The remaining bounds exist to catch typo-sized
-  // values before they allocate or spawn absurd resources.
+  // Canonical bounds.  kMaxW is BankIndex's cap (index::kMaxW), so a W
+  // that passes here can always be indexed and stored as .scix.  The
+  // remaining bounds exist to catch typo-sized values before they
+  // allocate or spawn absurd resources.
   static constexpr int kMinW = 4;
-  static constexpr int kMaxW = 14;
+  static constexpr int kMaxW = index::kMaxW;
   static constexpr int kMinThreads = 1;
   static constexpr int kMaxThreads = 1024;
   static constexpr std::size_t kMaxShards = 1000000;

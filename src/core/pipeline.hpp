@@ -14,33 +14,22 @@
 // produce the same HSP thanks to the order rule), and step 3 partitions by
 // subject sequence.  Results are deterministic and thread-count-invariant.
 //
-// Pipeline is a thin frontend: every entry path (flat, prebuilt index,
-// sliced/chunked, both strands) compiles to an exec::ExecutionPlan of
-// (strand x bank2-slice x seed-code-range) shards and runs on the shared
-// execution engine in core/exec/.  The engine streams alignments through
-// a HitSink (see core/hit_sink.hpp); the run* methods here are
-// compatibility shims over a Collector sink that restore the historical
-// whole-result vector.  New code should prefer scoris::Session
-// (api/session.hpp), which keeps one reference index resident across
-// queries and streams output in bounded memory.
+// The code lives in core/exec/: one engine (exec::execute) runs every
+// comparison as an ExecutionPlan of (strand x bank2-slice x
+// seed-code-range) shards and streams alignments through a HitSink
+// (core/hit_sink.hpp).  scoris::Session (api/session.hpp) is the entry
+// point: it indexes the reference once, keeps it resident across
+// queries, and builds each query's engine request.  This header keeps
+// the vocabulary shared by all of them: the per-run statistics and the
+// collected result.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <span>
+#include <cstddef>
 #include <vector>
 
 #include "align/records.hpp"
-#include "align/scoring.hpp"
-#include "core/exec/plan.hpp"
 #include "core/exec/shard_stats.hpp"
 #include "core/gapped_stage.hpp"
-#include "core/options.hpp"
-#include "filter/dust.hpp"
-#include "index/bank_index.hpp"
-#include "seqio/sequence_bank.hpp"
-#include "seqio/strand.hpp"
-#include "stats/karlin.hpp"
 
 namespace scoris::core {
 
@@ -95,51 +84,5 @@ struct Result {
   std::vector<align::GappedAlignment> alignments;
   PipelineStats stats;
 };
-
-class Pipeline {
- public:
-  explicit Pipeline(Options options = {});
-
-  /// Run bank1 x bank2. bank1 is the "query" side of the m8 output; the
-  /// e-value search space is |bank1| x |subject sequence| as in the paper.
-  [[nodiscard]] Result run(const seqio::SequenceBank& bank1,
-                           const seqio::SequenceBank& bank2) const;
-
-  /// Same comparison with a prebuilt bank1 index (e.g. adopted from a
-  /// .scix store): step 1 only indexes bank2, and the result is
-  /// bit-identical to the two-bank overload when `idx1` was built with
-  /// this pipeline's settings (word length, stride 1, same DUST mask).
-  /// bank1 is never reverse-complemented, so one prebuilt index serves
-  /// every --strand mode.  Throws std::invalid_argument when idx1's word
-  /// length differs from the pipeline's effective W.
-  [[nodiscard]] Result run(const index::BankIndex& idx1,
-                           const seqio::SequenceBank& bank2) const;
-
-  /// Same comparison restricted to the given bank2 sequence slices, with
-  /// alignments remapped to bank2-global coordinates (the chunked
-  /// driver's entry point; `run` is the single-slice special case).
-  /// Slices are processed in order; results are bit-identical to the
-  /// unsliced run as long as the slices partition [0, bank2.size()).
-  [[nodiscard]] Result run_sliced(const seqio::SequenceBank& bank1,
-                                  const seqio::SequenceBank& bank2,
-                                  std::span<const exec::SliceRange> slices)
-      const;
-  [[nodiscard]] Result run_sliced(const index::BankIndex& idx1,
-                                  const seqio::SequenceBank& bank2,
-                                  std::span<const exec::SliceRange> slices)
-      const;
-
-  [[nodiscard]] const Options& options() const { return options_; }
-  [[nodiscard]] const stats::KarlinParams& karlin() const { return karlin_; }
-
- private:
-  Options options_;
-  stats::KarlinParams karlin_;
-};
-
-/// Write a result in m8 format (step 4 display).
-void write_result_m8(std::ostream& os, const Result& result,
-                     const seqio::SequenceBank& bank1,
-                     const seqio::SequenceBank& bank2);
 
 }  // namespace scoris::core

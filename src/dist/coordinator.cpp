@@ -8,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/chunked.hpp"
+#include "api/sinks.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/run_merge.hpp"
 #include "dist/protocol.hpp"
@@ -336,33 +336,19 @@ SearchOutcome run_distributed(const Session& session,
   shared.config = config;
   shared.trace = limits.trace;
 
-  shared.options = session.options();
-  if (limits.strand) shared.options.strand = *limits.strand;
-  if (limits.delivery_budget_bytes > 0) {
-    shared.options.delivery_budget_bytes = limits.delivery_budget_bytes;
-  }
-  if (!limits.tmp_dir.empty()) shared.options.tmp_dir = limits.tmp_dir;
-  shared.options.validate_or_throw();
-  shared.karlin = stats::karlin_match_mismatch(
-      shared.options.scoring.match, shared.options.scoring.mismatch);
-
-  // Slice bank2 exactly as Session::search would, with one extra lower
-  // bound: enough slices that every executor has groups to pull.
+  // Plan exactly as Session::search would, with one extra lower bound
+  // on the bank2 slices: enough that every executor has groups to pull.
   // Slicing is output-invariant, so this changes balance, not bytes.
-  core::ChunkedOptions copt;
-  copt.pipeline = shared.options;
-  copt.memory_budget_bytes = limits.memory_budget_bytes > 0
-                                 ? limits.memory_budget_bytes
-                                 : ~std::size_t{0};
-  copt.min_chunks = std::max(
+  SearchLimits planned = limits;
+  planned.min_chunks = std::max(
       limits.min_chunks, config.dist_slices > 0
                              ? config.dist_slices
                              : 2 * (config.workers.size() + 1));
-  const std::size_t bank1_bytes =
-      session.reference_index().memory_bytes() +
-      session.reference().data_size() * sizeof(seqio::Code);
-  const std::vector<core::exec::SliceRange> slices =
-      core::plan_budget_slices(bank1_bytes, bank2, copt);
+  const core::exec::ExecRequest whole = session.exec_request(bank2, planned);
+  shared.options = whole.options;
+  shared.karlin = whole.karlin;
+  std::vector<core::exec::SliceRange> slices = whole.slices;
+  if (slices.empty()) slices.push_back({0, bank2.size()});
 
   // Group list in compile_plan order (slice-major, plus before minus):
   // a task's position IS the merge tie-break key.
@@ -433,8 +419,7 @@ SearchOutcome run_distributed(const Session& session,
       obs::Span span(shared.trace,
                      "local group " + std::to_string(task.id), "local");
       core::exec::ExecRequest request;
-      request.bank1 = &session.reference();
-      request.prebuilt1 = &session.reference_index();
+      request.idx1 = whole.idx1;
       request.bank2 = &bank2;
       request.slices = {core::exec::SliceRange{
           static_cast<std::size_t>(task.slice_from),
@@ -444,7 +429,9 @@ SearchOutcome run_distributed(const Session& session,
           task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
       request.karlin = shared.karlin;
       request.ordering = HitOrdering::kGlobal;  // single group: streamed
-      core::exec::ExecResult result = core::exec::execute(request);
+      Collector collector;
+      (void)core::exec::execute(request, collector);
+      core::Result result = collector.take();
       local_stats.index_seconds += result.stats.index_seconds;
       local_stats.hsp_seconds += result.stats.hsp_seconds;
       local_stats.gapped_seconds += result.stats.gapped_seconds;

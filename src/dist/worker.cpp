@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/sinks.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/run_merge.hpp"
 #include "dist/protocol.hpp"
@@ -64,7 +65,6 @@ struct Job {
   std::unique_ptr<seqio::SequenceBank> owned_bank1;  // inline references
   std::unique_ptr<index::BankIndex> owned_index;
   std::unique_ptr<store::IndexStore> store;          // path references
-  const seqio::SequenceBank* bank1 = nullptr;
   const index::BankIndex* idx1 = nullptr;
   seqio::SequenceBank bank2;
   core::Options options;
@@ -112,7 +112,6 @@ Job prepare_job(const net::Frame& frame, int threads) {
       }
       job.owned_index = std::make_unique<index::BankIndex>(*job.owned_bank1,
                                                            coder, iopt);
-      job.bank1 = job.owned_bank1.get();
       job.idx1 = job.owned_index.get();
       break;
     }
@@ -124,7 +123,6 @@ Job prepare_job(const net::Frame& frame, int threads) {
       key.dust = job.options.dust;
       key.dust_params = job.options.dust_params;
       job.idx1 = &job.store->require(key);
-      job.bank1 = &job.store->bank();
       break;
     }
     default:
@@ -152,7 +150,7 @@ void send_error(net::Socket& conn, const std::string& message) {
                                const GroupTask& task) {
   WorkerMetrics& metrics = WorkerMetrics::get();
   util::WallTimer timer;
-  core::exec::ExecResult result;
+  core::Result result;
   try {
     if (task.slice_from > task.slice_to ||
         task.slice_to > job.bank2.size()) {
@@ -163,8 +161,7 @@ void send_error(net::Socket& conn, const std::string& message) {
           std::to_string(job.bank2.size()) + " sequences)");
     }
     core::exec::ExecRequest request;
-    request.bank1 = job.bank1;
-    request.prebuilt1 = job.idx1;
+    request.idx1 = job.idx1;
     request.bank2 = &job.bank2;
     request.slices = {core::exec::SliceRange{
         static_cast<std::size_t>(task.slice_from),
@@ -175,7 +172,9 @@ void send_error(net::Socket& conn, const std::string& message) {
     request.karlin = job.karlin;
     request.ordering = HitOrdering::kGlobal;  // single group: streamed
     request.pool = job.pool.get();
-    result = core::exec::execute(request);
+    Collector collector;
+    (void)core::exec::execute(request, collector);
+    result = collector.take();
   } catch (const std::exception& e) {
     // The group failed before any WRUN byte went out (execution is
     // collect-then-stream), so WERR leaves the coordinator's view
@@ -297,7 +296,7 @@ void Worker::Conversation::converse(net::Connection& conn) {
   net::write_frame(conn.socket(), kJobAckTag, std::string_view{});
   conn.log().info("job prepared",
                   {obs::kv("conn", conn.id()),
-                   obs::kv("reference_seqs", job.bank1->size()),
+                   obs::kv("reference_seqs", job.idx1->bank().size()),
                    obs::kv("query_seqs", job.bank2.size())});
 
   while (conn.next_frame(frame)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "store/format.hpp"
@@ -40,8 +41,9 @@ void for_each_word_descending(const seqio::SequenceBank& bank,
 BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
                      const IndexOptions& options)
     : bank_(&bank), coder_(coder) {
-  if (coder.w() > 13) {
-    throw std::invalid_argument("BankIndex: W > 13 dictionary too large");
+  if (coder.w() > kMaxW) {
+    throw std::invalid_argument("BankIndex: W > " + std::to_string(kMaxW) +
+                                " dictionary too large");
   }
   if (options.stride < 1) {
     throw std::invalid_argument("BankIndex: stride must be >= 1");

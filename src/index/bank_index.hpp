@@ -14,9 +14,8 @@
 // and occurrence counts are O(1) offset subtractions.  Memory is 4 bytes
 // per indexed position plus the 1-byte SEQ array the bank owns, plus the
 // 4·(4^W+1) offset bytes — the paper's "approximately 5 N bytes", which
-// index_test and bench_a4_index_cost verify.  A two-pass counting sort
-// builds it: the first pass counts each code's word starts, the second
-// places them.
+// index_test verifies.  A two-pass counting sort builds it: the first
+// pass counts each code's word starts, the second places them.
 //
 // Options cover the paper's two indexing variants:
 //  * a low-complexity mask: masked words are not indexed (section 2.1);
@@ -57,7 +56,7 @@ class BankIndex {
  public:
   /// Build the index for `bank` with word length `coder.w()`.
   /// The bank must outlive the index. Throws std::invalid_argument for
-  /// W > 13 (the offsets would take 1 GiB or more).
+  /// W > kMaxW (see seed_coder.hpp).
   BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
             const IndexOptions& options = {});
 

@@ -24,11 +24,14 @@ namespace scoris::index {
 /// Integer seed code; fits 2 bits per character, W <= 15.
 using SeedCode = std::uint32_t;
 
+/// Longest word a BankIndex accepts, and so every search and every .scix
+/// payload: its 4^W + 1 offsets take 256 MiB at W = 13 and 1 GiB at 14.
+inline constexpr int kMaxW = 13;
+
 class SeedCoder {
  public:
-  /// W in [1, 15]; throws std::invalid_argument otherwise.  Dictionaries of
-  /// 4^W int32 entries become large above W = 13; BankIndex enforces its
-  /// own cap.
+  /// W in [1, 15]; throws std::invalid_argument otherwise.  BankIndex
+  /// caps W at kMaxW.
   explicit SeedCoder(int w);
 
   [[nodiscard]] int w() const { return w_; }

@@ -9,14 +9,13 @@
 //     scoris::M8Writer sink(std::cout);
 //     session.search(queries, sink);
 //
-// See docs/API.md for the quickstart and the migration notes from the
-// legacy Pipeline::run* entry points.
+// See docs/API.md for the quickstart and the migration table from the
+// removed Pipeline::run* entry points.
 #pragma once
 
 #include "api/session.hpp"
 #include "api/sinks.hpp"
 #include "compare/m8.hpp"
-#include "core/chunked.hpp"
 #include "core/hit_sink.hpp"
 #include "core/options.hpp"
 #include "core/pipeline.hpp"

@@ -120,7 +120,7 @@ std::pair<IndexKey, index::BankIndex> read_index_section(
   key.dust_params.window = static_cast<int>(section.read_u32());
   key.dust_params.level = static_cast<int>(section.read_u32());
   if (!key.dust) key.dust_params = filter::DustParams{};
-  if (key.w < 4 || key.w > 13 || key.stride < 1) {
+  if (key.w < 4 || key.w > index::kMaxW || key.stride < 1) {
     throw std::runtime_error(what + ": INDX section has invalid settings (" +
                              to_string(key) + ")");
   }
@@ -154,8 +154,9 @@ void write_index(std::ostream& os, const seqio::SequenceBank& bank,
     throw std::invalid_argument("index store: at least one index key");
   }
   for (const IndexKey& key : keys) {
-    if (key.w < 4 || key.w > 13) {
-      throw std::invalid_argument("index store: w must be in [4, 13], got " +
+    if (key.w < 4 || key.w > index::kMaxW) {
+      throw std::invalid_argument("index store: w must be in [4, " +
+                                  std::to_string(index::kMaxW) + "], got " +
                                   std::to_string(key.w));
     }
     if (key.stride < 1) {

@@ -14,8 +14,7 @@
 
 #include "api/session.hpp"
 #include "api/sinks.hpp"
-#include "core/chunked.hpp"
-#include "core/pipeline.hpp"
+#include "compare/m8.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "store/index_store.hpp"
@@ -39,12 +38,13 @@ Banks make_banks(std::uint64_t seed = 31) {
   return banks;
 }
 
-/// The pre-redesign reference: Pipeline::run + write_result_m8.
-std::string legacy_m8(const Banks& banks, const core::Options& options) {
+/// The reference bytes: a single-threaded, unsliced run of `options`.
+std::string reference_m8(const Banks& banks, core::Options options) {
+  options.threads = 1;
   const core::Result result =
-      core::Pipeline(options).run(banks.bank1, banks.bank2);
+      Session(banks.bank1, options).search_collect(banks.bank2);
   std::ostringstream os;
-  core::write_result_m8(os, result, banks.bank1, banks.bank2);
+  compare::write_m8(os, result.alignments, banks.bank1, banks.bank2);
   return os.str();
 }
 
@@ -68,13 +68,13 @@ store::IndexStore make_store(const seqio::SequenceBank& bank) {
 // --- streaming equivalence ---------------------------------------------------
 
 /// The acceptance matrix: M8Writer-streamed output is byte-identical to
-/// Collector + write_result_m8 — and to the pre-redesign pipeline — for
+/// Collector + compare::write_m8 — and to a single-threaded run — for
 /// threads{1,8} x shards{1,16} x strand both.
 TEST(SessionStreaming, M8WriterMatchesCollectorAcrossMatrix) {
   const Banks banks = make_banks();
   core::Options base;
   base.strand = seqio::Strand::kBoth;
-  const std::string reference = legacy_m8(banks, base);
+  const std::string reference = reference_m8(banks, base);
   ASSERT_FALSE(reference.empty());
 
   for (const int threads : {1, 8}) {
@@ -91,8 +91,8 @@ TEST(SessionStreaming, M8WriterMatchesCollectorAcrossMatrix) {
 
       const core::Result collected = session.search_collect(banks.bank2);
       std::ostringstream gathered;
-      core::write_result_m8(gathered, collected, session.reference(),
-                            banks.bank2);
+      compare::write_m8(gathered, collected.alignments, session.reference(),
+                        banks.bank2);
 
       EXPECT_EQ(streamed.str(), reference)
           << "threads=" << threads << " shards=" << shards;
@@ -110,7 +110,7 @@ TEST(SessionStreaming, ChunkedFromStoreMatchesFlat) {
   const Banks banks = make_banks(37);
   core::Options base;
   base.strand = seqio::Strand::kBoth;
-  const std::string reference = legacy_m8(banks, base);
+  const std::string reference = reference_m8(banks, base);
   ASSERT_FALSE(reference.empty());
 
   for (const int threads : {1, 8}) {
@@ -133,7 +133,7 @@ TEST(SessionStreaming, ChunkedFromStoreMatchesFlat) {
 /// A byte-budget (not just min_chunks) also slices and stays identical.
 TEST(SessionStreaming, MemoryBudgetSlicesAndMatches) {
   const Banks banks = make_banks(41);
-  const std::string reference = legacy_m8(banks, core::Options{});
+  const std::string reference = reference_m8(banks, core::Options{});
 
   Session session(banks.bank1, core::Options{});
   SearchLimits limits;
@@ -152,7 +152,7 @@ TEST(SessionStreaming, GroupLocalOrderingIsAPermutation) {
   const Banks banks = make_banks(43);
   core::Options options;
   options.strand = seqio::Strand::kBoth;
-  const std::string reference = legacy_m8(banks, options);
+  const std::string reference = reference_m8(banks, options);
 
   Session session(banks.bank1, options);
   SearchLimits limits;
@@ -169,7 +169,7 @@ TEST(SessionStreaming, GroupLocalOrderingIsAPermutation) {
   std::ostringstream plus_streamed;
   M8Writer plus_writer(plus_streamed);
   plus_session.search(banks.bank2, plus_writer, limits);
-  EXPECT_EQ(plus_streamed.str(), legacy_m8(banks, plus));
+  EXPECT_EQ(plus_streamed.str(), reference_m8(banks, plus));
 }
 
 /// The bounded-delivery acceptance case: a spill-forced kGlobal search
@@ -188,7 +188,7 @@ TEST(SessionStreaming, SpillForcedDeliveryBudgetMatchesAndStaysBounded) {
   }
   core::Options options;
   options.strand = seqio::Strand::kBoth;
-  const std::string reference = legacy_m8(banks, options);
+  const std::string reference = reference_m8(banks, options);
   ASSERT_FALSE(reference.empty());
 
   for (const int threads : {1, 8}) {
@@ -247,7 +247,7 @@ TEST(SessionStreaming, DeliveryBudgetViaOptionsAndOverrideValidation) {
   session.search(banks.bank2, writer);
   core::Options plain;
   plain.strand = seqio::Strand::kBoth;
-  EXPECT_EQ(streamed.str(), legacy_m8(banks, plain));
+  EXPECT_EQ(streamed.str(), reference_m8(banks, plain));
 
   // A sub-minimum per-query override must throw before the engine runs.
   SearchLimits bad;
@@ -314,10 +314,33 @@ TEST(SessionReuse, PerQueryStrandOverride) {
 
   core::Options both_options;
   both_options.strand = seqio::Strand::kBoth;
-  EXPECT_EQ(streamed.str(), legacy_m8(banks, both_options));
+  EXPECT_EQ(streamed.str(), reference_m8(banks, both_options));
   // The session's own options are untouched by the per-query override.
   EXPECT_EQ(session.options().strand, seqio::Strand::kPlus);
   EXPECT_EQ(session.reference_builds(), 1u);
+}
+
+/// exec_request is what search() runs: the limits' overrides applied and
+/// validated, and slices planned only when min_chunks or a budget asks.
+TEST(SessionReuse, ExecRequestCarriesTheQueryPlan) {
+  const Banks banks = make_banks(83);
+  const Session session(banks.bank1);
+  const auto whole = session.exec_request(banks.bank2, {});
+  EXPECT_EQ(whole.idx1, &session.reference_index());
+  EXPECT_EQ(whole.bank2, &banks.bank2);
+  EXPECT_TRUE(whole.slices.empty());  // one whole-bank slice
+  EXPECT_EQ(whole.options.strand, seqio::Strand::kPlus);
+
+  SearchLimits limits;
+  limits.strand = seqio::Strand::kBoth;
+  limits.min_chunks = 4;
+  const auto sliced = session.exec_request(banks.bank2, limits);
+  EXPECT_EQ(sliced.options.strand, seqio::Strand::kBoth);
+  EXPECT_EQ(sliced.slices.size(), 4u);
+
+  limits.delivery_budget_bytes = 1;  // below Options::kMinDeliveryBudget
+  EXPECT_THROW((void)session.exec_request(banks.bank2, limits),
+               std::invalid_argument);
 }
 
 TEST(SessionReuse, OpenDispatchesOnExtension) {
@@ -336,7 +359,7 @@ TEST(SessionReuse, OpenDispatchesOnExtension) {
   std::ostringstream streamed;
   M8Writer writer(streamed);
   from_file.search(banks.bank2, writer);
-  EXPECT_EQ(streamed.str(), legacy_m8(banks, core::Options{}));
+  EXPECT_EQ(streamed.str(), reference_m8(banks, core::Options{}));
   std::remove(fasta.c_str());
 }
 
@@ -409,6 +432,21 @@ TEST(OptionsValidate, ReportsEveryIssueWithFieldNames) {
     EXPECT_NE(issue.message.find("--" + issue.field), std::string::npos)
         << issue.message;
   }
+}
+
+/// W is capped where BankIndex caps it, so an unindexable W is a
+/// validation issue rather than a failure of the reference build.
+TEST(OptionsValidate, WordLengthAboveTheIndexCapIsReported) {
+  core::Options options;
+  options.w = 13;
+  EXPECT_TRUE(options.validate().empty());
+  options.w = 14;
+  const auto issues = options.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "w");
+  EXPECT_NE(issues[0].message.find("[4, 13]"), std::string::npos)
+      << issues[0].message;
+  EXPECT_THROW(Session(make_banks(79).bank1, options), std::invalid_argument);
 }
 
 TEST(OptionsValidate, DeliveryBudgetRule) {

@@ -6,12 +6,13 @@
 #include <set>
 #include <sstream>
 
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
 #include "compare/sensitivity.hpp"
-#include "core/pipeline.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
+#include "stats/karlin.hpp"
 #include "test_helpers.hpp"
 
 namespace scoris::blast {
@@ -88,7 +89,7 @@ TEST(BlastN, AgreesWithScorisOnHomologousBanks) {
 
   core::Options sopt;
   sopt.dust = false;
-  const core::Result sr = core::Pipeline(sopt).run(hp.bank1, hp.bank2);
+  const core::Result sr = Session(hp.bank1, sopt).search_collect(hp.bank2);
   BlastOptions bopt;
   bopt.dust = false;
   const BlastResult br = BlastN(bopt).run(hp.bank1, hp.bank2);
@@ -111,9 +112,11 @@ TEST(BlastN, AgreesWithScorisOnHomologousBanks) {
 TEST(BlastN, SameScoringSubstrateAsScoris) {
   // Identical Karlin parameters => identical e-value for the same score.
   const BlastN blast;
-  const core::Pipeline pipe;
-  EXPECT_DOUBLE_EQ(blast.karlin().lambda, pipe.karlin().lambda);
-  EXPECT_DOUBLE_EQ(blast.karlin().k, pipe.karlin().k);
+  const core::Options scoris;
+  const stats::KarlinParams karlin = stats::karlin_match_mismatch(
+      scoris.scoring.match, scoris.scoring.mismatch);
+  EXPECT_DOUBLE_EQ(blast.karlin().lambda, karlin.lambda);
+  EXPECT_DOUBLE_EQ(blast.karlin().k, karlin.k);
 }
 
 TEST(BlastN, HandlesEmptyBanks) {

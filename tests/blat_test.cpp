@@ -4,9 +4,9 @@
 
 #include <set>
 
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "blast/blat_like.hpp"
-#include "core/pipeline.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -64,7 +64,7 @@ TEST(BlatLike, LowerSensitivityOnDivergedSequences) {
   sopt.dust = false;
   BlatOptions bopt;
   bopt.dust = false;
-  const auto sr = core::Pipeline(sopt).run(hp.bank1, hp.bank2);
+  const auto sr = Session(hp.bank1, sopt).search_collect(hp.bank2);
   const auto br = BlatLike(bopt).run(hp.bank1, hp.bank2);
 
   const auto pairs_of = [](const auto& alignments) {

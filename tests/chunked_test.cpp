@@ -5,15 +5,45 @@
 #include <sstream>
 #include <tuple>
 
+#include "api/session.hpp"
+#include "api/sinks.hpp"
 #include "compare/m8.hpp"
 #include "core/chunked.hpp"
-#include "core/pipeline.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
 
 namespace scoris::core {
 namespace {
+
+/// A collected Session search and the number of bank2 slices it ran.
+struct SlicedRun {
+  std::vector<align::GappedAlignment> alignments;
+  PipelineStats stats;
+  std::size_t slices = 0;
+};
+
+SlicedRun search_sliced(const seqio::SequenceBank& bank1,
+                        const seqio::SequenceBank& bank2,
+                        const Options& options, const SearchLimits& limits) {
+  Collector collector;
+  const SearchOutcome outcome =
+      Session(bank1, options).search(bank2, collector, limits);
+  Result result = collector.take();
+  return {std::move(result.alignments), result.stats, outcome.slices};
+}
+
+SearchLimits min_slices(std::size_t n) {
+  SearchLimits limits;
+  limits.min_chunks = n;
+  return limits;
+}
+
+SearchLimits budget(std::size_t bytes) {
+  SearchLimits limits;
+  limits.memory_budget_bytes = bytes;
+  return limits;
+}
 
 TEST(SliceBank, CopiesRangeWithNamesAndContent) {
   simulate::Rng rng(601);
@@ -81,12 +111,11 @@ TEST(Chunked, IdenticalToUnchunkedRun) {
   simulate::Rng rng(607);
   const auto hp = simulate::make_homologous_pair(rng, 400, 12, 9, 0.05);
 
-  ChunkedOptions copt;
-  copt.min_chunks = 4;  // force slicing regardless of the budget
-  const auto chunked = run_chunked(hp.bank1, hp.bank2, copt);
-  EXPECT_EQ(chunked.chunks, 4u);
+  // Four slices, whatever the budget.
+  const auto chunked = search_sliced(hp.bank1, hp.bank2, {}, min_slices(4));
+  EXPECT_EQ(chunked.slices, 4u);
 
-  const auto whole = Pipeline(copt.pipeline).run(hp.bank1, hp.bank2);
+  const auto whole = Session(hp.bank1).search_collect(hp.bank2);
   ASSERT_EQ(chunked.alignments.size(), whole.alignments.size());
   for (std::size_t i = 0; i < whole.alignments.size(); ++i) {
     const auto& a = chunked.alignments[i];
@@ -103,11 +132,11 @@ TEST(Chunked, IdenticalUnderAsymmetricIndexing) {
   // Sequence-local stride semantics keep asymmetric runs chunk-invariant.
   simulate::Rng rng(611);
   const auto hp = simulate::make_homologous_pair(rng, 500, 9, 7, 0.04);
-  ChunkedOptions copt;
-  copt.pipeline.asymmetric = true;
-  copt.min_chunks = 3;
-  const auto chunked = run_chunked(hp.bank1, hp.bank2, copt);
-  const auto whole = Pipeline(copt.pipeline).run(hp.bank1, hp.bank2);
+  Options options;
+  options.asymmetric = true;
+  const auto chunked =
+      search_sliced(hp.bank1, hp.bank2, options, min_slices(3));
+  const auto whole = Session(hp.bank1, options).search_collect(hp.bank2);
   ASSERT_EQ(chunked.alignments.size(), whole.alignments.size());
   for (std::size_t i = 0; i < whole.alignments.size(); ++i) {
     EXPECT_EQ(chunked.alignments[i].s2, whole.alignments[i].s2);
@@ -120,14 +149,12 @@ TEST(Chunked, M8OutputIdentical) {
   const auto est1 = data.make("EST1");
   const auto est2 = data.make("EST2");
 
-  ChunkedOptions copt;
-  copt.min_chunks = 5;
-  const auto chunked = run_chunked(est1, est2, copt);
-  const auto whole = Pipeline(copt.pipeline).run(est1, est2);
+  const auto chunked = search_sliced(est1, est2, {}, min_slices(5));
+  const auto whole = Session(est1).search_collect(est2);
 
   std::ostringstream m8_chunked, m8_whole;
   compare::write_m8(m8_chunked, chunked.alignments, est1, est2);
-  write_result_m8(m8_whole, whole, est1, est2);
+  compare::write_m8(m8_whole, whole.alignments, est1, est2);
   EXPECT_EQ(m8_chunked.str(), m8_whole.str());
   EXPECT_FALSE(m8_whole.str().empty());
 }
@@ -140,19 +167,18 @@ TEST(Chunked, M8IdenticalAcrossShardAndThreadSettings) {
 
   Options base;
   base.strand = seqio::Strand::kBoth;
-  const auto whole = Pipeline(base).run(hp.bank1, hp.bank2);
+  const auto whole = Session(hp.bank1, base).search_collect(hp.bank2);
   std::ostringstream ref;
-  write_result_m8(ref, whole, hp.bank1, hp.bank2);
+  compare::write_m8(ref, whole.alignments, hp.bank1, hp.bank2);
   ASSERT_FALSE(ref.str().empty());
 
   for (const std::size_t shards : {1u, 4u, 16u}) {
     for (const int threads : {1, 8}) {
-      ChunkedOptions copt;
-      copt.pipeline = base;
-      copt.pipeline.shards = shards;
-      copt.pipeline.threads = threads;
-      copt.min_chunks = 3;
-      const auto chunked = run_chunked(hp.bank1, hp.bank2, copt);
+      Options options = base;
+      options.shards = shards;
+      options.threads = threads;
+      const auto chunked =
+          search_sliced(hp.bank1, hp.bank2, options, min_slices(3));
       std::ostringstream m8;
       compare::write_m8(m8, chunked.alignments, hp.bank1, hp.bank2);
       EXPECT_EQ(m8.str(), ref.str())
@@ -168,16 +194,13 @@ TEST(Chunked, BudgetDrivesChunkCount) {
     b1.add_codes("a" + std::to_string(i), simulate::random_codes(rng, 2000));
     b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 2000));
   }
-  ChunkedOptions tight;
   // Budget just over one dictionary + index1: forces many slices.
-  tight.memory_budget_bytes =
-      estimated_index_bytes(b1, 11) + (1u << 22) * 4 + 60000;
-  const auto r_tight = run_chunked(b1, b2, tight);
-  ChunkedOptions loose;
-  loose.memory_budget_bytes = std::size_t{4} << 30;
-  const auto r_loose = run_chunked(b1, b2, loose);
-  EXPECT_GT(r_tight.chunks, 1u);
-  EXPECT_EQ(r_loose.chunks, 1u);
+  const auto r_tight = search_sliced(
+      b1, b2, {}, budget(estimated_index_bytes(b1, 11) + (1u << 22) * 4 +
+                         60000));
+  const auto r_loose = search_sliced(b1, b2, {}, budget(std::size_t{4} << 30));
+  EXPECT_GT(r_tight.slices, 1u);
+  EXPECT_EQ(r_loose.slices, 1u);
 }
 
 // Regression: a budget at or below bank1's own footprint must not divide
@@ -221,11 +244,9 @@ TEST(PlanBudgetSlices, EmptyBank2YieldsOneEmptySlice) {
   simulate::Rng rng(621);
   seqio::SequenceBank b1("b1");
   b1.add_codes("a", simulate::random_codes(rng, 500));
-  ChunkedOptions run_opt;
-  run_opt.memory_budget_bytes = 1;
-  const auto r = run_chunked(b1, empty, run_opt);
+  const auto r = search_sliced(b1, empty, {}, budget(1));
   EXPECT_TRUE(r.alignments.empty());
-  EXPECT_EQ(r.chunks, 1u);
+  EXPECT_EQ(r.slices, 1u);
 }
 
 // min_chunks above the sequence count clamps to one sequence per slice.
@@ -248,10 +269,8 @@ TEST(Chunked, SingleSequenceBankCannotSplit) {
   seqio::SequenceBank b1("b1"), b2("b2");
   b1.add_codes("a", simulate::random_codes(rng, 5000));
   b2.add_codes("b", simulate::random_codes(rng, 5000));
-  ChunkedOptions copt;
-  copt.memory_budget_bytes = 1;  // impossible budget
-  const auto r = run_chunked(b1, b2, copt);
-  EXPECT_EQ(r.chunks, 1u);  // a single sequence cannot be sliced
+  const auto r = search_sliced(b1, b2, {}, budget(1));  // impossible budget
+  EXPECT_EQ(r.slices, 1u);  // a single sequence cannot be sliced
 }
 
 }  // namespace

@@ -268,6 +268,15 @@ TEST_F(CliTest, UsageErrorsExitTwo) {
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
 }
 
+TEST_F(CliTest, WordLengthAboveTheIndexCapIsAUsageError) {
+  // 14 is the first W no index can be built for; the range check names
+  // the bound instead of letting the reference build fail.
+  const CliResult r =
+      run_cli({"--bank1", bank1_, "--bank2", bank2_, "--w", "14"});
+  EXPECT_EQ(r.exit_code, kUsage);
+  EXPECT_NE(r.err.find("[4, 13]"), std::string::npos) << r.err;
+}
+
 TEST_F(CliTest, UnparsableNumericValuesAreRejectedNotDefaulted) {
   // Args::get_int/get_double silently fall back on garbage; the CLI must
   // reject instead of running with defaults the user never asked for.
@@ -643,8 +652,7 @@ TEST_F(CliStoreTest, SubcommandUsageErrorsExitTwo) {
                      "--memory-budget-mb", "0"})
                 .exit_code,
             kUsage);
-  // W=14 exists for the flat form but no artifact can hold it; reject at
-  // parse time rather than failing the payload lookup at runtime.
+  // W=14 is above the index cap on every form, search included.
   EXPECT_EQ(run_cli({"search", "--index", scix_, "--bank2", bank2_, "--w",
                      "14"})
                 .exit_code,

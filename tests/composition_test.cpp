@@ -2,7 +2,7 @@
 // pipeline's composition_stats option.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "api/session.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "stats/karlin.hpp"
@@ -62,8 +62,8 @@ TEST(CompositionStats, SkewChangesEvalues) {
   uniform.dust = false;
   core::Options comp = uniform;
   comp.composition_stats = true;
-  const auto ru = core::Pipeline(uniform).run(b1, b2);
-  const auto rc = core::Pipeline(comp).run(b1, b2);
+  const auto ru = Session(b1, uniform).search_collect(b2);
+  const auto rc = Session(b1, comp).search_collect(b2);
   ASSERT_GE(ru.alignments.size(), 1u);
   ASSERT_GE(rc.alignments.size(), 1u);
   // Match the strongest alignment of each run (same region) and compare.
@@ -79,8 +79,8 @@ TEST(CompositionStats, UniformDataUnchanged) {
   uniform.dust = false;
   core::Options comp = uniform;
   comp.composition_stats = true;
-  const auto ru = core::Pipeline(uniform).run(hp.bank1, hp.bank2);
-  const auto rc = core::Pipeline(comp).run(hp.bank1, hp.bank2);
+  const auto ru = Session(hp.bank1, uniform).search_collect(hp.bank2);
+  const auto rc = Session(hp.bank1, comp).search_collect(hp.bank2);
   ASSERT_EQ(ru.alignments.size(), rc.alignments.size());
   for (std::size_t i = 0; i < ru.alignments.size(); ++i) {
     // Same alignments; e-values shift by <20% on ~uniform data.

@@ -6,9 +6,9 @@
 #include <set>
 #include <tuple>
 
+#include "api/session.hpp"
 #include "core/gapped_stage.hpp"
 #include "core/ordered_extend.hpp"
-#include "core/pipeline.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -258,8 +258,7 @@ TEST(Pipeline, FindsPlantedHomology) {
   const auto hp = simulate::make_homologous_pair(rng, 600, 8, 5, 0.04);
   Options opt;
   opt.dust = false;  // clean random sequences, nothing to mask
-  const Pipeline pipe(opt);
-  const Result r = pipe.run(hp.bank1, hp.bank2);
+  const Result r = Session(hp.bank1, opt).search_collect(hp.bank2);
   // Each planted pair produces at least one alignment between the right
   // sequence names.
   std::set<std::pair<std::uint32_t, std::uint32_t>> found;
@@ -276,8 +275,7 @@ TEST(Pipeline, NoiseProducesNoAlignments) {
   seqio::SequenceBank b1("n1"), b2("n2");
   b1.add_codes("x", simulate::random_codes(rng, 5000));
   b2.add_codes("y", simulate::random_codes(rng, 5000));
-  const Pipeline pipe;
-  const Result r = pipe.run(b1, b2);
+  const Result r = Session(b1).search_collect(b2);
   EXPECT_EQ(r.alignments.size(), 0u);
 }
 
@@ -288,8 +286,8 @@ TEST(Pipeline, ThreadCountInvariant) {
   opt1.threads = 1;
   Options opt4;
   opt4.threads = 4;
-  const Result r1 = Pipeline(opt1).run(hp.bank1, hp.bank2);
-  const Result r4 = Pipeline(opt4).run(hp.bank1, hp.bank2);
+  const Result r1 = Session(hp.bank1, opt1).search_collect(hp.bank2);
+  const Result r4 = Session(hp.bank1, opt4).search_collect(hp.bank2);
   ASSERT_EQ(r1.alignments.size(), r4.alignments.size());
   for (std::size_t i = 0; i < r1.alignments.size(); ++i) {
     const auto& x = r1.alignments[i];
@@ -316,8 +314,8 @@ TEST(Pipeline, OrderAblationSameAlignmentsMoreWork) {
   Options naive_opt = ordered_opt;
   naive_opt.enforce_order = false;
 
-  const Result ordered = Pipeline(ordered_opt).run(b1, b2);
-  const Result naive = Pipeline(naive_opt).run(b1, b2);
+  const Result ordered = Session(b1, ordered_opt).search_collect(b2);
+  const Result naive = Session(b1, naive_opt).search_collect(b2);
 
   EXPECT_GT(naive.stats.duplicate_hsps, 0u);
   EXPECT_EQ(ordered.stats.duplicate_hsps, 0u);
@@ -337,9 +335,9 @@ TEST(Pipeline, AsymmetricModeKeepsSensitivity) {
   asym.asymmetric = true;
   Options sym10 = sym;
   sym10.w = 10;
-  const Result rs = Pipeline(sym).run(hp.bank1, hp.bank2);
-  const Result ra = Pipeline(asym).run(hp.bank1, hp.bank2);
-  const Result r10 = Pipeline(sym10).run(hp.bank1, hp.bank2);
+  const Result rs = Session(hp.bank1, sym).search_collect(hp.bank2);
+  const Result ra = Session(hp.bank1, asym).search_collect(hp.bank2);
+  const Result r10 = Session(hp.bank1, sym10).search_collect(hp.bank2);
   (void)rs;
   // Asymmetric 10-nt indexing must find all planted pairs too.
   std::set<std::pair<std::uint32_t, std::uint32_t>> found;
@@ -360,8 +358,8 @@ TEST(Pipeline, EvalueCutoffMonotonic) {
   loose.max_evalue = 1e-1;
   Options tight = loose;
   tight.max_evalue = 1e-6;
-  const auto rl = Pipeline(loose).run(hp.bank1, hp.bank2);
-  const auto rt = Pipeline(tight).run(hp.bank1, hp.bank2);
+  const auto rl = Session(hp.bank1, loose).search_collect(hp.bank2);
+  const auto rt = Session(hp.bank1, tight).search_collect(hp.bank2);
   EXPECT_GE(rl.alignments.size(), rt.alignments.size());
 }
 
@@ -381,8 +379,8 @@ TEST(Pipeline, DustSuppressesLowComplexityMatches) {
   with_dust.dust = true;
   Options no_dust;
   no_dust.dust = false;
-  const auto masked = Pipeline(with_dust).run(b1, b2);
-  const auto unmasked = Pipeline(no_dust).run(b1, b2);
+  const auto masked = Session(b1, with_dust).search_collect(b2);
+  const auto unmasked = Session(b1, no_dust).search_collect(b2);
   EXPECT_GT(masked.stats.masked_bases, 0u);
   EXPECT_LT(masked.stats.hit_pairs, unmasked.stats.hit_pairs);
   // The filter removes the low-complexity hits entirely...
@@ -394,7 +392,7 @@ TEST(Pipeline, DustSuppressesLowComplexityMatches) {
 TEST(Pipeline, StatsTimersPopulated) {
   simulate::Rng rng(83);
   const auto hp = simulate::make_homologous_pair(rng, 300, 3, 2, 0.05);
-  const Result r = Pipeline().run(hp.bank1, hp.bank2);
+  const Result r = Session(hp.bank1).search_collect(hp.bank2);
   EXPECT_GE(r.stats.index_seconds, 0.0);
   EXPECT_GE(r.stats.hsp_seconds, 0.0);
   EXPECT_GE(r.stats.gapped_seconds, 0.0);

@@ -465,6 +465,21 @@ TEST(Distributed, TwoWorkersAndExtraSlicesStayByteIdentical) {
   EXPECT_GT(total_remote, 0u);
 }
 
+/// One slice leaves Session's request with an empty slice list (the whole
+/// bank); the coordinator still builds one group per strand from it.
+TEST(Distributed, OneSliceStillDistributesEachStrand) {
+  DistFixture fixture;
+  const std::string reference = fixture.direct_m8();
+  ASSERT_FALSE(reference.empty());
+
+  dist::DistConfig config;
+  config.dist_slices = 1;
+  SearchOutcome outcome;
+  EXPECT_EQ(fixture.dist_m8(config, {}, &outcome), reference);
+  EXPECT_EQ(outcome.slices, 1u);
+  EXPECT_EQ(outcome.groups, 2u);  // plus and minus of the whole bank
+}
+
 TEST(Distributed, RespectsDeliveryBudgetSpillPath) {
   DistFixture fixture;
   const std::string reference = fixture.direct_m8();

@@ -10,13 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
 #include "compare/m8.hpp"
-#include "core/chunked.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/plan.hpp"
 #include "core/exec/run_merge.hpp"
 #include "core/gapped_stage.hpp"
-#include "core/pipeline.hpp"
+#include "filter/dust.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/mutate.hpp"
 #include "simulate/rng.hpp"
@@ -153,107 +153,6 @@ TEST(CompilePlan, AutoShardsSingleThreadIsOne) {
   EXPECT_EQ(plan.shards.size(), 1u);
 }
 
-/// The tentpole invariant: m8 output is byte-identical across shard
-/// counts, thread counts, schedules, and entry paths.
-TEST(Engine, M8ByteIdentityAcrossShardsThreadsSchedules) {
-  simulate::Rng rng(31);
-  const auto hp = simulate::make_homologous_pair(rng, 400, 10, 8, 0.05);
-
-  Options base;
-  base.strand = seqio::Strand::kBoth;
-  const auto reference = Pipeline(base).run(hp.bank1, hp.bank2);
-  std::ostringstream ref_m8;
-  write_result_m8(ref_m8, reference, hp.bank1, hp.bank2);
-  ASSERT_FALSE(ref_m8.str().empty());
-
-  for (const std::size_t shards : {1u, 4u, 16u}) {
-    for (const int threads : {1, 8}) {
-      for (const auto schedule :
-           {util::Schedule::kStatic, util::Schedule::kStealing}) {
-        Options opt = base;
-        opt.shards = shards;
-        opt.threads = threads;
-        opt.schedule = schedule;
-        const auto run = Pipeline(opt).run(hp.bank1, hp.bank2);
-        std::ostringstream m8;
-        write_result_m8(m8, run, hp.bank1, hp.bank2);
-        EXPECT_EQ(m8.str(), ref_m8.str())
-            << "shards=" << shards << " threads=" << threads << " schedule="
-            << (schedule == util::Schedule::kStatic ? "static" : "stealing");
-        EXPECT_EQ(run.stats.hit_pairs, reference.stats.hit_pairs);
-        EXPECT_EQ(run.stats.hsps, reference.stats.hsps);
-      }
-    }
-  }
-}
-
-TEST(Engine, ShardBalanceIsRecorded) {
-  simulate::Rng rng(37);
-  const auto hp = simulate::make_homologous_pair(rng, 600, 8, 6, 0.04);
-  Options opt;
-  opt.shards = 6;
-  opt.threads = 2;
-  const auto run = Pipeline(opt).run(hp.bank1, hp.bank2);
-  const auto& b = run.stats.shard_balance;
-  EXPECT_GE(b.shards, 1u);
-  EXPECT_LE(b.shards, 6u);
-  EXPECT_LE(b.min_seconds, b.median_seconds);
-  EXPECT_LE(b.median_seconds, b.max_seconds);
-  EXPECT_GE(b.total_seconds, b.max_seconds);
-}
-
-/// Satellite fix: with a prebuilt bank1 index the chunked driver used to
-/// fold bank1's numbers into every slice's stats.  The engine accounts
-/// the bank1 index exactly once, so sliced and unsliced runs agree on
-/// all deterministic index stats.
-TEST(Engine, ChunkedStatsCountBank1IndexOnce) {
-  simulate::Rng rng(41);
-  const auto hp = simulate::make_homologous_pair(rng, 400, 12, 8, 0.05);
-  index::BankIndex idx1(hp.bank1, index::SeedCoder(11),
-                        index::IndexOptions{});
-
-  Options popt;
-  popt.dust = false;  // masked_bases stays deterministic (= 0) either way
-  ChunkedOptions copt;
-  copt.pipeline = popt;
-  copt.min_chunks = 4;
-  const auto sliced = run_chunked(idx1, hp.bank2, copt);
-  EXPECT_EQ(sliced.chunks, 4u);
-
-  const auto whole = Pipeline(popt).run(idx1, hp.bank2);
-  EXPECT_EQ(sliced.stats.index_dict_bytes, whole.stats.index_dict_bytes);
-  EXPECT_EQ(sliced.stats.masked_bases, whole.stats.masked_bases);
-  // Chain bytes: bank1's chain once, plus the *largest slice's* chain —
-  // strictly less than the unsliced run's full bank2 chain.
-  EXPECT_LT(sliced.stats.index_chain_bytes, whole.stats.index_chain_bytes);
-  EXPECT_GT(sliced.stats.index_chain_bytes, idx1.chain_bytes());
-}
-
-/// Both-strand runs used to double-count bank1's DUST-masked bases (once
-/// per strand).  The engine masks bank1 once.
-TEST(Engine, BothStrandsMaskBank1Once) {
-  simulate::Rng rng(43);
-  seqio::SequenceBank bank1("b1");
-  // A low-complexity run DUST will mask, plus random context.
-  bank1.add("m", "ATATATATATATATATATATATATATATATATATAT" +
-                     seqio::decode(simulate::random_codes(rng, 400)));
-  const auto bank2 = random_bank(47, 3, 400);
-
-  Options plus_opt;
-  const auto plus = Pipeline(plus_opt).run(bank1, bank2);
-  Options both_opt;
-  both_opt.strand = seqio::Strand::kBoth;
-  const auto both = Pipeline(both_opt).run(bank1, bank2);
-  ASSERT_GT(plus.stats.masked_bases, 0u);
-  // Both-strand masking adds only bank2's reverse complement, never a
-  // second copy of bank1's mask, so the count is below twice the
-  // plus-only number (the old accumulation was >= 2x).
-  EXPECT_LT(both.stats.masked_bases, 2 * plus.stats.masked_bases);
-  EXPECT_GE(both.stats.masked_bases, plus.stats.masked_bases);
-}
-
-// --- spill-run k-way merge ---------------------------------------------------
-
 /// Sink recording every delivery (alignments + batch metadata + stats).
 struct RecordingSink final : HitSink {
   std::vector<align::GappedAlignment> all;
@@ -275,18 +174,6 @@ struct RecordingSink final : HitSink {
   }
 };
 
-/// A synthetic step4-sorted run: evalues `start, start+step, ...`.
-std::vector<align::GappedAlignment> synthetic_run(double start, double step,
-                                                  std::size_t n) {
-  std::vector<align::GappedAlignment> run(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    run[i].evalue = start + static_cast<double>(i) * step;
-    run[i].s1 = static_cast<seqio::Pos>(i);
-    run[i].e1 = static_cast<seqio::Pos>(i + 10);
-  }
-  return run;
-}
-
 /// Split [0, n) into up to four contiguous slice ranges.
 std::vector<SliceRange> quarter_slices(std::size_t n) {
   std::vector<SliceRange> slices;
@@ -297,24 +184,165 @@ std::vector<SliceRange> quarter_slices(std::size_t n) {
   return slices;
 }
 
-ExecRequest make_request(const simulate::HomologousPair& hp,
+/// The reference index a Session builds for `bank` under `options`: the
+/// effective word length, and the DUST mask when DUST is on.
+index::BankIndex reference_index(const seqio::SequenceBank& bank,
+                                 const Options& options) {
+  filter::MaskBitmap mask;
+  index::IndexOptions iopt;
+  if (options.dust) {
+    mask = filter::dust_mask(bank, options.dust_params);
+    iopt.mask = &mask;
+  }
+  return index::BankIndex(bank, index::SeedCoder(options.effective_w()),
+                          iopt);
+}
+
+ExecRequest make_request(const index::BankIndex& idx1,
+                         const seqio::SequenceBank& bank2,
                          const Options& options) {
   ExecRequest request;
-  request.bank1 = &hp.bank1;
-  request.bank2 = &hp.bank2;
+  request.idx1 = &idx1;
+  request.bank2 = &bank2;
   request.options = options;
   request.karlin = stats::karlin_match_mismatch(options.scoring.match,
                                                 options.scoring.mismatch);
   return request;
 }
 
-std::string alignments_m8(std::vector<align::GappedAlignment> alignments,
+std::string alignments_m8(std::span<const align::GappedAlignment> alignments,
                           const simulate::HomologousPair& hp) {
-  Result result;
-  result.alignments = std::move(alignments);
   std::ostringstream os;
-  write_result_m8(os, result, hp.bank1, hp.bank2);
+  compare::write_m8(os, alignments, hp.bank1, hp.bank2);
   return os.str();
+}
+
+/// The tentpole invariant: m8 output is byte-identical across shard
+/// counts, thread counts, schedules, and entry paths (Session and a bare
+/// execute over the same reference index).
+TEST(Engine, M8ByteIdentityAcrossShardsThreadsSchedules) {
+  simulate::Rng rng(31);
+  const auto hp = simulate::make_homologous_pair(rng, 400, 10, 8, 0.05);
+
+  Options base;
+  base.strand = seqio::Strand::kBoth;
+  const Result reference = Session(hp.bank1, base).search_collect(hp.bank2);
+  const std::string ref_m8 = alignments_m8(reference.alignments, hp);
+  ASSERT_FALSE(ref_m8.empty());
+
+  const index::BankIndex idx1 = reference_index(hp.bank1, base);
+  for (const std::size_t shards : {1u, 4u, 16u}) {
+    for (const int threads : {1, 8}) {
+      for (const auto schedule :
+           {util::Schedule::kStatic, util::Schedule::kStealing}) {
+        Options opt = base;
+        opt.shards = shards;
+        opt.threads = threads;
+        opt.schedule = schedule;
+        RecordingSink run;
+        execute(make_request(idx1, hp.bank2, opt), run);
+        EXPECT_EQ(alignments_m8(run.all, hp), ref_m8)
+            << "shards=" << shards << " threads=" << threads << " schedule="
+            << (schedule == util::Schedule::kStatic ? "static" : "stealing");
+        EXPECT_EQ(run.stats.hit_pairs, reference.stats.hit_pairs);
+        EXPECT_EQ(run.stats.hsps, reference.stats.hsps);
+      }
+    }
+  }
+}
+
+TEST(Engine, ShardBalanceIsRecorded) {
+  simulate::Rng rng(37);
+  const auto hp = simulate::make_homologous_pair(rng, 600, 8, 6, 0.04);
+  Options opt;
+  opt.shards = 6;
+  opt.threads = 2;
+  const index::BankIndex idx1 = reference_index(hp.bank1, opt);
+  RecordingSink run;
+  execute(make_request(idx1, hp.bank2, opt), run);
+  const auto& b = run.stats.shard_balance;
+  EXPECT_GE(b.shards, 1u);
+  EXPECT_LE(b.shards, 6u);
+  EXPECT_LE(b.min_seconds, b.median_seconds);
+  EXPECT_LE(b.median_seconds, b.max_seconds);
+  EXPECT_GE(b.total_seconds, b.max_seconds);
+}
+
+/// The engine accounts the reference index exactly once, so sliced and
+/// unsliced runs agree on all deterministic index stats instead of
+/// folding the reference's numbers into every slice.
+TEST(Engine, ChunkedStatsCountBank1IndexOnce) {
+  simulate::Rng rng(41);
+  const auto hp = simulate::make_homologous_pair(rng, 400, 12, 8, 0.05);
+  Options popt;
+  popt.dust = false;  // masked_bases stays deterministic (= 0) either way
+  const index::BankIndex idx1 = reference_index(hp.bank1, popt);
+
+  ExecRequest request = make_request(idx1, hp.bank2, popt);
+  request.slices = quarter_slices(hp.bank2.size());
+  RecordingSink sliced;
+  EXPECT_EQ(execute(request, sliced).slices, 4u);
+
+  request.slices.clear();
+  RecordingSink whole;
+  execute(request, whole);
+  EXPECT_EQ(sliced.stats.index_dict_bytes, whole.stats.index_dict_bytes);
+  EXPECT_EQ(sliced.stats.masked_bases, whole.stats.masked_bases);
+  // Chain bytes: bank1's chain once, plus the *largest slice's* chain —
+  // strictly less than the unsliced run's full bank2 chain.
+  EXPECT_LT(sliced.stats.index_chain_bytes, whole.stats.index_chain_bytes);
+  EXPECT_GT(sliced.stats.index_chain_bytes, idx1.chain_bytes());
+}
+
+/// Both strands count the reference's DUST-masked bases once, not once
+/// per strand.
+TEST(Engine, BothStrandsMaskBank1Once) {
+  simulate::Rng rng(43);
+  seqio::SequenceBank bank1("b1");
+  // A low-complexity run DUST will mask, plus random context.
+  bank1.add("m", "ATATATATATATATATATATATATATATATATATAT" +
+                     seqio::decode(simulate::random_codes(rng, 400)));
+  const auto bank2 = random_bank(47, 3, 400);
+
+  Options plus_opt;
+  const index::BankIndex idx1 = reference_index(bank1, plus_opt);
+  RecordingSink plus;
+  execute(make_request(idx1, bank2, plus_opt), plus);
+  Options both_opt;
+  both_opt.strand = seqio::Strand::kBoth;
+  RecordingSink both;
+  execute(make_request(idx1, bank2, both_opt), both);
+  ASSERT_GT(plus.stats.masked_bases, 0u);
+  // Both-strand masking adds only bank2's reverse complement, never a
+  // second copy of bank1's mask, so the count is below twice the
+  // plus-only number.
+  EXPECT_LT(both.stats.masked_bases, 2 * plus.stats.masked_bases);
+  EXPECT_GE(both.stats.masked_bases, plus.stats.masked_bases);
+}
+
+/// The reference index must match the run's word length: the engine
+/// throws instead of scanning seeds of the wrong width.
+TEST(Engine, RejectsWordLengthMismatch) {
+  const auto bank1 = random_bank(59, 3, 300);
+  const index::BankIndex idx9(bank1, index::SeedCoder(9));
+  const Options options;  // w = 11
+  RecordingSink sink;
+  EXPECT_THROW(execute(make_request(idx9, bank1, options), sink),
+               std::invalid_argument);
+}
+
+// --- spill-run k-way merge ---------------------------------------------------
+
+/// A synthetic step4-sorted run: evalues `start, start+step, ...`.
+std::vector<align::GappedAlignment> synthetic_run(double start, double step,
+                                                  std::size_t n) {
+  std::vector<align::GappedAlignment> run(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    run[i].evalue = start + static_cast<double>(i) * step;
+    run[i].s1 = static_cast<seqio::Pos>(i);
+    run[i].e1 = static_cast<seqio::Pos>(i + 10);
+  }
+  return run;
 }
 
 TEST(SpillRun, RoundTripsThroughBlocks) {
@@ -468,8 +496,9 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
   const auto slices = quarter_slices(hp.bank2.size());
   ASSERT_GE(slices.size(), 2u);
 
-  // Pre-change collector reference, rebuilt from kGroupLocal streaming.
-  ExecRequest ref_request = make_request(hp, base);
+  // Collector reference, rebuilt from kGroupLocal streaming.
+  const index::BankIndex idx1 = reference_index(hp.bank1, base);
+  ExecRequest ref_request = make_request(idx1, hp.bank2, base);
   ref_request.slices = slices;
   ref_request.ordering = HitOrdering::kGroupLocal;
   RecordingSink ref_sink;
@@ -496,12 +525,12 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
         options.shards = shards;
         options.delivery_budget_bytes = budget;
         options.tmp_dir = ::testing::TempDir();
-        ExecRequest request = make_request(hp, options);
+        ExecRequest request = make_request(idx1, hp.bank2, options);
         request.slices = slices;
         request.ordering = HitOrdering::kGlobal;
 
         RecordingSink sink;
-        const ExecSummary summary = execute(request, sink);
+        execute(request, sink);
         EXPECT_EQ(alignments_m8(sink.all, hp), reference)
             << "threads=" << threads << " shards=" << shards
             << " budget=" << budget;
@@ -510,14 +539,12 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
         EXPECT_TRUE(sink.batches.back().last);
 
         if (budget == 0) {
-          EXPECT_EQ(summary.spilled_runs, 0u);
+          EXPECT_EQ(sink.stats.spilled_runs, 0u);
         } else if (total_bytes > budget / 2) {
           // The hit set overflows the run share, so the merge must have
           // spilled — and still respected the budget.
-          EXPECT_GT(summary.spilled_runs, 0u);
-          EXPECT_GT(summary.spill_bytes, 0u);
-          EXPECT_EQ(sink.stats.spilled_runs, summary.spilled_runs);
-          EXPECT_EQ(sink.stats.spill_bytes, summary.spill_bytes);
+          EXPECT_GT(sink.stats.spilled_runs, 0u);
+          EXPECT_GT(sink.stats.spill_bytes, 0u);
           // Precondition for the strict bound (fails loudly, not
           // silently, if the generator or slicing ever shifts): every
           // run fits the run share, so retained + handoff <= budget.
@@ -538,7 +565,8 @@ TEST(RunMergeEngine, StreamingPathsReportPeakDeliveryBytes) {
   const auto hp = simulate::make_homologous_pair(rng, 400, 10, 8, 0.05);
   Options options;
   options.strand = seqio::Strand::kBoth;
-  ExecRequest request = make_request(hp, options);
+  const index::BankIndex idx1 = reference_index(hp.bank1, options);
+  ExecRequest request = make_request(idx1, hp.bank2, options);
   request.ordering = HitOrdering::kGroupLocal;
   RecordingSink sink;
   execute(request, sink);
@@ -559,8 +587,10 @@ TEST(Engine, EmptyBank2YieldsEmptyResult) {
   seqio::SequenceBank bank2("empty");
   Options opt;
   opt.strand = seqio::Strand::kBoth;
-  const auto run = Pipeline(opt).run(bank1, bank2);
-  EXPECT_TRUE(run.alignments.empty());
+  const index::BankIndex idx1 = reference_index(bank1, opt);
+  RecordingSink run;
+  execute(make_request(idx1, bank2, opt), run);
+  EXPECT_TRUE(run.all.empty());
   EXPECT_EQ(run.stats.hit_pairs, 0u);
 }
 

@@ -5,10 +5,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
 #include "compare/sensitivity.hpp"
-#include "core/pipeline.hpp"
 #include "seqio/fasta.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/paper_datasets.hpp"
@@ -36,11 +36,11 @@ TEST(Integration, FastaToM8EndToEnd) {
   const auto bank2 = seqio::read_fasta_file(p2);
   ASSERT_EQ(bank1.size(), hp.bank1.size());
 
-  const core::Result r = core::Pipeline().run(bank1, bank2);
+  const core::Result r = Session(bank1).search_collect(bank2);
   ASSERT_GE(r.alignments.size(), 4u);
 
   std::ostringstream m8;
-  core::write_result_m8(m8, r, bank1, bank2);
+  compare::write_m8(m8, r.alignments, bank1, bank2);
   const auto recs = compare::parse_m8(m8.str());
   ASSERT_EQ(recs.size(), r.alignments.size());
   // Every record references real sequence names and sane coordinates.
@@ -56,9 +56,9 @@ TEST(Integration, DeterministicM8Output) {
   simulate::Rng rng(203);
   const auto hp = simulate::make_homologous_pair(rng, 400, 8, 6, 0.07);
   const auto run_once = [&]() {
-    const core::Result r = core::Pipeline().run(hp.bank1, hp.bank2);
+    const core::Result r = Session(hp.bank1).search_collect(hp.bank2);
     std::ostringstream m8;
-    core::write_result_m8(m8, r, hp.bank1, hp.bank2);
+    compare::write_m8(m8, r.alignments, hp.bank1, hp.bank2);
     return m8.str();
   };
   const std::string first = run_once();
@@ -73,7 +73,7 @@ TEST(Integration, ScorisAndBlastAgreeOnPaperShapedEstBanks) {
   const auto est1 = data.make("EST1");
   const auto est2 = data.make("EST2");
 
-  const core::Result sr = core::Pipeline().run(est1, est2);
+  const core::Result sr = Session(est1).search_collect(est2);
   const blast::BlastResult br = blast::BlastN().run(est1, est2);
 
   std::vector<compare::M8Record> sc, bl;
@@ -94,7 +94,7 @@ TEST(Integration, ChromosomeVsBacteriaNearlyEmpty) {
   const simulate::PaperData data(0.002, 77);
   const auto h19 = data.make("H19");
   const auto bct = data.make("BCT");
-  const core::Result r = core::Pipeline().run(h19, bct);
+  const core::Result r = Session(h19).search_collect(bct);
   EXPECT_LE(r.alignments.size(), 5u);
 }
 
@@ -107,7 +107,7 @@ TEST(Integration, SelfComparisonFindsSelfAlignments) {
     bank.add_codes("s" + std::to_string(i),
                    simulate::random_codes(rng, 300));
   }
-  const core::Result r = core::Pipeline().run(bank, bank);
+  const core::Result r = Session(bank).search_collect(bank);
   // At least the three full-length self alignments.
   std::size_t self_hits = 0;
   for (const auto& a : r.alignments) {
@@ -137,8 +137,8 @@ TEST(Integration, AsymmetricRecoversGappyAlignments) {
   asym.asymmetric = true;
   asym.min_hsp_score = 15;
 
-  const auto r11 = core::Pipeline(w11).run(b1, b2);
-  const auto ra = core::Pipeline(asym).run(b1, b2);
+  const auto r11 = Session(b1, w11).search_collect(b2);
+  const auto ra = Session(b1, asym).search_collect(b2);
   EXPECT_EQ(r11.alignments.size(), 0u);  // 11-nt seeds cannot anchor
   EXPECT_GE(ra.alignments.size(), 1u);   // 10-nt asymmetric seeds can
 }
@@ -152,7 +152,7 @@ TEST(Integration, LargeishRandomBanksStayClean) {
     b1.add_codes("a" + std::to_string(i), simulate::random_codes(rng, 2000));
     b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 2000));
   }
-  const core::Result sr = core::Pipeline().run(b1, b2);
+  const core::Result sr = Session(b1).search_collect(b2);
   const blast::BlastResult br = blast::BlastN().run(b1, b2);
   EXPECT_EQ(sr.alignments.size(), 0u);
   EXPECT_EQ(br.alignments.size(), 0u);

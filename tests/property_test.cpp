@@ -9,12 +9,13 @@
 
 #include "align/classic.hpp"
 #include "align/gapped.hpp"
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "core/ordered_extend.hpp"
-#include "core/pipeline.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
+#include "stats/karlin.hpp"
 #include "test_helpers.hpp"
 
 namespace scoris {
@@ -178,8 +179,8 @@ TEST_P(DeterminismSweep, IdenticalRunsIdenticalResults) {
   core::Options opt;
   opt.threads = threads;
   opt.asymmetric = asymmetric;
-  const auto r1 = core::Pipeline(opt).run(hp.bank1, hp.bank2);
-  const auto r2 = core::Pipeline(opt).run(hp.bank1, hp.bank2);
+  const auto r1 = Session(hp.bank1, opt).search_collect(hp.bank2);
+  const auto r2 = Session(hp.bank1, opt).search_collect(hp.bank2);
   ASSERT_EQ(r1.alignments.size(), r2.alignments.size());
   for (std::size_t i = 0; i < r1.alignments.size(); ++i) {
     EXPECT_EQ(r1.alignments[i].s1, r2.alignments[i].s1);
@@ -206,16 +207,17 @@ TEST_P(ScoringSweep, PipelineEvaluesMatchKarlinFormula) {
   opt.scoring.match = match;
   opt.scoring.mismatch = mismatch;
   opt.min_hsp_score = 20 * match;
-  const core::Pipeline pipe(opt);
-  const auto r = pipe.run(hp.bank1, hp.bank2);
+  const auto r = Session(hp.bank1, opt).search_collect(hp.bank2);
+  const stats::KarlinParams karlin =
+      stats::karlin_match_mismatch(match, mismatch);
   ASSERT_FALSE(r.alignments.empty());
   for (const auto& a : r.alignments) {
     const double expect = stats::evalue(
-        pipe.karlin(), a.score,
+        karlin, a.score,
         static_cast<double>(hp.bank1.total_bases()),
         static_cast<double>(hp.bank2.length(a.seq2)));
     EXPECT_DOUBLE_EQ(a.evalue, expect);
-    EXPECT_NEAR(a.bitscore, stats::bit_score(pipe.karlin(), a.score), 1e-9);
+    EXPECT_NEAR(a.bitscore, stats::bit_score(karlin, a.score), 1e-9);
   }
 }
 
@@ -234,7 +236,7 @@ TEST_P(ProgramAgreementSweep, StrongAlignmentsFoundByBoth) {
   sopt.dust = false;
   blast::BlastOptions bopt;
   bopt.dust = false;
-  const auto sr = core::Pipeline(sopt).run(hp.bank1, hp.bank2);
+  const auto sr = Session(hp.bank1, sopt).search_collect(hp.bank2);
   const auto br = blast::BlastN(bopt).run(hp.bank1, hp.bank2);
   // Every planted pair is strong (4% divergence over 600 nt): both
   // programs must find all of them regardless of tuning differences.

@@ -7,9 +7,9 @@
 #include <algorithm>
 
 #include "align/classic.hpp"
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
-#include "core/pipeline.hpp"
 #include "seqio/strand.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/paper_datasets.hpp"
@@ -92,7 +92,7 @@ TEST(Semantic, ScorisAlignmentsAreRealPlusStrand) {
   const auto hp = simulate::make_homologous_pair(rng, 500, 8, 6, 0.06);
   core::Options opt;
   opt.dust = false;
-  const auto r = core::Pipeline(opt).run(hp.bank1, hp.bank2);
+  const auto r = Session(hp.bank1, opt).search_collect(hp.bank2);
   ASSERT_GE(r.alignments.size(), 6u);
   validate_records(r.alignments, hp.bank1, hp.bank2);
 }
@@ -117,7 +117,7 @@ TEST(Semantic, ScorisAlignmentsAreRealBothStrands) {
   core::Options opt;
   opt.dust = false;
   opt.strand = seqio::Strand::kBoth;
-  const auto r = core::Pipeline(opt).run(b1, b2);
+  const auto r = Session(b1, opt).search_collect(b2);
   ASSERT_GE(r.alignments.size(), 2u);
   bool saw_minus = false;
   for (const auto& a : r.alignments) saw_minus |= a.minus;
@@ -149,7 +149,7 @@ TEST(Semantic, PaperBankRunSurvivesValidation) {
   const auto est1 = data.make("EST1");
   const auto est2 = data.make("EST2");
   core::Options opt;
-  const auto r = core::Pipeline(opt).run(est1, est2);
+  const auto r = Session(est1, opt).search_collect(est2);
   ASSERT_GE(r.alignments.size(), 10u);
   // Validate a sample (full validation is quadratic in alignment length).
   std::vector<align::GappedAlignment> sample;
@@ -165,7 +165,7 @@ TEST(Semantic, PidentMatchesRecomputedColumns) {
   const auto hp = simulate::make_homologous_pair(rng, 300, 4, 4, 0.08);
   core::Options opt;
   opt.dust = false;
-  const auto r = core::Pipeline(opt).run(hp.bank1, hp.bank2);
+  const auto r = Session(hp.bank1, opt).search_collect(hp.bank2);
   for (const auto& a : r.alignments) {
     const auto rec = compare::to_m8(a, hp.bank1, hp.bank2);
     EXPECT_NEAR(rec.pident,

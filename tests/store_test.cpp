@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
+#include "api/sinks.hpp"
 #include "compare/m8.hpp"
-#include "core/chunked.hpp"
-#include "core/pipeline.hpp"
 #include "filter/dust.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/mutate.hpp"
@@ -428,20 +428,20 @@ TEST(IndexStoreIndex, DustSettingIsPartOfTheKey) {
 TEST(IndexStoreSearch, HitsBitIdenticalToFastaRun) {
   const auto bank1 = make_bank(809, 8, 200);
   const auto bank2 = make_related_bank(bank1, 810);
-  const auto loaded = load_blob(store_blob(bank1, {store::IndexKey{}}));
-  const index::BankIndex& idx1 = loaded.require(store::IndexKey{});
+  const std::string blob = store_blob(bank1, {store::IndexKey{}});
 
   for (const int threads : {1, 4}) {
     core::Options options;
     options.threads = threads;
-    const core::Pipeline pipeline(options);
-    const core::Result direct = pipeline.run(bank1, bank2);
-    const core::Result from_store = pipeline.run(idx1, bank2);
+    const core::Result direct =
+        Session(bank1, options).search_collect(bank2);
+    const Session stored(load_blob(blob), options);
+    const core::Result from_store = stored.search_collect(bank2);
 
     EXPECT_EQ(from_store.stats.hit_pairs, direct.stats.hit_pairs);
     EXPECT_EQ(from_store.stats.hsps, direct.stats.hsps);
     EXPECT_EQ(from_store.stats.masked_bases, direct.stats.masked_bases);
-    EXPECT_EQ(m8_of(from_store.alignments, loaded.bank(), bank2),
+    EXPECT_EQ(m8_of(from_store.alignments, stored.reference(), bank2),
               m8_of(direct.alignments, bank1, bank2))
         << "threads=" << threads;
   }
@@ -450,27 +450,16 @@ TEST(IndexStoreSearch, HitsBitIdenticalToFastaRun) {
 TEST(IndexStoreSearch, BothStrandsReuseThePrebuiltIndex) {
   const auto bank1 = make_bank(811, 6, 150);
   const auto bank2 = make_related_bank(bank1, 812);
-  const auto loaded = load_blob(store_blob(bank1, {store::IndexKey{}}));
 
   core::Options options;
   options.strand = seqio::Strand::kBoth;
-  const core::Pipeline pipeline(options);
-  const core::Result direct = pipeline.run(bank1, bank2);
-  const core::Result from_store =
-      pipeline.run(loaded.require(store::IndexKey{}), bank2);
-  EXPECT_EQ(m8_of(from_store.alignments, loaded.bank(), bank2),
+  const core::Result direct = Session(bank1, options).search_collect(bank2);
+  const Session stored(load_blob(store_blob(bank1, {store::IndexKey{}})),
+                       options);
+  EXPECT_EQ(stored.reference_builds(), 0u);
+  const core::Result from_store = stored.search_collect(bank2);
+  EXPECT_EQ(m8_of(from_store.alignments, stored.reference(), bank2),
             m8_of(direct.alignments, bank1, bank2));
-}
-
-TEST(IndexStoreSearch, PipelineRejectsWordLengthMismatch) {
-  const auto bank1 = make_bank(813, 3);
-  store::IndexKey k9;
-  k9.w = 9;
-  const auto loaded = load_blob(store_blob(bank1, {k9}));
-  core::Options options;  // w = 11
-  const core::Pipeline pipeline(options);
-  EXPECT_THROW((void)pipeline.run(loaded.index(0), bank1),
-               std::invalid_argument);
 }
 
 // --- chunked streaming against a loaded index -------------------------------
@@ -478,16 +467,16 @@ TEST(IndexStoreSearch, PipelineRejectsWordLengthMismatch) {
 TEST(IndexStoreSearch, ChunkedStreamingBitIdentical) {
   const auto bank1 = make_bank(815, 6, 200);
   const auto bank2 = make_related_bank(bank1, 816);
-  const auto loaded = load_blob(store_blob(bank1, {store::IndexKey{}}));
-  const index::BankIndex& idx1 = loaded.require(store::IndexKey{});
+  const Session stored(load_blob(store_blob(bank1, {store::IndexKey{}})));
 
-  core::ChunkedOptions copt;
-  copt.min_chunks = 4;  // force slicing regardless of the budget
-  const core::ChunkedResult chunked = core::run_chunked(idx1, bank2, copt);
-  EXPECT_GT(chunked.chunks, 1u);
+  SearchLimits limits;
+  limits.min_chunks = 4;  // force slicing regardless of the budget
+  Collector collector;
+  EXPECT_GT(stored.search(bank2, collector, limits).slices, 1u);
+  const core::Result& chunked = collector.result();
 
-  const core::Result whole = core::Pipeline(copt.pipeline).run(bank1, bank2);
-  EXPECT_EQ(m8_of(chunked.alignments, loaded.bank(), bank2),
+  const core::Result whole = Session(bank1).search_collect(bank2);
+  EXPECT_EQ(m8_of(chunked.alignments, stored.reference(), bank2),
             m8_of(whole.alignments, bank1, bank2));
   EXPECT_EQ(chunked.stats.hit_pairs, whole.stats.hit_pairs);
   EXPECT_EQ(chunked.stats.hsps, whole.stats.hsps);
@@ -496,19 +485,19 @@ TEST(IndexStoreSearch, ChunkedStreamingBitIdentical) {
 TEST(IndexStoreSearch, ChunkedBudgetCountsTheLoadedIndex) {
   const auto bank1 = make_bank(817, 10, 500);
   const auto bank2 = make_related_bank(bank1, 818);
-  const auto loaded = load_blob(store_blob(bank1, {store::IndexKey{}}));
-  const index::BankIndex& idx1 = loaded.require(store::IndexKey{});
+  const Session stored(load_blob(store_blob(bank1, {store::IndexKey{}})));
 
-  core::ChunkedOptions tight;
-  tight.memory_budget_bytes = idx1.memory_bytes();  // no room for bank2
-  const auto r_tight = core::run_chunked(idx1, bank2, tight);
-  core::ChunkedOptions loose;
+  SearchLimits tight;
+  // No room for bank2 next to the loaded index.
+  tight.memory_budget_bytes = stored.reference_index().memory_bytes();
+  Collector r_tight;
+  EXPECT_GT(stored.search(bank2, r_tight, tight).slices, 1u);
+  SearchLimits loose;
   loose.memory_budget_bytes = std::size_t{4} << 30;
-  const auto r_loose = core::run_chunked(idx1, bank2, loose);
-  EXPECT_GT(r_tight.chunks, 1u);
-  EXPECT_EQ(r_loose.chunks, 1u);
-  EXPECT_EQ(m8_of(r_tight.alignments, loaded.bank(), bank2),
-            m8_of(r_loose.alignments, loaded.bank(), bank2));
+  Collector r_loose;
+  EXPECT_EQ(stored.search(bank2, r_loose, loose).slices, 1u);
+  EXPECT_EQ(m8_of(r_tight.result().alignments, stored.reference(), bank2),
+            m8_of(r_loose.result().alignments, stored.reference(), bank2));
 }
 
 // --- artifact rejection -----------------------------------------------------
@@ -640,7 +629,7 @@ TEST(IndexStoreReject, EmptyKeyListAndBadW) {
   std::stringstream buf;
   EXPECT_THROW(store::write_index(buf, bank, {}), std::invalid_argument);
   store::IndexKey bad;
-  bad.w = 14;  // dictionary too large for the int32 chain format
+  bad.w = 14;  // above index::kMaxW
   EXPECT_THROW(store::write_index(buf, bank, {&bad, 1}),
                std::invalid_argument);
 }

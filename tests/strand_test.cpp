@@ -5,10 +5,10 @@
 
 #include <algorithm>
 
+#include "api/session.hpp"
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
 #include "compare/sensitivity.hpp"
-#include "core/pipeline.hpp"
 #include "seqio/strand.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -78,7 +78,7 @@ TEST(StrandSearch, PlusMissesMinusHomology) {
 
   core::Options plus;
   plus.dust = false;
-  const auto rp = core::Pipeline(plus).run(b1, b2);
+  const auto rp = Session(b1, plus).search_collect(b2);
   EXPECT_EQ(rp.alignments.size(), 0u);
 }
 
@@ -92,7 +92,7 @@ TEST(StrandSearch, MinusFindsMinusHomology) {
   core::Options minus;
   minus.dust = false;
   minus.strand = Strand::kMinus;
-  const auto rm = core::Pipeline(minus).run(b1, b2);
+  const auto rm = Session(b1, minus).search_collect(b2);
   ASSERT_GE(rm.alignments.size(), 1u);
   for (const auto& a : rm.alignments) EXPECT_TRUE(a.minus);
 }
@@ -120,7 +120,7 @@ TEST(StrandSearch, BothFindsBothStrands) {
   core::Options both;
   both.dust = false;
   both.strand = Strand::kBoth;
-  const auto r = core::Pipeline(both).run(b1, b2);
+  const auto r = Session(b1, both).search_collect(b2);
   bool plus_found = false, minus_found = false;
   for (const auto& a : r.alignments) {
     if (!a.minus && a.seq1 == 0 && a.seq2 == 0) plus_found = true;
@@ -146,7 +146,7 @@ TEST(StrandSearch, M8MinusCoordinatesMapBack) {
   core::Options minus;
   minus.dust = false;
   minus.strand = Strand::kMinus;
-  const auto r = core::Pipeline(minus).run(b1, b2);
+  const auto r = Session(b1, minus).search_collect(b2);
   ASSERT_GE(r.alignments.size(), 1u);
   const auto rec = compare::to_m8(r.alignments[0], b1, b2);
   EXPECT_GT(rec.sstart, rec.send);  // minus-strand convention
@@ -178,7 +178,7 @@ TEST(StrandSearch, M8MinusPartialCoordinates) {
   core::Options minus;
   minus.dust = false;
   minus.strand = Strand::kMinus;
-  const auto r = core::Pipeline(minus).run(b1, b2);
+  const auto r = Session(b1, minus).search_collect(b2);
   ASSERT_GE(r.alignments.size(), 1u);
   const auto rec = compare::to_m8(r.alignments[0], b1, b2);
   // Query interval covers the planted segment [201, 320] (1-based).
@@ -203,7 +203,7 @@ TEST(StrandSearch, BlastNAgreesOnMinusStrand) {
   blast::BlastOptions bopt;
   bopt.dust = false;
   bopt.strand = Strand::kBoth;
-  const auto sr = core::Pipeline(sopt).run(b1, b2);
+  const auto sr = Session(b1, sopt).search_collect(b2);
   const auto br = blast::BlastN(bopt).run(b1, b2);
   ASSERT_GE(sr.alignments.size(), 1u);
   ASSERT_GE(br.alignments.size(), 1u);
@@ -234,8 +234,8 @@ TEST(StrandSearch, BothStrandStatsAggregate) {
   plus.dust = false;
   core::Options both = plus;
   both.strand = Strand::kBoth;
-  const auto rp = core::Pipeline(plus).run(hp.bank1, hp.bank2);
-  const auto rb = core::Pipeline(both).run(hp.bank1, hp.bank2);
+  const auto rp = Session(hp.bank1, plus).search_collect(hp.bank2);
+  const auto rb = Session(hp.bank1, both).search_collect(hp.bank2);
   // Both-strand run does at least the plus-strand work.
   EXPECT_GE(rb.stats.hit_pairs, rp.stats.hit_pairs);
   EXPECT_GE(rb.alignments.size(), rp.alignments.size());
