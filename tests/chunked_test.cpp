@@ -1,9 +1,11 @@
-// Tests for the memory-bounded chunked driver: slicing, remapping, and
-// the bit-identity of chunked vs unchunked runs.
+// Tests for bank2 slicing under a memory budget: the slice planner, and
+// the bit-identity of sliced and unsliced Session searches.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "api/session.hpp"
 #include "api/sinks.hpp"
