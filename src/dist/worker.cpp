@@ -1,23 +1,22 @@
 #include "dist/worker.hpp"
 
 #include <exception>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "api/session.hpp"
 #include "api/sinks.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/run_merge.hpp"
 #include "dist/protocol.hpp"
-#include "filter/dust.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "seqio/serialize.hpp"
-#include "stats/karlin.hpp"
 #include "store/index_store.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/threading.hpp"
 #include "util/timer.hpp"
 
 namespace scoris::dist {
@@ -62,14 +61,10 @@ struct WorkerMetrics {
 
 /// Everything one WJOB setup prepares; lives for the connection.
 struct Job {
-  std::unique_ptr<seqio::SequenceBank> owned_bank1;  // inline references
-  std::unique_ptr<index::BankIndex> owned_index;
-  std::unique_ptr<store::IndexStore> store;          // path references
-  const index::BankIndex* idx1 = nullptr;
+  /// The reference, prepared exactly as the coordinator's Session was
+  /// (same options, same mask, same index), so the seed sets agree.
+  std::optional<Session> session;
   seqio::SequenceBank bank2;
-  core::Options options;
-  stats::KarlinParams karlin;
-  std::unique_ptr<util::ThreadPool> pool;
 };
 
 }  // namespace
@@ -85,12 +80,9 @@ Job prepare_job(const net::Frame& frame, int threads) {
   const std::string ref = reader.get_string();
   const std::string bank2_bytes = reader.get_string();
 
+  core::Options options = read_options(reader);
+  options.threads = threads;
   Job job;
-  job.options = read_options(reader);
-  job.options.threads = threads;
-  job.options.validate_or_throw();
-  job.karlin = stats::karlin_match_mismatch(job.options.scoring.match,
-                                            job.options.scoring.mismatch);
   {
     std::istringstream is(bank2_bytes);
     job.bank2 = seqio::load_bank(is);
@@ -99,39 +91,15 @@ Job prepare_job(const net::Frame& frame, int threads) {
   switch (static_cast<RefKind>(ref_kind)) {
     case RefKind::kInlineBank: {
       std::istringstream is(ref);
-      job.owned_bank1 =
-          std::make_unique<seqio::SequenceBank>(seqio::load_bank(is));
-      // Mirror Session's reference preparation exactly: same coder,
-      // same mask, so the worker's seed set equals the coordinator's.
-      const index::SeedCoder coder(job.options.effective_w());
-      filter::MaskBitmap mask;
-      index::IndexOptions iopt;
-      if (job.options.dust) {
-        mask = filter::dust_mask(*job.owned_bank1, job.options.dust_params);
-        iopt.mask = &mask;
-      }
-      job.owned_index = std::make_unique<index::BankIndex>(*job.owned_bank1,
-                                                           coder, iopt);
-      job.idx1 = job.owned_index.get();
+      job.session.emplace(seqio::load_bank(is), options);
       break;
     }
-    case RefKind::kIndexPath: {
-      job.store = std::make_unique<store::IndexStore>(store::load_index(ref));
-      store::IndexKey key;
-      key.w = job.options.effective_w();
-      key.stride = 1;
-      key.dust = job.options.dust;
-      key.dust_params = job.options.dust_params;
-      job.idx1 = &job.store->require(key);
+    case RefKind::kIndexPath:
+      job.session.emplace(store::load_index(ref), options);
       break;
-    }
     default:
       throw net::NetError("WJOB: unknown reference kind " +
                           std::to_string(ref_kind));
-  }
-  if (threads > 1) {
-    job.pool =
-        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
   }
   return job;
 }
@@ -160,18 +128,14 @@ void send_error(net::Socket& conn, const std::string& message) {
           std::to_string(task.slice_to) + ") exceeds the query bank (" +
           std::to_string(job.bank2.size()) + " sequences)");
     }
-    core::exec::ExecRequest request;
-    request.idx1 = job.idx1;
-    request.bank2 = &job.bank2;
+    // One group: this strand of this slice, streamed as it finishes.
+    SearchLimits limits;
+    limits.strand = task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
+    core::exec::ExecRequest request =
+        job.session->exec_request(job.bank2, limits);
     request.slices = {core::exec::SliceRange{
         static_cast<std::size_t>(task.slice_from),
         static_cast<std::size_t>(task.slice_to)}};
-    request.options = job.options;
-    request.options.strand =
-        task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
-    request.karlin = job.karlin;
-    request.ordering = HitOrdering::kGlobal;  // single group: streamed
-    request.pool = job.pool.get();
     Collector collector;
     (void)core::exec::execute(request, collector);
     result = collector.take();
@@ -296,7 +260,7 @@ void Worker::Conversation::converse(net::Connection& conn) {
   net::write_frame(conn.socket(), kJobAckTag, std::string_view{});
   conn.log().info("job prepared",
                   {obs::kv("conn", conn.id()),
-                   obs::kv("reference_seqs", job.idx1->bank().size()),
+                   obs::kv("reference_seqs", job.session->reference().size()),
                    obs::kv("query_seqs", job.bank2.size())});
 
   while (conn.next_frame(frame)) {

@@ -10,8 +10,8 @@
 //
 // Accepting, admission, per-connection threads and the drain on
 // request_stop() are net::Server's (net/server.hpp).  A worker
-// conversation holds a whole prepared job (reference bank + index +
-// query bank + options) for the life of its connection; a connection
+// conversation holds a whole prepared job (a Session over the reference,
+// plus the query bank) for the life of its connection; a connection
 // refused by the max_jobs cap is closed without a word, and a
 // coordinator treats that like a dead worker.
 //
