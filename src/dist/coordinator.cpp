@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "seqio/serialize.hpp"
-#include "stats/karlin.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -142,8 +141,6 @@ struct TaskQueue {
 struct DistShared {
   const Session* session = nullptr;
   const seqio::SequenceBank* bank2 = nullptr;
-  core::Options options;          // limits applied, validated
-  stats::KarlinParams karlin;
   std::vector<std::uint8_t> job_payload;
   DistConfig config;
   obs::TraceRecorder* trace = nullptr;
@@ -345,15 +342,14 @@ SearchOutcome run_distributed(const Session& session,
                              ? config.dist_slices
                              : 2 * (config.workers.size() + 1));
   const core::exec::ExecRequest whole = session.exec_request(bank2, planned);
-  shared.options = whole.options;
-  shared.karlin = whole.karlin;
+  const core::Options& options = whole.options;  // limits applied, validated
   std::vector<core::exec::SliceRange> slices = whole.slices;
   if (slices.empty()) slices.push_back({0, bank2.size()});
 
   // Group list in compile_plan order (slice-major, plus before minus):
   // a task's position IS the merge tie-break key.
-  const bool plus = shared.options.strand != seqio::Strand::kMinus;
-  const bool minus = shared.options.strand != seqio::Strand::kPlus;
+  const bool plus = options.strand != seqio::Strand::kMinus;
+  const bool minus = options.strand != seqio::Strand::kPlus;
   std::vector<GroupTask> groups;
   for (const core::exec::SliceRange& slice : slices) {
     for (const bool is_minus : {false, true}) {
@@ -386,13 +382,13 @@ SearchOutcome run_distributed(const Session& session,
     std::ostringstream b2;
     seqio::save_bank(b2, bank2);
     job.put_string(b2.str());
-    write_options(job, shared.options);
+    write_options(job, options);
     shared.job_payload = job.take();
   }
 
   core::exec::RunMergeConfig mcfg;
-  mcfg.budget_bytes = shared.options.delivery_budget_bytes;
-  mcfg.tmp_dir = shared.options.tmp_dir;
+  mcfg.budget_bytes = options.delivery_budget_bytes;
+  mcfg.tmp_dir = options.tmp_dir;
   core::exec::RunMerger merger(std::move(mcfg), groups.size());
   shared.merger = &merger;
   shared.queue.init({groups.begin(), groups.end()});
@@ -424,10 +420,10 @@ SearchOutcome run_distributed(const Session& session,
       request.slices = {core::exec::SliceRange{
           static_cast<std::size_t>(task.slice_from),
           static_cast<std::size_t>(task.slice_to)}};
-      request.options = shared.options;
+      request.options = options;
       request.options.strand =
           task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
-      request.karlin = shared.karlin;
+      request.karlin = whole.karlin;
       request.ordering = HitOrdering::kGlobal;  // single group: streamed
       Collector collector;
       (void)core::exec::execute(request, collector);
