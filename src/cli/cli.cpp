@@ -686,9 +686,18 @@ void print_stats(std::ostream& err, const core::PipelineStats& s) {
       << "  step1 " << s.index_seconds << "s, step2 " << s.hsp_seconds
       << "s (kernel " << s.simd_kernel << "), step3 " << s.gapped_seconds
       << "s, total " << s.total_seconds << "s\n";
+  // Step-3 work: every extension either takes the pure-diagonal fast path
+  // or runs the second (banded global) DP.
+  const core::GappedStageStats& g = s.gapped;
+  err << "  step3 " << g.gapped_extensions << " extensions (" << g.fast_path
+      << " fast path, " << g.second_dp << " second DP), "
+      << g.skipped_contained << " contained, " << g.below_cutoff
+      << " below cutoff\n";
   // Index memory accounting (paper section 3.1: ~5 bytes per position =
-  // 4-byte INDEX entry + 1-byte SEQ code; the dictionaries, here the 4^W
-  // seed offsets, are apart).  "chains" are the positions arrays.
+  // 4-byte INDEX entry + 1-byte SEQ code; the dictionaries are apart).
+  // The reference counts its 4^W + 1 seed offsets once; the largest
+  // group's subject index adds its fixed bucket table to "dictionaries"
+  // and its positions plus low-code bytes to "chains".
   const double per_pos =
       s.index_positions == 0
           ? 0.0

@@ -32,7 +32,9 @@ struct ChunkedOptions {
 };
 
 /// Estimated index bytes for a bank at word length w (the paper's ~5N plus
-/// the 4^W dictionary).
+/// the 4^W dictionary).  For a bank2 slice it is a conservative bound:
+/// the slice's SubjectIndex holds a fixed bucket table in place of the
+/// 4^W term, which the budget planner still charges.
 [[nodiscard]] std::size_t estimated_index_bytes(
     const seqio::SequenceBank& bank, int w);
 

@@ -12,6 +12,7 @@
 #include "core/exec/run_merge.hpp"
 #include "core/ordered_extend.hpp"
 #include "filter/dust.hpp"
+#include "index/subject_index.hpp"
 #include "obs/metrics.hpp"
 #include "seqio/strand.hpp"
 #include "util/threading.hpp"
@@ -52,7 +53,6 @@ std::string group_label(std::uint32_t gid, bool minus) {
 }
 
 using align::Hsp;
-using index::BankIndex;
 
 /// Karlin parameters for one group: the base solution, or re-solved from
 /// the banks' actual compositions (size-weighted average, as the
@@ -80,7 +80,7 @@ stats::KarlinParams group_karlin(const ExecRequest& request,
 
 ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   const Options& options = request.options;
-  const BankIndex& idx1 = *request.idx1;
+  const index::BankIndex& idx1 = *request.idx1;
   const seqio::SequenceBank& bank1 = idx1.bank();
   const seqio::SequenceBank& bank2 = *request.bank2;
 
@@ -128,6 +128,8 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       static_cast<std::int64_t>(kernel_ops.kind));
 
   ShardStatsReducer reducer(plan.shards.size());
+  // The largest subject index of any group: the engine holds one at a
+  // time.
   std::size_t peak_idx2_bytes = 0;
   std::size_t peak_idx2_dict = 0;
   std::size_t peak_idx2_chain = 0;
@@ -185,7 +187,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       iopt2.mask = &mask2;
     }
     if (options.asymmetric) iopt2.stride = 2;
-    const BankIndex idx2(subject, coder, iopt2);
+    const index::SubjectIndex idx2(subject, coder, iopt2);
     const double tg_seconds = tg.seconds();
     index_group_seconds.push_back(tg_seconds);
     st.index_seconds += tg_seconds;
@@ -274,6 +276,8 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     st.gapped.hsps_in += gstats.hsps_in;
     st.gapped.skipped_contained += gstats.skipped_contained;
     st.gapped.gapped_extensions += gstats.gapped_extensions;
+    st.gapped.fast_path += gstats.fast_path;
+    st.gapped.second_dp += gstats.second_dp;
     st.gapped.below_cutoff += gstats.below_cutoff;
     st.gapped.exact_duplicates += gstats.exact_duplicates;
 

@@ -6,9 +6,10 @@
 //
 //   groups   each (strand x bank2-slice) group is processed in plan
 //            order: the slice is materialized (and reverse-complemented
-//            for minus groups), masked, indexed, its seed-code shards run
-//            on the static or work-stealing scheduler, and the group's
-//            HSPs feed the gapped stage;
+//            for minus groups), masked and indexed as a SubjectIndex (no
+//            4^W array), its seed-code shards run on the static or
+//            work-stealing scheduler over that one shared index, and the
+//            group's HSPs feed the gapped stage;
 //   merge    group alignments are remapped to bank2-global coordinates
 //            and delivered to the HitSink — immediately per group when
 //            the ordering allows (single-group plans, or

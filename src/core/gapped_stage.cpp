@@ -99,11 +99,13 @@ void process_slice(const KeyedHsp* hsps, std::size_t count,
         stats.mismatches = len - matches;
         score = diag_score;
         have_stats = true;
+        ++st.fast_path;
       }
     }
     if (!have_stats) {
       stats = align::banded_global_stats(seq1, ext.s1, ext.e1, seq2, ext.s2,
                                          ext.e2, options.scoring, &score);
+      ++st.second_dp;
     }
 
     const std::uint32_t sid2 = hsps[n].seq2;
@@ -205,6 +207,8 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
       result.insert(result.end(), partial[s].begin(), partial[s].end());
       st.skipped_contained += partial_stats[s].skipped_contained;
       st.gapped_extensions += partial_stats[s].gapped_extensions;
+      st.fast_path += partial_stats[s].fast_path;
+      st.second_dp += partial_stats[s].second_dp;
       st.below_cutoff += partial_stats[s].below_cutoff;
     }
   }

@@ -43,6 +43,11 @@ struct GappedStageStats {
   std::size_t hsps_in = 0;
   std::size_t skipped_contained = 0;  ///< HSPs inside an existing alignment
   std::size_t gapped_extensions = 0;
+  /// Extensions whose pure-diagonal path gave the statistics directly.
+  std::size_t fast_path = 0;
+  /// Extensions re-aligned by banded_global_stats (the second DP); with
+  /// fast_path they add up to gapped_extensions.
+  std::size_t second_dp = 0;
   std::size_t below_cutoff = 0;       ///< extensions failing the e-value cut
   std::size_t exact_duplicates = 0;   ///< identical alignments removed
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 
 #include "align/ungapped.hpp"
 
@@ -25,11 +26,16 @@ using seqio::Pos;
 // discard all scoring state, so checking them before folding the run's
 // score is outcome-equivalent to the interleaved per-character order.
 
-OrderedExtendOutcome extend_ordered(const index::BankIndex& idx1,
-                                    const index::BankIndex& idx2, Pos p1,
-                                    Pos p2, index::SeedCode anchor,
-                                    const align::ScoringParams& params,
-                                    const align::simd::KernelOps& ops) {
+namespace {
+
+// The subject side needs only bank() and is_indexed(), so one body serves
+// a BankIndex and a SubjectIndex subject.
+template <typename Subject>
+OrderedExtendOutcome extend_ordered_with(const index::BankIndex& idx1,
+                                         const Subject& idx2, Pos p1, Pos p2,
+                                         index::SeedCode anchor,
+                                         const align::ScoringParams& params,
+                                         const align::simd::KernelOps& ops) {
   // Bank data always starts and ends with kSentinel, so the walks below
   // terminate on a sentinel before they can run off either span; the
   // kernel calls are additionally bounded so their vector loads stay
@@ -165,6 +171,16 @@ OrderedExtendOutcome extend_ordered(const index::BankIndex& idx1,
   return out;
 }
 
+}  // namespace
+
+OrderedExtendOutcome extend_ordered(const index::BankIndex& idx1,
+                                    const index::BankIndex& idx2, Pos p1,
+                                    Pos p2, index::SeedCode anchor,
+                                    const align::ScoringParams& params,
+                                    const align::simd::KernelOps& ops) {
+  return extend_ordered_with(idx1, idx2, p1, p2, anchor, params, ops);
+}
+
 OrderedExtendOutcome extend_ordered(const index::BankIndex& idx1,
                                     const index::BankIndex& idx2, Pos p1,
                                     Pos p2, index::SeedCode anchor,
@@ -190,31 +206,32 @@ namespace {
 // banks can make it enormous.
 constexpr std::size_t kReserveCap = 1u << 16;
 
-}  // namespace
-
-void scan_seed_range(const index::BankIndex& idx1,
-                     const index::BankIndex& idx2,
-                     const SeedScanParams& params, index::SeedCode code_lo,
-                     index::SeedCode code_hi, SeedScanResult& out) {
+template <typename Subject>
+void scan_range(const index::BankIndex& idx1, const Subject& idx2,
+                const SeedScanParams& params, index::SeedCode code_lo,
+                index::SeedCode code_hi, SeedScanResult& out) {
   const auto seq1 = idx1.bank().data();
   const auto seq2 = idx2.bank().data();
   const int w = idx1.w();
   const align::simd::KernelOps& ops =
       params.kernel != nullptr ? *params.kernel : align::simd::dispatch();
 
-  // Exact pair count over the range, O(1) per code from the CSR offsets;
-  // pre-sizes the output so the hot loop never reallocates mid-scan.
+  // Exact pair count over the range, O(1) per subject code from the
+  // reference's offsets; pre-sizes the output so the hot loop never
+  // reallocates mid-scan.
   std::size_t pairs = 0;
-  for (index::SeedCode code = code_lo; code < code_hi; ++code) {
-    pairs += idx1.occurrence_count(code) * idx2.occurrence_count(code);
-  }
+  idx2.for_each_code(code_lo, code_hi,
+                     [&](index::SeedCode code,
+                         std::span<const std::int32_t> occ2) {
+                       pairs += idx1.occurrence_count(code) * occ2.size();
+                     });
   out.hsps.reserve(out.hsps.size() + std::min(pairs, kReserveCap));
 
-  for (index::SeedCode code = code_lo; code < code_hi; ++code) {
+  idx2.for_each_code(code_lo, code_hi, [&](index::SeedCode code,
+                                           std::span<const std::int32_t>
+                                               occ2) {
     const auto occ1 = idx1.occurrences_span(code);
-    if (occ1.empty()) continue;
-    const auto occ2 = idx2.occurrences_span(code);
-    if (occ2.empty()) continue;
+    if (occ1.empty()) return;
     out.hit_pairs += occ1.size() * occ2.size();
 
     for (const std::int32_t p1 : occ1) {
@@ -226,10 +243,9 @@ void scan_seed_range(const index::BankIndex& idx1,
         }
         const std::int32_t p2 = occ2[k];
         if (params.enforce_order) {
-          const OrderedExtendOutcome o =
-              extend_ordered(idx1, idx2, static_cast<Pos>(p1),
-                             static_cast<Pos>(p2), code, params.scoring,
-                             ops);
+          const OrderedExtendOutcome o = extend_ordered_with(
+              idx1, idx2, static_cast<Pos>(p1), static_cast<Pos>(p2), code,
+              params.scoring, ops);
           if (!o.hsp.has_value()) {
             ++out.order_aborts;
             continue;
@@ -245,7 +261,23 @@ void scan_seed_range(const index::BankIndex& idx1,
         }
       }
     }
-  }
+  });
+}
+
+}  // namespace
+
+void scan_seed_range(const index::BankIndex& idx1,
+                     const index::SubjectIndex& idx2,
+                     const SeedScanParams& params, index::SeedCode code_lo,
+                     index::SeedCode code_hi, SeedScanResult& out) {
+  scan_range(idx1, idx2, params, code_lo, code_hi, out);
+}
+
+void scan_seed_range(const index::BankIndex& idx1,
+                     const index::BankIndex& idx2,
+                     const SeedScanParams& params, index::SeedCode code_lo,
+                     index::SeedCode code_hi, SeedScanResult& out) {
+  scan_range(idx1, idx2, params, code_lo, code_hi, out);
 }
 
 }  // namespace scoris::core

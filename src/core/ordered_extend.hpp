@@ -13,11 +13,12 @@
 //    to the right loses against us by the left rule.
 //
 // Together the two rules guarantee each HSP is generated exactly once
-// across the whole 4^W enumeration, with no de-duplication structure.
+// across the enumeration of every seed code the two banks share, in
+// increasing code order, with no de-duplication structure.
 //
 // One refinement over the paper's listing: a candidate seed only causes an
 // abort when it is actually enumerable as a hit, i.e. present in *both*
-// bank indexes (BankIndex::is_indexed).  With full indexing this is always
+// bank indexes (is_indexed).  With full indexing this is always
 // true for a W-match window; with DUST masking or stride-2 asymmetric
 // indexing an excluded word must not abort (it will never anchor an
 // extension, so aborting would lose the HSP entirely).
@@ -31,6 +32,7 @@
 #include "align/scoring.hpp"
 #include "align/simd/kernel_dispatch.hpp"
 #include "index/bank_index.hpp"
+#include "index/subject_index.hpp"
 
 namespace scoris::core {
 
@@ -85,9 +87,19 @@ struct SeedScanResult {
   std::size_t order_aborts = 0;
 };
 
-/// Enumerate seed codes [code_lo, code_hi) in increasing order and run the
-/// ordered (or, for the ablation, plain ungapped) extension over every
-/// occurrence pair.  HSPs are appended to `out` in enumeration order.
+/// Walk the seed codes of [code_lo, code_hi) that the subject `idx2`
+/// holds, in increasing order, look each one up in the reference `idx1`,
+/// and run the ordered (or, for the ablation, plain ungapped) extension
+/// over every occurrence pair: bank-1 positions outermost, both ascending.
+/// HSPs are appended to `out` in enumeration order.  The two overloads
+/// share one body and, for the same banks and options, produce the same
+/// result: a SubjectIndex subject visits only the codes it holds, a
+/// BankIndex subject (perfbench's composer, the micro-benchmarks) every
+/// code of the range.
+void scan_seed_range(const index::BankIndex& idx1,
+                     const index::SubjectIndex& idx2,
+                     const SeedScanParams& params, index::SeedCode code_lo,
+                     index::SeedCode code_hi, SeedScanResult& out);
 void scan_seed_range(const index::BankIndex& idx1,
                      const index::BankIndex& idx2,
                      const SeedScanParams& params, index::SeedCode code_lo,

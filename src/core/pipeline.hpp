@@ -1,11 +1,15 @@
 // SCORIS-N: the four-step ORIS pipeline (paper figure 1).
 //
-//   step 1  index both banks (4^W seed offsets + the positions of every
-//           word start, grouped by seed; optional DUST mask, optional
-//           stride-2 asymmetric indexing of bank2)
-//   step 2  enumerate all 4^W seed codes in increasing order; for every
-//           occurrence pair run the ordered ungapped extension; keep HSPs
-//           scoring >= S1 — uniqueness comes from the order rule alone
+//   step 1  index both banks (optional DUST mask, optional stride-2
+//           asymmetric indexing of bank2): the reference once, as 4^W
+//           seed offsets + the positions of every word start grouped by
+//           seed (index/bank_index.hpp); each bank2 group as its word
+//           starts in (code, position) order under a fixed bucket table,
+//           with no 4^W array (index/subject_index.hpp)
+//   step 2  walk the seed codes bank2 holds in increasing order and look
+//           each one up in the reference; for every occurrence pair run
+//           the ordered ungapped extension; keep HSPs scoring >= S1 —
+//           uniqueness comes from the order rule alone
 //   step 3  gapped extension with diagonal-sorted containment dedup
 //   step 4  e-value sort, m8 output
 //
@@ -44,13 +48,15 @@ struct PipelineStats {
   std::size_t hsps = 0;             ///< HSPs above S1 (after dedup if any)
   std::size_t duplicate_hsps = 0;   ///< removed duplicates (order off only)
   std::size_t index_bytes = 0;      ///< both indexes
-  // Index memory accounting (the ROADMAP's Mbp-scale probe): the O(4^W)
-  // seed offsets (the paper's dictionary) and O(N) positions arrays (its
-  // INDEX) of both indexes, and the bank positions they cover.
+  // Index memory accounting (the ROADMAP's Mbp-scale probe): the
+  // reference's O(4^W) seed offsets (the paper's dictionary) plus the
+  // largest subject index's fixed bucket table, the O(N) per-word arrays
+  // (the paper's INDEX; a subject adds one low-code byte per word above
+  // W = 8) of both, and the bank positions they cover.
   // bytes/position = (positions arrays + positions) / positions — the
   // paper's ~5N counts the 4-byte INDEX entry plus the 1-byte SEQ code.
-  std::size_t index_dict_bytes = 0;   ///< seed-offset bytes, both indexes
-  std::size_t index_chain_bytes = 0;  ///< positions-array bytes, both
+  std::size_t index_dict_bytes = 0;   ///< offset/bucket tables, both
+  std::size_t index_chain_bytes = 0;  ///< per-word arrays, both
   std::size_t index_positions = 0;    ///< bank positions of both indexes
   std::size_t masked_bases = 0;     ///< DUST-masked positions, both banks
   /// Match-run kernel the step-2 extensions ran with ("scalar", "sse4.1",

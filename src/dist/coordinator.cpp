@@ -4,6 +4,7 @@
 #include <deque>
 #include <exception>
 #include <istream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -277,18 +278,30 @@ void run_remote_group(DistShared& shared, net::Socket& sock,
   }
 }
 
-/// One remote worker's executor thread: bring the connection up, pull
-/// tasks until the queue drains, requeue on any failure.  A worker only
-/// gets `retry.retries` failed tasks before the coordinator gives up on
-/// it; its requeued work falls to the survivors or the local thread.
-void worker_loop(DistShared& shared, std::size_t widx) {
+/// One remote worker's executor thread: bring the connection up, run its
+/// reserved first task (if any), then pull tasks until the queue drains,
+/// requeueing on any failure.  A worker that cannot come up requeues the
+/// reserved task.  A worker only gets `retry.retries` failed tasks before
+/// the coordinator gives up on it; its requeued work falls to the
+/// survivors or the local thread.
+void worker_loop(DistShared& shared, std::size_t widx,
+                 std::optional<GroupTask> first) {
   const net::Endpoint& ep = shared.config.workers[widx];
   const std::string where = net::to_string(ep);
   net::Socket sock = bring_up_worker(shared, ep, widx);
-  if (!sock.valid()) return;
+  if (!sock.valid()) {
+    if (first.has_value()) shared.queue.requeue(*first);
+    return;
+  }
+  const auto next = [&](GroupTask& task) {
+    if (!first.has_value()) return shared.queue.try_pop(task);
+    task = *first;
+    first.reset();
+    return true;
+  };
   int strikes = 0;
   GroupTask task;
-  while (shared.queue.try_pop(task)) {
+  while (next(task)) {
     try {
       run_remote_group(shared, sock, task, where);
       shared.queue.complete();
@@ -399,10 +412,19 @@ SearchOutcome run_distributed(const Session& session,
        obs::kv("groups", groups.size()), obs::kv("slices", slices.size()),
        obs::kv("job_bytes", shared.job_payload.size())});
 
+  // Reserve one group per worker before any thread starts.  Otherwise the
+  // calling thread below can drain every group before a worker finishes
+  // its WJOB setup, and the workers get nothing.  The cost: a live
+  // worker's first group waits for that setup.
+  std::vector<std::optional<GroupTask>> first(shared.config.workers.size());
+  for (std::optional<GroupTask>& reserved : first) {
+    GroupTask task;
+    if (shared.queue.try_pop(task)) reserved = task;
+  }
   std::vector<std::thread> threads;
   threads.reserve(shared.config.workers.size());
   for (std::size_t w = 0; w < shared.config.workers.size(); ++w) {
-    threads.emplace_back(worker_loop, std::ref(shared), w);
+    threads.emplace_back(worker_loop, std::ref(shared), w, first[w]);
   }
 
   // The calling thread is the executor of last resort: it runs whatever

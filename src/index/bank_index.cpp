@@ -9,85 +9,19 @@
 
 namespace scoris::index {
 
-namespace {
-
-/// Call fn(p, local, code) for every all-ACGT W-word of `bank` — global
-/// start p, sequence-local start `local`, seed code — from the last
-/// sequence's last word down to the first sequence's first.  Words never
-/// span a sequence boundary.
-template <typename Fn>
-void for_each_word_descending(const seqio::SequenceBank& bank,
-                              const SeedCoder& coder, Fn&& fn) {
-  const auto codes = bank.data();
-  const auto w = static_cast<std::size_t>(coder.w());
-  for (std::size_t s = bank.size(); s-- > 0;) {
-    const std::size_t off = bank.offset(s);
-    std::size_t run = 0;  // concrete bases starting at the current position
-    SeedCode code = 0;
-    for (std::size_t local = bank.length(s); local-- > 0;) {
-      const seqio::Code c = codes[off + local];
-      if (!seqio::is_base(c)) {
-        run = 0;
-        continue;
-      }
-      code = coder.roll_left(code, c);
-      if (++run >= w) fn(off + local, local, code);
-    }
-  }
-}
-
-}  // namespace
-
 BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
                      const IndexOptions& options)
     : bank_(&bank), coder_(coder) {
-  if (coder.w() > kMaxW) {
-    throw std::invalid_argument("BankIndex: W > " + std::to_string(kMaxW) +
-                                " dictionary too large");
-  }
-  if (options.stride < 1) {
-    throw std::invalid_argument("BankIndex: stride must be >= 1");
-  }
-  if (options.mask != nullptr && options.mask->size() != bank.data_size()) {
-    throw std::invalid_argument("BankIndex: mask size mismatch");
-  }
-  const auto w = static_cast<std::size_t>(coder.w());
-  const auto stride = static_cast<std::size_t>(options.stride);
-  const std::size_t num_seeds = coder.num_seeds();
-  indexed_ = filter::MaskBitmap(bank.data_size());
+  // Buckets keyed on the whole code: the bucket starts are the 4^W + 1
+  // offsets.
+  WordBuckets words =
+      bucket_word_starts(bank, coder, options, 0, "BankIndex");
   if (options.mask != nullptr) masked_bases_ = options.mask->count();
-
-  // Pass 1: select the word starts and count them per code.  The stride
-  // applies to *sequence-local* offsets, so the indexed word set never
-  // depends on what precedes a sequence in the bank (this keeps sliced
-  // and chunked runs bit-identical, see core/chunked.hpp).
-  offsets_storage_.assign(num_seeds + 1, 0);
-  for_each_word_descending(
-      bank, coder, [&](std::size_t p, std::size_t local, SeedCode code) {
-        if (local % stride != 0) return;
-        if (options.mask != nullptr && options.mask->any_in(p, w)) return;
-        indexed_.set(p);
-        if (offsets_storage_[code]++ == 0) ++distinct_seeds_;
-        ++total_indexed_;
-      });
-
-  // Running sums turn each count into its bucket's end; pass 2 fills
-  // every bucket back to front while walking positions downwards, which
-  // leaves each offset at its bucket's start and each bucket ascending.
-  std::uint32_t end = 0;
-  for (std::size_t code = 0; code < num_seeds; ++code) {
-    end += offsets_storage_[code];
-    offsets_storage_[code] = end;
-  }
-  offsets_storage_[num_seeds] = end;
-  positions_storage_.resize(total_indexed_);
-  for_each_word_descending(
-      bank, coder, [&](std::size_t p, std::size_t, SeedCode code) {
-        if (indexed_.test(p)) {
-          positions_storage_[--offsets_storage_[code]] =
-              static_cast<std::int32_t>(p);
-        }
-      });
+  indexed_ = std::move(words.indexed);
+  offsets_storage_ = std::move(words.starts);
+  positions_storage_ = std::move(words.positions);
+  total_indexed_ = positions_storage_.size();
+  distinct_seeds_ = words.filled;
   occ_offsets_ = offsets_storage_;
   occ_positions_ = positions_storage_;
 }

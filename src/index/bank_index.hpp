@@ -1,4 +1,5 @@
-// BankIndex — the paper's figure-2 structure, laid out by seed.
+// BankIndex — the reference index: the paper's figure-2 structure, laid
+// out by seed.
 //
 // The paper indexes a bank with a 4^W dictionary plus an INDEX array of
 // one int32 per position (section 3.1).  Here the same occurrences live in
@@ -10,14 +11,20 @@
 //   positions  one int32 per indexed word start, grouped by code and
 //              ascending within a code — the INDEX array sorted by seed.
 //
-// The step-2 scan walks each code's occurrences as one contiguous slice,
-// and occurrence counts are O(1) offset subtractions.  Memory is 4 bytes
-// per indexed position plus the 1-byte SEQ array the bank owns, plus the
+// The step-2 scan looks each subject code up in O(1) here, and
+// occurrence counts are O(1) offset subtractions.  Memory is 4 bytes per
+// indexed position plus the 1-byte SEQ array the bank owns, plus the
 // 4·(4^W+1) offset bytes — the paper's "approximately 5 N bytes", which
 // index_test verifies.  A two-pass counting sort builds it: the first
 // pass counts each code's word starts, the second places them.
 //
-// Options cover the paper's two indexing variants:
+// The reference is indexed once (Session's constructor, a .scix store, a
+// distributed worker's job setup) and reused by every query, so its 4^W
+// offsets are paid once.  Each bank-2 group gets a SubjectIndex instead
+// (index/subject_index.hpp), which holds no 4^W array.
+//
+// Options (index/word_starts.hpp) cover the paper's two indexing
+// variants:
 //  * a low-complexity mask: masked words are not indexed (section 2.1);
 //  * stride-2 subsampling ("asymmetric indexing" of 10-nt words, section
 //    3.4): only every other word of the bank is indexed.
@@ -35,6 +42,7 @@
 
 #include "filter/mask.hpp"
 #include "index/seed_coder.hpp"
+#include "index/word_starts.hpp"
 #include "seqio/sequence_bank.hpp"
 
 namespace scoris::store {
@@ -43,14 +51,6 @@ class SectionWriter;
 }  // namespace scoris::store
 
 namespace scoris::index {
-
-struct IndexOptions {
-  /// Index word starts whose *sequence-local* offset is a multiple of
-  /// stride (1 = every position; 2 = the paper's asymmetric half-words;
-  /// W = BLAT-style non-overlapping tiles).
-  int stride = 1;
-  const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
-};
 
 class BankIndex {
  public:
@@ -93,6 +93,17 @@ class BankIndex {
   void for_each(SeedCode code, Fn&& fn) const {
     for (const std::int32_t p : occurrences_span(code)) {
       fn(static_cast<seqio::Pos>(p));
+    }
+  }
+
+  /// Visit every code of [lo, hi) with occurrences, in ascending code
+  /// order, as fn(code, occurrences_span(code)) — SubjectIndex's walk, so
+  /// the step-2 scan takes either index as its subject.
+  template <typename Fn>
+  void for_each_code(SeedCode lo, SeedCode hi, Fn&& fn) const {
+    for (SeedCode code = lo; code < hi; ++code) {
+      const auto occ = occurrences_span(code);
+      if (!occ.empty()) fn(code, occ);
     }
   }
 

@@ -698,6 +698,17 @@ TEST_F(CliTest, FlatStatsReportIndexMemory) {
   EXPECT_NE(r.err.find("bytes/position"), std::string::npos) << r.err;
 }
 
+TEST_F(CliTest, FlatStatsReportStepThreeCounters) {
+  const CliResult r = run_cli(
+      {"--bank1", bank1_, "--bank2", bank2_, "--stats"});
+  ASSERT_EQ(r.exit_code, kOk) << r.err;
+  for (const char* field : {"  step3 ", " extensions (", " fast path, ",
+                            " second DP), ", " contained, ",
+                            " below cutoff\n"}) {
+    EXPECT_NE(r.err.find(field), std::string::npos) << field << r.err;
+  }
+}
+
 #ifdef SCORIS_CLI_PATH
 TEST_F(CliTest, SubprocessBinaryRunsEndToEnd) {
   const std::string out_path = dir_ + "cli_subprocess.m8";

@@ -11,6 +11,7 @@
 #include "core/ordered_extend.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
+#include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -203,6 +204,63 @@ TEST(GappedStage, MergesHspsOfOneGappedAlignment) {
   EXPECT_EQ(a.e2 - a.s2, 122u);
   EXPECT_EQ(a.stats.gap_columns, 2u);
   EXPECT_EQ(a.stats.gap_opens, 1u);
+}
+
+// --- step-3 counters: every extension takes the fast path or the second DP
+
+TEST(GappedStage, IdenticalPairTakesOnlyTheFastPath) {
+  simulate::Rng rng(59);
+  const auto block = simulate::random_codes(rng, 200);
+  seqio::SequenceBank b1("b1"), b2("b2");
+  b1.add_codes("s", block);
+  b2.add_codes("s", block);
+
+  const SeedCoder coder(11);
+  const BankIndex i1(b1, coder), i2(b2, coder);
+  auto hsps = enumerate_ordered_hsps(i1, i2, 25, align::ScoringParams{});
+  ASSERT_FALSE(hsps.empty());
+  GappedStageStats st;
+  const auto alignments = gapped_stage(
+      hsps, b1, b2, stats::karlin_match_mismatch(1, 3), {}, &st);
+  ASSERT_EQ(alignments.size(), 1u);
+  EXPECT_GE(st.gapped_extensions, 1u);
+  EXPECT_EQ(st.fast_path, st.gapped_extensions);
+  EXPECT_EQ(st.second_dp, 0u);
+}
+
+TEST(GappedStage, IndelPairTakesTheSecondDp) {
+  simulate::Rng rng(61);
+  const auto block1 = simulate::random_codes(rng, 80);
+  const auto block2 = simulate::random_codes(rng, 80);
+  seqio::SequenceBank b1("b1"), b2("b2");
+  b1.add_codes("s", block1 + block2);
+  b2.add_codes("s", block1 + simulate::random_codes(rng, 3) + block2);
+
+  const SeedCoder coder(11);
+  const BankIndex i1(b1, coder), i2(b2, coder);
+  auto hsps = enumerate_ordered_hsps(i1, i2, 25, align::ScoringParams{});
+  ASSERT_FALSE(hsps.empty());
+  GappedStageStats st;
+  const auto alignments = gapped_stage(
+      hsps, b1, b2, stats::karlin_match_mismatch(1, 3), {}, &st);
+  ASSERT_EQ(alignments.size(), 1u);
+  EXPECT_GT(alignments[0].stats.gap_columns, 0u);
+  EXPECT_GE(st.second_dp, 1u);
+  EXPECT_EQ(st.fast_path + st.second_dp, st.gapped_extensions);
+}
+
+TEST(GappedStage, FastPathAndSecondDpCoverEveryExtension) {
+  const simulate::PaperData data(0.002, 77);
+  const auto est1 = data.make("EST1");
+  const auto est2 = data.make("EST2");
+  Options options;
+  options.threads = 2;  // the parallel slices' counters are summed too
+  const auto run = Session(est1, options).search_collect(est2);
+  const GappedStageStats& g = run.stats.gapped;
+  ASSERT_GT(g.gapped_extensions, 0u);
+  EXPECT_EQ(g.fast_path + g.second_dp, g.gapped_extensions);
+  EXPECT_GT(g.fast_path, 0u);
+  EXPECT_GT(g.second_dp, 0u);
 }
 
 TEST(GappedStage, EvalueCutoffFilters) {

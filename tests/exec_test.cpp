@@ -17,6 +17,7 @@
 #include "core/exec/run_merge.hpp"
 #include "core/gapped_stage.hpp"
 #include "filter/dust.hpp"
+#include "index/subject_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/mutate.hpp"
 #include "simulate/rng.hpp"
@@ -292,6 +293,36 @@ TEST(Engine, ChunkedStatsCountBank1IndexOnce) {
   // strictly less than the unsliced run's full bank2 chain.
   EXPECT_LT(sliced.stats.index_chain_bytes, whole.stats.index_chain_bytes);
   EXPECT_GT(sliced.stats.index_chain_bytes, idx1.chain_bytes());
+}
+
+/// The subject side is a SubjectIndex: the stats add its fixed bucket
+/// table and per-word arrays to the reference's index, never a second
+/// 4^W dictionary.
+TEST(Engine, StatsCountTheSubjectIndexWithoutA4WDictionary) {
+  simulate::Rng rng(45);
+  const auto hp = simulate::make_homologous_pair(rng, 400, 12, 8, 0.05);
+  for (const bool asymmetric : {false, true}) {
+    SCOPED_TRACE(asymmetric ? "asymmetric" : "w=11");
+    Options opt;
+    opt.dust = false;
+    opt.asymmetric = asymmetric;
+    const index::BankIndex idx1 = reference_index(hp.bank1, opt);
+    RecordingSink run;
+    execute(make_request(idx1, hp.bank2, opt), run);
+
+    const index::SeedCoder coder(opt.effective_w());
+    index::IndexOptions iopt;
+    iopt.stride = asymmetric ? 2 : 1;
+    const index::SubjectIndex subject(hp.bank2, coder, iopt);
+    EXPECT_EQ(run.stats.index_dict_bytes,
+              idx1.dictionary_bytes() + subject.dictionary_bytes());
+    EXPECT_LT(subject.dictionary_bytes(),
+              coder.num_seeds() * sizeof(std::uint32_t));
+    EXPECT_EQ(run.stats.index_chain_bytes,
+              idx1.chain_bytes() + subject.chain_bytes());
+    EXPECT_EQ(run.stats.index_bytes,
+              idx1.memory_bytes() + subject.memory_bytes());
+  }
 }
 
 /// Both strands count the reference's DUST-masked bases once, not once

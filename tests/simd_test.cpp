@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "align/simd/kernel_dispatch.hpp"
@@ -18,6 +20,7 @@
 #include "core/ordered_extend.hpp"
 #include "filter/dust.hpp"
 #include "index/bank_index.hpp"
+#include "index/subject_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "test_helpers.hpp"
@@ -230,15 +233,24 @@ struct ScanOutcome {
   bool operator==(const ScanOutcome&) const = default;
 };
 
-ScanOutcome scan_with(const BankIndex& i1, const BankIndex& i2,
-                      const KernelOps& ops, bool enforce_order) {
+/// Step 2 over the seed codes [lo, hi), with either subject index.
+template <typename Subject>
+ScanOutcome scan_range_with(const BankIndex& i1, const Subject& i2,
+                            const KernelOps& ops, bool enforce_order,
+                            SeedCode lo, SeedCode hi) {
   core::SeedScanParams params;
   params.min_hsp_score = 14;
   params.enforce_order = enforce_order;
   params.kernel = &ops;
   core::SeedScanResult r;
-  core::scan_seed_range(i1, i2, params, 0, i1.coder().num_seeds(), r);
+  core::scan_seed_range(i1, i2, params, lo, hi, r);
   return {std::move(r.hsps), r.hit_pairs, r.order_aborts};
+}
+
+ScanOutcome scan_with(const BankIndex& i1, const BankIndex& i2,
+                      const KernelOps& ops, bool enforce_order) {
+  return scan_range_with(i1, i2, ops, enforce_order, 0,
+                         static_cast<SeedCode>(i1.coder().num_seeds()));
 }
 
 class ScanDifferentialSweep
@@ -281,6 +293,116 @@ INSTANTIATE_TEST_SUITE_P(
     WordSizesAndSeeds, ScanDifferentialSweep,
     ::testing::Combine(::testing::Values(4, 8, 11),  // incl. the W floor
                        ::testing::Range(1, 5)));
+
+// --- differential: sparse subject index vs dense subject --------------------
+
+/// A SubjectIndex subject walks only the codes it holds; a BankIndex
+/// subject walks every code.  Both must visit the same pairs in the same
+/// order, so the HSP vector and the counters match for the full range,
+/// for ranges cut inside a bucket, and for a shard partition — with the
+/// order rule on and off, under the scalar and the dispatched kernel, for
+/// plain, stride-2 and DUST-masked subjects.
+class SubjectScanSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(SubjectScanSweep, MatchesDenseSubjectOverAnyRange) {
+  const auto [w, seed] = GetParam();
+  simulate::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
+  auto b1 = nasty_bank(rng, "b1", 4, 160);
+  auto b2 = nasty_bank(rng, "b2", 4, 160);
+  const auto shared = simulate::random_codes(rng, 140);
+  b1.add_codes("h1", shared);
+  b2.add_codes("h2", simulate::mutate(
+                         rng, shared,
+                         simulate::MutationModel::with_divergence(0.06)));
+  b2.add_codes("h3", shared);  // exact repeat: order aborts guaranteed
+  // A low-complexity run, homologous on both sides, that DUST masks.
+  const auto poly = testing::codes_of(std::string(48, 'A') + "CACACACACA");
+  b1.add_codes("p1", shared + poly);
+  b2.add_codes("p2", shared + poly);
+
+  const SeedCoder coder(w);
+  const BankIndex i1(b1, coder);
+  const filter::MaskBitmap dust = filter::dust_mask(b2);
+  ASSERT_GT(dust.count(), 0u);
+  const auto all = static_cast<SeedCode>(coder.num_seeds());
+
+  struct Shape {
+    const char* name;
+    int stride;
+    const filter::MaskBitmap* mask;
+  };
+  for (const Shape& shape : {Shape{"plain", 1, nullptr},
+                             Shape{"stride 2", 2, nullptr},
+                             Shape{"dust", 1, &dust}}) {
+    SCOPED_TRACE(shape.name);
+    index::IndexOptions opt;
+    opt.stride = shape.stride;
+    opt.mask = shape.mask;
+    const BankIndex dense(b2, coder, opt);
+    const index::SubjectIndex sparse(b2, coder, opt);
+
+    // Cut points off the bucket edges whenever a bucket spans more than
+    // one code, so ranges start and end inside a bucket.
+    const SeedCode in_bucket = (SeedCode{1} << sparse.low_bits()) - 1;
+    std::vector<SeedCode> cuts;
+    for (int k = 0; k < 4; ++k) {
+      SeedCode cut = 1 + static_cast<SeedCode>(rng.next_below(all - 1));
+      if (in_bucket != 0 && (cut & in_bucket) == 0) cut |= 1;
+      cuts.push_back(cut);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+    for (const bool enforce_order : {true, false}) {
+      for (const KernelOps* ops : {&align::simd::kernel(Kernel::kScalar),
+                                   &align::simd::dispatch()}) {
+        SCOPED_TRACE(std::string(ops->name) +
+                     (enforce_order ? " ordered" : " plain"));
+        const ScanOutcome full =
+            scan_range_with(i1, dense, *ops, enforce_order, 0, all);
+        if (enforce_order) {
+          EXPECT_GT(full.hit_pairs, 0u);
+        }
+        EXPECT_EQ(scan_range_with(i1, sparse, *ops, enforce_order, 0, all),
+                  full);
+
+        for (std::size_t a = 0; a < cuts.size(); ++a) {
+          for (std::size_t b = a + 1; b < cuts.size(); ++b) {
+            EXPECT_EQ(scan_range_with(i1, sparse, *ops, enforce_order,
+                                      cuts[a], cuts[b]),
+                      scan_range_with(i1, dense, *ops, enforce_order,
+                                      cuts[a], cuts[b]))
+                << "[" << cuts[a] << ", " << cuts[b] << ")";
+          }
+        }
+
+        // The shards of a partition, concatenated in order, are the
+        // full scan.
+        ScanOutcome joined;
+        SeedCode lo = 0;
+        std::vector<SeedCode> his = cuts;
+        his.push_back(all);
+        for (const SeedCode hi : his) {
+          ScanOutcome part =
+              scan_range_with(i1, sparse, *ops, enforce_order, lo, hi);
+          joined.hsps.insert(joined.hsps.end(), part.hsps.begin(),
+                             part.hsps.end());
+          joined.hit_pairs += part.hit_pairs;
+          joined.order_aborts += part.order_aborts;
+          lo = hi;
+        }
+        EXPECT_EQ(joined, full);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WordSizesAndSeeds, SubjectScanSweep,
+    // 4 and 8: one code per bucket; 9 and 11: 4 and 64 codes per bucket.
+    ::testing::Combine(::testing::Values(4, 8, 9, 11),
+                       ::testing::Range(1, 4)));
 
 // --- differential: per-pair abort decisions ---------------------------------
 
@@ -353,13 +475,22 @@ TEST(SimdDifferential, SeedsFlushAgainstSentinelsExtendIdentically) {
 
 // --- the index's occurrence lists ------------------------------------------
 
-/// Brute-force reference for a BankIndex build: code every position with
+/// One seed code's word starts, ascending.
+struct CodeRun {
+  SeedCode code = 0;
+  std::vector<std::int32_t> positions;
+
+  bool operator==(const CodeRun&) const = default;
+};
+
+/// Brute-force reference for an index build: code every position with
 /// SeedCoder::code_at, keep those the sequence-local stride and the mask
-/// select, and bucket them by code in ascending position order.
-std::vector<std::vector<std::int32_t>> oracle_buckets(
-    const seqio::SequenceBank& bank, const SeedCoder& coder, int stride,
-    const filter::MaskBitmap* mask) {
-  std::vector<std::vector<std::int32_t>> buckets(coder.num_seeds());
+/// select, sort them by (code, position) and group them by code.  A
+/// sorted list rather than 4^W buckets, so W = 13 stays small.
+std::vector<CodeRun> oracle_runs(const seqio::SequenceBank& bank,
+                                 const SeedCoder& coder, int stride,
+                                 const filter::MaskBitmap* mask) {
+  std::vector<std::pair<SeedCode, std::int32_t>> words;
   const auto w = static_cast<std::size_t>(coder.w());
   for (std::size_t s = 0; s < bank.size(); ++s) {
     for (std::size_t local = 0; local < bank.length(s); ++local) {
@@ -367,10 +498,16 @@ std::vector<std::vector<std::int32_t>> oracle_buckets(
       const auto code = coder.code_at(bank.data(), p);
       if (!code || local % static_cast<std::size_t>(stride) != 0) continue;
       if (mask != nullptr && mask->any_in(p, w)) continue;
-      buckets[*code].push_back(static_cast<std::int32_t>(p));
+      words.emplace_back(*code, static_cast<std::int32_t>(p));
     }
   }
-  return buckets;
+  std::sort(words.begin(), words.end());
+  std::vector<CodeRun> runs;
+  for (const auto& [code, p] : words) {
+    if (runs.empty() || runs.back().code != code) runs.push_back({code, {}});
+    runs.back().positions.push_back(p);
+  }
+  return runs;
 }
 
 TEST(OccurrenceLists, MatchBruteForceOracle) {
@@ -407,54 +544,102 @@ TEST(OccurrenceLists, MatchBruteForceOracle) {
     int stride;
     const filter::MaskBitmap* mask;
   };
-  const SeedCoder coder(6);
-  const Case cases[] = {
-      {"nasty stride 1", &nasty, 1, nullptr},
-      {"nasty stride 2", &nasty, 2, nullptr},
-      {"nasty stride W", &nasty, coder.w(), nullptr},
-      {"dust stride 1", &low_complexity, 1, &dust},
-      {"dust stride 2", &low_complexity, 2, &dust},
-      {"N runs", &n_runs, 1, nullptr},
-      {"N runs stride 2", &n_runs, 2, nullptr},
-      {"shorter than W", &short_seqs, 1, nullptr},
-      {"empty bank", &empty, 1, nullptr},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    index::IndexOptions opt;
-    opt.stride = c.stride;
-    opt.mask = c.mask;
-    const BankIndex idx(*c.bank, coder, opt);
-    const auto buckets = oracle_buckets(*c.bank, coder, c.stride, c.mask);
-
-    ASSERT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
-    filter::MaskBitmap starts(c.bank->data_size());
-    std::size_t total = 0;
-    std::size_t distinct = 0;
-    for (SeedCode code = 0; code < coder.num_seeds(); ++code) {
-      const auto span = idx.occurrences_span(code);
-      const auto& want = buckets[code];
-      ASSERT_EQ(span.size(), want.size()) << "code " << code;
-      ASSERT_TRUE(std::equal(span.begin(), span.end(), want.begin()))
-          << "code " << code;
-      EXPECT_EQ(idx.occurrence_count(code), want.size());
-      for (const std::int32_t p : want) {
-        starts.set(static_cast<std::size_t>(p));
+  // Both index types against the oracle.  The reference index is checked
+  // up to W = 11: its 4^13 + 1 offsets alone would take 256 MiB.
+  for (const int w : {4, 6, 8, 9, 11, 13}) {
+    const SeedCoder coder(w);
+    // Two crowded buckets of words that share all but their low code
+    // characters: one larger and one smaller than the build's 4096-entry
+    // sort scratch.
+    seqio::SequenceBank crowded("crowded");
+    const int low_chars = std::clamp(w - 8, 0, 4);
+    for (const auto& [tail, copies] : {std::pair{'A', 5000},
+                                       std::pair{'C', 1000}}) {
+      const auto rest = testing::codes_of(std::string(w - low_chars, tail));
+      for (int k = 0; k < copies; ++k) {
+        auto codes = simulate::random_codes(
+            rng, static_cast<std::size_t>(low_chars));
+        codes.insert(codes.end(), rest.begin(), rest.end());
+        crowded.add_codes(tail + std::to_string(k), codes);
       }
-      total += want.size();
-      distinct += want.empty() ? 0 : 1;
     }
-    EXPECT_EQ(idx.total_indexed(), total);
-    EXPECT_EQ(idx.distinct_seeds(), distinct);
-    for (std::size_t p = 0; p < c.bank->data_size(); ++p) {
-      ASSERT_EQ(idx.is_indexed(static_cast<seqio::Pos>(p)), starts.test(p))
-          << "position " << p;
+    const Case cases[] = {
+        {"crowded buckets", &crowded, 1, nullptr},
+        {"nasty stride 1", &nasty, 1, nullptr},
+        {"nasty stride 2", &nasty, 2, nullptr},
+        {"nasty stride W", &nasty, coder.w(), nullptr},
+        {"dust stride 1", &low_complexity, 1, &dust},
+        {"dust stride 2", &low_complexity, 2, &dust},
+        {"N runs", &n_runs, 1, nullptr},
+        {"N runs stride 2", &n_runs, 2, nullptr},
+        {"shorter than W", &short_seqs, 1, nullptr},
+        {"empty bank", &empty, 1, nullptr},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", w=" + std::to_string(w));
+      index::IndexOptions opt;
+      opt.stride = c.stride;
+      opt.mask = c.mask;
+      const auto runs = oracle_runs(*c.bank, coder, c.stride, c.mask);
+      filter::MaskBitmap starts(c.bank->data_size());
+      std::size_t total = 0;
+      for (const CodeRun& r : runs) {
+        for (const std::int32_t p : r.positions) {
+          starts.set(static_cast<std::size_t>(p));
+        }
+        total += r.positions.size();
+      }
+
+      // The subject index walks exactly the oracle's runs, in order.
+      const index::SubjectIndex sub(*c.bank, coder, opt);
+      std::vector<CodeRun> walked;
+      sub.for_each_code(0, static_cast<SeedCode>(coder.num_seeds()),
+                        [&](SeedCode code,
+                            std::span<const std::int32_t> occ) {
+                          walked.push_back({code, {occ.begin(), occ.end()}});
+                        });
+      ASSERT_EQ(walked, runs);
+      EXPECT_EQ(sub.total_indexed(), total);
+      for (std::size_t p = 0; p < c.bank->data_size(); ++p) {
+        ASSERT_EQ(sub.is_indexed(static_cast<seqio::Pos>(p)), starts.test(p))
+            << "position " << p;
+      }
+      // A fixed table of at most 4^9 + 1 starts, and 4 position bytes
+      // plus (above W = 8) one low-code byte per word start.
+      EXPECT_EQ(sub.low_bits(), w > 8 ? 2u * static_cast<unsigned>(
+                                                std::min(w - 8, 4))
+                                      : 0u);
+      EXPECT_EQ(sub.dictionary_bytes(),
+                ((coder.num_seeds() >> sub.low_bits()) + 1) *
+                    sizeof(std::uint32_t));
+      EXPECT_LE(sub.dictionary_bytes(),
+                ((std::size_t{1} << 18) + 1) * sizeof(std::uint32_t));
+      EXPECT_EQ(sub.chain_bytes(),
+                total * (sizeof(std::int32_t) + (w > 8 ? 1 : 0)));
+      EXPECT_EQ(sub.memory_bytes(), sub.dictionary_bytes() + sub.chain_bytes());
+
+      if (w > 11) continue;
+      const BankIndex idx(*c.bank, coder, opt);
+      ASSERT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
+      for (const CodeRun& r : runs) {
+        const auto span = idx.occurrences_span(r.code);
+        ASSERT_TRUE(std::equal(span.begin(), span.end(),
+                               r.positions.begin(), r.positions.end()))
+            << "code " << r.code;
+        EXPECT_EQ(idx.occurrence_count(r.code), r.positions.size());
+      }
+      // The runs hold every position the offsets delimit, so every other
+      // code's list is empty.
+      EXPECT_EQ(idx.total_indexed(), total);
+      EXPECT_EQ(idx.distinct_seeds(), runs.size());
+      EXPECT_EQ(idx.indexed_bitmap().words(), sub.indexed_bitmap().words());
+      EXPECT_EQ(idx.dictionary_bytes(),
+                (coder.num_seeds() + 1) * sizeof(std::uint32_t));
+      EXPECT_EQ(idx.chain_bytes(), total * sizeof(std::int32_t));
+      EXPECT_EQ(idx.memory_bytes(),
+                idx.dictionary_bytes() + idx.chain_bytes());
+      EXPECT_EQ(idx.occurrence_bytes(), 0u);
     }
-    EXPECT_EQ(idx.dictionary_bytes(),
-              (coder.num_seeds() + 1) * sizeof(std::uint32_t));
-    EXPECT_EQ(idx.chain_bytes(), total * sizeof(std::int32_t));
-    EXPECT_EQ(idx.memory_bytes(), idx.dictionary_bytes() + idx.chain_bytes());
-    EXPECT_EQ(idx.occurrence_bytes(), 0u);
   }
 }
 
