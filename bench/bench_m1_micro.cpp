@@ -10,7 +10,6 @@
 #include "align/simd/kernel_dispatch.hpp"
 #include "align/ungapped.hpp"
 #include "compare/m8.hpp"
-#include "align/greedy.hpp"
 #include "core/ordered_extend.hpp"
 #include "filter/dust.hpp"
 #include "index/spaced_seed.hpp"
@@ -265,19 +264,6 @@ void BM_M8FormatParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_M8FormatParse);
-
-void BM_GreedyExtension(benchmark::State& state) {
-  simulate::Rng rng(15);
-  const auto base = simulate::random_codes(rng, 4000);
-  const auto copy =
-      simulate::mutate(rng, base, simulate::MutationModel::with_divergence(0.02));
-  const align::ScoringParams params;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::greedy_extend(base, copy, 2000, 2000, params));
-  }
-}
-BENCHMARK(BM_GreedyExtension);
 
 void BM_BankSerializeRoundTrip(benchmark::State& state) {
   seqio::SequenceBank bank;

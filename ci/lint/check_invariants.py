@@ -6,8 +6,9 @@ that make scoris correct: the wire-protocol tag tables must match the
 docs, the store format must keep every section CRC-framed, the whole
 tree must lock through the annotated util::Mutex wrappers, the
 deterministic pipeline must never read a wall clock or a PRNG, the
-README's CLI flag table must match the flat form's flag table, and the
-metric inventory must match the registered metrics.  Each
+README's CLI flag table must match the flat form's flag table, the
+metric inventory must match the registered metrics, and threads come
+from the one pool.  Each
 rule below failed-fast on a real class of past or near-miss defect;
 see docs/STATIC_ANALYSIS.md for the rationale per rule.
 
@@ -351,6 +352,36 @@ def check_metric_docs_sync() -> None:
                    f"which nothing in src/ registers")
 
 
+# --------------------------------------------------------------------------
+# R8 — one scheduler.  Parallel work runs on util::ThreadPool through
+# run_tasks / parallel_chunks; a second hand-rolled thread loop drifts
+# from the pool's exception capture and task assignment.  Only the
+# pool's own workers, the server's connection threads and the
+# coordinator's per-worker I/O threads may name std::thread or
+# std::jthread (std::thread::hardware_concurrency and friends are fine).
+# --------------------------------------------------------------------------
+
+R8_ALLOWED = {
+    SRC / "util" / "threading.hpp",    # the pool's workers
+    SRC / "net" / "server.cpp",        # connection threads
+    SRC / "dist" / "coordinator.cpp",  # per-worker I/O threads
+}
+R8_THREAD = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+
+
+def check_single_scheduler() -> None:
+    for path in source_files(SRC):
+        if path in R8_ALLOWED:
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if R8_THREAD.search(line):
+                report("R8-raw-thread", path, lineno,
+                       "std::thread outside the pool, the server and the "
+                       "coordinator — run parallel work on "
+                       "util::ThreadPool (run_tasks / parallel_chunks)")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
@@ -359,6 +390,7 @@ def main() -> int:
     check_fuzz_corpora()
     check_readme_cli_sync()
     check_metric_docs_sync()
+    check_single_scheduler()
     if violations:
         for v in violations:
             print(v)

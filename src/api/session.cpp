@@ -135,7 +135,6 @@ core::exec::ExecRequest Session::exec_request(
   // options did, so a bad override is rejected before the engine runs.
   request.options.validate_or_throw();
   request.karlin = karlin_;
-  request.ordering = limits.ordering;
   request.pool = pool_.get();
   request.trace = limits.trace;
 

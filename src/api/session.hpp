@@ -12,9 +12,9 @@
 //   * spin up the worker pool —
 //
 // and then serves any number of search() calls against it, each
-// streaming alignments through a HitSink in bounded memory.  The
-// memory budget, strand selection, and delivery ordering vary per query
-// via SearchLimits without touching the resident index.
+// streaming alignments through a HitSink in bounded memory.  The memory
+// budgets, strand selection, and spill directory vary per query via
+// SearchLimits without touching the resident index.
 //
 // Thread safety: after construction a Session is immutable — the
 // prepared reference, its index, the validated options, and the Karlin
@@ -51,8 +51,8 @@ namespace scoris {
 using Options = core::Options;
 
 /// Per-query knobs of Session::search.  Everything here is
-/// output-preserving except `ordering` (see HitOrdering) and `strand`
-/// (which changes what is searched, not how).
+/// output-preserving except `strand` (which changes what is searched,
+/// not how).
 struct SearchLimits {
   /// Approximate budget for the two in-memory indexes (bytes).  When
   /// > 0, bank2 is streamed in sequence slices so the resident reference
@@ -62,15 +62,11 @@ struct SearchLimits {
   std::size_t memory_budget_bytes = 0;
   /// Override the session Options' strand for this query only.
   std::optional<seqio::Strand> strand;
-  /// Delivery order (kGlobal = canonical step-4 order; kGroupLocal =
-  /// stream each strand/slice group as it finishes, bounded by the
-  /// largest group).
-  HitOrdering ordering = HitOrdering::kGlobal;
   /// Lower bound on bank2 slices (testing hook; 0 = derive from the
   /// budget alone).
   std::size_t min_chunks = 0;
   /// Override the session Options' delivery budget for this query
-  /// (bytes; see Options::delivery_budget_bytes).  Bounds the kGlobal
+  /// (bytes; see Options::delivery_budget_bytes).  Bounds the
   /// cross-group merge: sorted group runs spill to temp files over the
   /// budget and are k-way merged back in bounded head blocks.  0 = use
   /// the session options' value (whose own 0 means unbounded).

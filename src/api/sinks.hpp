@@ -18,11 +18,10 @@
 
 namespace scoris {
 
-/// Streams m8 lines as alignments arrive.  With HitOrdering::kGlobal the
-/// byte stream equals compare::write_m8 of the collected result; with
-/// kGroupLocal the same lines appear in group-major order.  A stream that
-/// enters a failed state (disk full, closed pipe) raises SinkError from
-/// on_group, aborting the query instead of truncating its output.
+/// Streams m8 lines as alignments arrive; the byte stream equals
+/// compare::write_m8 of the collected result.  A stream that enters a
+/// failed state (disk full, closed pipe) raises SinkError from on_group,
+/// aborting the query instead of truncating its output.
 class M8Writer final : public HitSink {
  public:
   explicit M8Writer(std::ostream& os) : os_(&os) {}

@@ -367,6 +367,8 @@ struct QueryConfig {
   std::string bank2_path;
   std::string out_path;  ///< empty = stdout
   std::string strand;    ///< empty = server default; plus|minus|both
+  /// `strand` as the QRY frame's strand byte, set by query_form's check.
+  net::QueryStrand wire_strand = net::QueryStrand::kDefault;
   bool stats = false;    ///< print the DONE summary to stderr
   /// Retry a BUSY admission refusal up to this many times with capped
   /// exponential backoff (net::RetryPolicy — the same policy the
@@ -628,13 +630,24 @@ Form query_form(QueryConfig& c) {
                   "100; doubles per attempt, capped at 5000)"),
            help_flag(c.help)},
           [&c](std::ostream& err) {
-            if (c.strand.empty() || c.strand == "plus" ||
-                c.strand == "minus" || c.strand == "both") {
-              return true;
+            if (c.strand.empty()) return true;  // the server's default
+            core::Options parsed;
+            if (const auto issue = core::set_strand(parsed, c.strand)) {
+              err << "error: " << issue->message << '\n';
+              return false;
             }
-            err << "error: --strand must be plus, minus, or both (got '"
-                << c.strand << "')\n";
-            return false;
+            switch (parsed.strand) {
+              case seqio::Strand::kPlus:
+                c.wire_strand = net::QueryStrand::kPlus;
+                break;
+              case seqio::Strand::kMinus:
+                c.wire_strand = net::QueryStrand::kMinus;
+                break;
+              case seqio::Strand::kBoth:
+                c.wire_strand = net::QueryStrand::kBoth;
+                break;
+            }
+            return true;
           }};
 }
 
@@ -709,9 +722,7 @@ void print_stats(std::ostream& err, const core::PipelineStats& s) {
       << " bytes/position incl. SEQ)\n"
       << std::defaultfloat << std::setprecision(6);
   // Delivery-path buffering: what the engine retained between a group
-  // finishing and the sink receiving its alignments.  The kGlobal
-  // cross-group merge used to be invisible here, undercounting the
-  // worst consumer.
+  // finishing and the sink receiving its alignments.
   err << "  delivery memory: peak " << s.peak_delivery_bytes << " B";
   if (s.spilled_runs > 0) {
     err << " (" << s.spilled_runs << " spill run(s), " << s.spill_bytes
@@ -1048,11 +1059,6 @@ int run_query(const QueryConfig& config, std::ostream& out,
     return kRuntimeError;
   }
 
-  net::QueryStrand strand = net::QueryStrand::kDefault;
-  if (config.strand == "plus") strand = net::QueryStrand::kPlus;
-  else if (config.strand == "minus") strand = net::QueryStrand::kMinus;
-  else if (config.strand == "both") strand = net::QueryStrand::kBoth;
-
   std::ofstream out_file;
   std::ostream* const sink = open_sink(config.out_path, out, out_file, err);
   if (sink == nullptr) return kRuntimeError;
@@ -1084,7 +1090,7 @@ int run_query(const QueryConfig& config, std::ostream& out,
       return kRuntimeError;
     }
     const net::QueryResult result =
-        client->query(fasta, strand, [&](std::string_view rows) {
+        client->query(fasta, config.wire_strand, [&](std::string_view rows) {
           sink->write(rows.data(),
                       static_cast<std::streamsize>(rows.size()));
           if (!*sink) {

@@ -62,7 +62,7 @@ struct CliConfig {
   /// under this budget (SearchLimits::memory_budget_bytes); available on
   /// both the flat compare form and `search`.
   std::size_t memory_budget_mb = 0;
-  /// When > 0, bound the kGlobal cross-group merge's delivery memory
+  /// When > 0, bound the cross-group merge's delivery memory
   /// (Options::delivery_budget_bytes = KB << 10): sorted group runs
   /// spill to temp files over the budget.  KB granularity so spill
   /// behaviour is reachable on small banks.

@@ -108,13 +108,11 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   result.groups = plan.groups.size();
   result.slices = request.slices.empty() ? 1 : request.slices.size();
 
-  // With more than one group, kGlobal delivery must wait for the
-  // deterministic cross-group merge (the best hit can come from the last
-  // group); a lone group is already in final order and streams as soon
-  // as it finishes.  kGroupLocal always streams — bounded by the largest
-  // group — at the cost of group-major output order.
-  const bool stream_groups = request.ordering == HitOrdering::kGroupLocal ||
-                             plan.groups.size() <= 1;
+  // With more than one group, delivery must wait for the deterministic
+  // cross-group merge (the best hit can come from the last group); a
+  // lone group is already in final order and streams as soon as it
+  // finishes.
+  const bool stream_group = plan.groups.size() <= 1;
 
   SeedScanParams scan_params;
   scan_params.scoring = options.scoring;
@@ -134,18 +132,17 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   std::size_t peak_idx2_dict = 0;
   std::size_t peak_idx2_chain = 0;
   std::size_t peak_subject_positions = 0;
-  // kGlobal multi-group only: each finished group is a sorted run of the
-  // final stream; the merger retains runs under the delivery budget,
-  // spills them over it, and k-way merges at delivery time.
+  // Multi-group only: each finished group is a sorted run of the final
+  // stream; the merger retains runs under the delivery budget, spills
+  // them over it, and k-way merges at delivery time.
   std::optional<RunMerger> merger;
-  if (!stream_groups) {
+  if (!stream_group) {
     RunMergeConfig mcfg;
     mcfg.budget_bytes = options.delivery_budget_bytes;
     mcfg.tmp_dir = options.tmp_dir;
     merger.emplace(std::move(mcfg), plan.groups.size());
   }
   std::size_t emitted = 0;
-  std::size_t batches = 0;
   // One sample per group for the stages that run group-at-a-time, so
   // --stats can show each stage's min/median/max, not just a sum.
   std::vector<double> index_group_seconds;
@@ -302,17 +299,15 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     EngineMetrics::get().groups.inc();
 
     // ---- deliver or add a sorted run -------------------------------------
-    if (stream_groups) {
+    if (stream_group) {
       st.peak_delivery_bytes =
-          std::max(st.peak_delivery_bytes,
-                   alignments.size() * sizeof(align::GappedAlignment));
+          alignments.size() * sizeof(align::GappedAlignment);
       HitBatch batch;
       batch.bank1 = &bank1;
       batch.bank2 = request.bank2;
-      batch.index = batches++;
-      batch.last = gid + 1 == plan.groups.size();
+      batch.last = true;
       sink.on_group(alignments, batch);
-      emitted += alignments.size();
+      emitted = alignments.size();
     } else {
       merger->add_run(std::move(alignments));
     }
@@ -322,20 +317,17 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   // Collected runs are each in final step4_less order; the stable k-way
   // merge streams the canonical global order through the sink in bounded
   // batches instead of re-sorting one whole-hit-set vector.
-  if (!stream_groups) {
+  if (merger.has_value()) {
     obs::Span merge_span(request.trace, "merge", "global");
     HitBatch batch;
     batch.bank1 = &bank1;
     batch.bank2 = request.bank2;
-    batch.index = batches;
-    emitted += merger->merge(sink, batch);
+    emitted = merger->merge(sink, batch);
     const MergeStats& ms = merger->stats();
-    batches += ms.batches;
-    st.peak_delivery_bytes =
-        std::max(st.peak_delivery_bytes, ms.peak_delivery_bytes);
-    st.spilled_runs += ms.spilled_runs;
-    st.spill_bytes += ms.spill_bytes;
-  } else if (batches == 0) {
+    st.peak_delivery_bytes = ms.peak_delivery_bytes;
+    st.spilled_runs = ms.spilled_runs;
+    st.spill_bytes = ms.spill_bytes;
+  } else if (plan.groups.empty()) {
     // Zero-group plans still owe the sink its final (empty) delivery.
     HitBatch batch;
     batch.bank1 = &bank1;

@@ -11,12 +11,13 @@
 //            work-stealing scheduler over that one shared index, and the
 //            group's HSPs feed the gapped stage;
 //   merge    group alignments are remapped to bank2-global coordinates
-//            and delivered to the HitSink — immediately per group when
-//            the ordering allows (single-group plans, or
-//            HitOrdering::kGroupLocal), otherwise collected as sorted
-//            runs (in memory under the delivery budget, CRC-framed temp
-//            spill files over it) and streamed through a stable k-way
-//            merge in bounded batches (see core/exec/run_merge.hpp).
+//            and delivered to the HitSink in the canonical step-4 order:
+//            a single-group plan delivers its group the moment it
+//            finishes; a multi-group plan collects each group as a
+//            sorted run (in memory under the delivery budget, CRC-framed
+//            temp spill files over it) and streams them through a
+//            stable k-way merge in bounded batches (see
+//            core/exec/run_merge.hpp).
 //
 // Determinism: shard outputs concatenate in ascending seed-code order, so
 // the HSP stream — and therefore the m8 output — is byte-identical for
@@ -52,10 +53,8 @@ struct ExecRequest {
   /// Base Karlin-Altschul parameters (composition_stats re-solves per
   /// group from the actual bank compositions).
   stats::KarlinParams karlin;
-  /// Delivery order (see HitOrdering).
-  HitOrdering ordering = HitOrdering::kGlobal;
-  /// Reusable worker pool (a Session's); nullptr = spawn workers per
-  /// scheduling point as before.
+  /// Reusable worker pool (a Session's); nullptr = a transient pool per
+  /// scheduling point when `options.threads > 1`.
   util::ThreadPool* pool = nullptr;
   /// Optional per-query trace collector: the engine records spans for
   /// the index/scan/gapped/merge stages of every group (Chrome

@@ -79,6 +79,25 @@ std::vector<SeedRange> split_seed_ranges(const index::BankIndex& idx1,
   return ranges;
 }
 
+std::vector<ShardGroup> plan_groups(seqio::Strand strand,
+                                    const std::vector<SliceRange>& slices,
+                                    std::size_t bank2_size) {
+  const std::vector<SliceRange> whole{{0, bank2_size}};
+  const bool plus = strand != seqio::Strand::kMinus;
+  const bool minus = strand != seqio::Strand::kPlus;
+  std::vector<ShardGroup> groups;
+  for (const SliceRange& slice : slices.empty() ? whole : slices) {
+    for (const bool is_minus : {false, true}) {
+      if (is_minus ? !minus : !plus) continue;
+      ShardGroup group;
+      group.minus = is_minus;
+      group.slice = slice;
+      groups.push_back(group);
+    }
+  }
+  return groups;
+}
+
 ExecutionPlan compile_plan(const index::BankIndex& idx1,
                            const PlanRequest& request) {
   ExecutionPlan plan;
@@ -95,24 +114,15 @@ ExecutionPlan compile_plan(const index::BankIndex& idx1,
   const std::vector<SeedRange> ranges =
       split_seed_ranges(idx1, shards, &weights);
 
-  std::vector<SliceRange> slices = request.slices;
-  if (slices.empty()) slices.push_back({0, request.bank2_size});
-
-  const bool plus = request.strand != seqio::Strand::kMinus;
-  const bool minus = request.strand != seqio::Strand::kPlus;
-  for (const SliceRange& slice : slices) {
-    for (const bool is_minus : {false, true}) {
-      if (is_minus ? !minus : !plus) continue;
-      ShardGroup group;
-      group.minus = is_minus;
-      group.slice = slice;
-      group.first_shard = plan.shards.size();
-      group.shard_count = ranges.size();
-      const auto gid = static_cast<std::uint32_t>(plan.groups.size());
-      for (std::size_t r = 0; r < ranges.size(); ++r) {
-        plan.shards.push_back({gid, ranges[r], weights[r]});
-      }
-      plan.groups.push_back(group);
+  plan.groups =
+      plan_groups(request.strand, request.slices, request.bank2_size);
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    ShardGroup& group = plan.groups[g];
+    group.first_shard = plan.shards.size();
+    group.shard_count = ranges.size();
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      plan.shards.push_back(
+          {static_cast<std::uint32_t>(g), ranges[r], weights[r]});
     }
   }
   return plan;

@@ -8,7 +8,9 @@
 // full cross product, group-major, with seed ranges in ascending code
 // order — concatenating shard outputs in plan order therefore reproduces
 // the sequential scan byte for byte, whatever the shard count, schedule,
-// or thread count.
+// or thread count.  plan_groups alone fixes the group order, which is
+// also the cross-group merge's tie-break order, so the engine and the
+// distributed coordinator cannot drift apart on it.
 //
 // Seed-range boundaries are *adaptive*: they are placed on the bank1
 // dictionary's occupancy histogram so every shard carries a comparable
@@ -87,6 +89,16 @@ struct PlanRequest {
 [[nodiscard]] std::vector<SeedRange> split_seed_ranges(
     const index::BankIndex& idx1, std::size_t shards,
     std::vector<std::size_t>* weights = nullptr);
+
+/// The (strand x slice) groups of a comparison, slice-major with plus
+/// before minus; empty `slices` = the whole bank [0, bank2_size).  A
+/// group's position in this list is its tie-break key in the
+/// cross-group merge, so the engine (through compile_plan) and the
+/// distributed coordinator both take their groups from here.  The
+/// shard fields are left zero.
+[[nodiscard]] std::vector<ShardGroup> plan_groups(
+    seqio::Strand strand, const std::vector<SliceRange>& slices,
+    std::size_t bank2_size);
 
 /// Compile the comparison against `idx1` into shard tasks.
 [[nodiscard]] ExecutionPlan compile_plan(const index::BankIndex& idx1,

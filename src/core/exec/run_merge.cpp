@@ -352,8 +352,6 @@ std::size_t RunMerger::merge(HitSink& sink, HitBatch batch) {
     HitBatch meta = batch;
     meta.index = batch.index + stats_.batches;
     meta.last = last;
-    meta.runs = stats_.runs;
-    meta.spilled_runs = stats_.spilled_runs;
     sink.on_group(buf, meta);
     ++stats_.batches;
     emitted += buf.size();

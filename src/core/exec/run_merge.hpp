@@ -1,5 +1,5 @@
-// Spill-run k-way merge — bounded-memory delivery for kGlobal
-// multi-group plans.
+// Spill-run k-way merge — bounded-memory delivery for multi-group
+// plans.
 //
 // Every finished (strand x bank2-slice) group leaves the gapped stage
 // already in final step4_less order, so it is a sorted *run* of the
@@ -49,11 +49,10 @@ struct MergeStats {
   std::size_t batches = 0;       ///< on_group deliveries made by merge()
   /// Peak bytes the delivery path held at once: in-memory runs +
   /// spilled-run head blocks + the outgoing batch buffer, and during
-  /// each add_run the incoming group buffer itself (the same buffer the
-  /// streamed paths count, so the stat is comparable across orderings).
+  /// each add_run the incoming group buffer itself (the same buffer a
+  /// single-group plan streams, so the stat is comparable across plans).
   /// The budget bounds everything but that transient handoff buffer,
-  /// whose size is the producer's (the largest group, exactly
-  /// kGroupLocal's inherent bound).
+  /// whose size is the producer's: the largest group.
   std::size_t peak_delivery_bytes = 0;
 };
 

@@ -14,12 +14,17 @@
 // batch size, not the total hit count.
 //
 // Delivery contract: on_group() is called with consecutive batches of
-// the search's final alignment stream — each batch is internally in
-// final order and wholly precedes later batches — followed by exactly
-// one on_stats().  Batch boundaries depend on HitOrdering (below), but
-// for a fixed ordering they are a function of the execution *plan*
-// alone: thread count, shard count, and schedule never change what a
-// sink observes.
+// the search's final alignment stream, in the canonical step-4 order
+// (increasing e-value, ...) — each batch is internally in final order
+// and wholly precedes later batches — followed by exactly one
+// on_stats().  A single-group plan delivers its group the moment it
+// finishes; a multi-group plan (both strands, budget-sliced bank2)
+// waits for the cross-group spill-run k-way merge, because the globally
+// best hit can come from the last group, and delivers its output in
+// bounded batches (see core/exec/run_merge.hpp).  Batch boundaries are
+// a function of the execution *plan* and the delivery budget alone:
+// thread count, shard count, and schedule never change what a sink
+// observes.
 #pragma once
 
 #include <cstddef>
@@ -38,28 +43,6 @@ struct PipelineStats;
 }  // namespace scoris::core
 
 namespace scoris {
-
-/// How the engine orders the alignments it hands to a sink.
-enum class HitOrdering {
-  /// Canonical step-4 global order (increasing e-value, ...), the order
-  /// gapped_stage sorts each group in.  Single-group plans stream the
-  /// group the moment it finishes; multi-group plans (both strands,
-  /// budget-sliced bank2) wait for the deterministic cross-group merge,
-  /// because the globally best hit can come from the last group.  That
-  /// merge is a spill-run k-way merge: each finished group is a sorted
-  /// run, kept in memory under the delivery budget or spilled to a
-  /// CRC-framed temp file over it, so peak delivery memory is O(batch +
-  /// groups x head) instead of the whole hit set (see
-  /// Options::delivery_budget_bytes).
-  kGlobal,
-  /// Stream every (strand x slice) group the moment it finishes, in
-  /// plan order.  Peak output memory is bounded by the largest group
-  /// instead of the whole hit set; the emitted line *set* is identical
-  /// to kGlobal but the order is group-major (each group internally in
-  /// step-4 order).  Still invariant across threads/shards/schedule —
-  /// the plan fixes group order.
-  kGroupLocal,
-};
 
 /// A sink failed to deliver a batch (disk full, closed pipe, a network
 /// peer that hung up).  Sinks throw this from on_group so the engine
@@ -83,12 +66,6 @@ struct HitBatch {
   const seqio::SequenceBank* bank2 = nullptr;
   std::size_t index = 0;  ///< 0-based delivery index within this search
   bool last = false;      ///< true on the final on_group of the search
-  /// Delivery provenance.  Per-group streaming deliveries come from one
-  /// sorted run (the group itself); batches of the kGlobal cross-group
-  /// merge report how many sorted group runs fed the merged stream and
-  /// how many of those were read back from temp spill files.
-  std::size_t runs = 1;
-  std::size_t spilled_runs = 0;
 };
 
 /// Streaming consumer driven by the exec engine.  Implementations ship

@@ -72,7 +72,7 @@ struct Options {
   /// composition instead of uniform 0.25 (affects e-values on GC-skewed
   /// data; off by default to match the paper's prototype).
   bool composition_stats = false;
-  /// Peak delivery-path memory for the kGlobal cross-group merge
+  /// Peak delivery-path memory for the cross-group merge
   /// (bytes).  Each finished group is a sorted run: runs stay in memory
   /// while they fit half this budget and spill to CRC-framed temp files
   /// in `tmp_dir` over it; the k-way merge then streams the canonical

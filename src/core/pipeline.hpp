@@ -65,13 +65,11 @@ struct PipelineStats {
   const char* simd_kernel = "scalar";
   GappedStageStats gapped;
   std::size_t alignments = 0;
-  // Delivery-path accounting (the sink-facing side of the engine).  The
-  // kGlobal cross-group merge used to buffer the whole hit set without
-  // it ever showing up here, so reported peaks undercounted the worst
-  // consumer; peak_delivery_bytes now covers every delivery path: the
-  // largest streamed group for kGroupLocal/single-group plans, and
-  // retained runs + spill head blocks + batch buffer for the k-way
-  // merge.
+  // Delivery-path accounting (the sink-facing side of the engine).
+  // peak_delivery_bytes covers both delivery paths: the streamed group
+  // of a single-group plan, and retained runs + spill head blocks +
+  // batch buffer (+ the incoming group at each handoff) for the
+  // cross-group k-way merge.
   std::size_t peak_delivery_bytes = 0;
   std::size_t spilled_runs = 0;  ///< sorted runs sent to temp spill files
   std::size_t spill_bytes = 0;   ///< bytes written to spill files

@@ -140,8 +140,6 @@ struct TaskQueue {
 
 /// The serialized WJOB payload plus everything an executor needs.
 struct DistShared {
-  const Session* session = nullptr;
-  const seqio::SequenceBank* bank2 = nullptr;
   std::vector<std::uint8_t> job_payload;
   DistConfig config;
   obs::TraceRecorder* trace = nullptr;
@@ -332,17 +330,10 @@ SearchOutcome run_distributed(const Session& session,
                               const seqio::SequenceBank& bank2,
                               HitSink& sink, const SearchLimits& limits,
                               const DistConfig& config) {
-  // kGroupLocal streams each group in plan order as it finishes; with
-  // the coordinator's extra slices that order would differ from the
-  // caller's plan, so only the canonical kGlobal ordering distributes.
-  if (config.workers.empty() || limits.ordering != HitOrdering::kGlobal) {
-    return session.search(bank2, sink, limits);
-  }
+  if (config.workers.empty()) return session.search(bank2, sink, limits);
 
   util::WallTimer total;
   DistShared shared;
-  shared.session = &session;
-  shared.bank2 = &bank2;
   shared.config = config;
   shared.trace = limits.trace;
 
@@ -356,28 +347,24 @@ SearchOutcome run_distributed(const Session& session,
                              : 2 * (config.workers.size() + 1));
   const core::exec::ExecRequest whole = session.exec_request(bank2, planned);
   const core::Options& options = whole.options;  // limits applied, validated
-  std::vector<core::exec::SliceRange> slices = whole.slices;
-  if (slices.empty()) slices.push_back({0, bank2.size()});
+  const std::size_t slices = std::max<std::size_t>(1, whole.slices.size());
 
-  // Group list in compile_plan order (slice-major, plus before minus):
-  // a task's position IS the merge tie-break key.
-  const bool plus = options.strand != seqio::Strand::kMinus;
-  const bool minus = options.strand != seqio::Strand::kPlus;
-  std::vector<GroupTask> groups;
-  for (const core::exec::SliceRange& slice : slices) {
-    for (const bool is_minus : {false, true}) {
-      if (is_minus ? !minus : !plus) continue;
-      GroupTask task;
-      task.id = groups.size();
-      task.minus = is_minus;
-      task.slice_from = slice.from;
-      task.slice_to = slice.to;
-      groups.push_back(task);
-    }
-  }
+  // A task's id is its group's position in plan order, which is the
+  // merge tie-break key.
+  const std::vector<core::exec::ShardGroup> groups =
+      core::exec::plan_groups(options.strand, whole.slices, bank2.size());
   if (groups.size() <= 1) {
     // Nothing to distribute; the plain path is byte-identical anyway.
     return session.search(bank2, sink, limits);
+  }
+  std::deque<GroupTask> tasks;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    GroupTask task;
+    task.id = g;
+    task.minus = groups[g].minus;
+    task.slice_from = groups[g].slice.from;
+    task.slice_to = groups[g].slice.to;
+    tasks.push_back(task);
   }
 
   // One WJOB payload, shared by every worker connection.
@@ -404,12 +391,12 @@ SearchOutcome run_distributed(const Session& session,
   mcfg.tmp_dir = options.tmp_dir;
   core::exec::RunMerger merger(std::move(mcfg), groups.size());
   shared.merger = &merger;
-  shared.queue.init({groups.begin(), groups.end()});
+  shared.queue.init(std::move(tasks));
 
   shared.log().info(
       "distributed search",
       {obs::kv("workers", shared.config.workers.size()),
-       obs::kv("groups", groups.size()), obs::kv("slices", slices.size()),
+       obs::kv("groups", groups.size()), obs::kv("slices", slices),
        obs::kv("job_bytes", shared.job_payload.size())});
 
   // Reserve one group per worker before any thread starts.  Otherwise the
@@ -436,17 +423,13 @@ SearchOutcome run_distributed(const Session& session,
     try {
       obs::Span span(shared.trace,
                      "local group " + std::to_string(task.id), "local");
-      core::exec::ExecRequest request;
-      request.idx1 = whole.idx1;
-      request.bank2 = &bank2;
-      request.slices = {core::exec::SliceRange{
-          static_cast<std::size_t>(task.slice_from),
-          static_cast<std::size_t>(task.slice_to)}};
-      request.options = options;
+      // A single-group request on the session's pool; its spans stay
+      // off the query trace, which records this one.
+      core::exec::ExecRequest request = whole;
+      request.slices = {groups[task.id].slice};
       request.options.strand =
           task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
-      request.karlin = whole.karlin;
-      request.ordering = HitOrdering::kGlobal;  // single group: streamed
+      request.trace = nullptr;
       Collector collector;
       (void)core::exec::execute(request, collector);
       core::Result result = collector.take();
@@ -482,7 +465,7 @@ SearchOutcome run_distributed(const Session& session,
   }
 
   // Canonical-order delivery: identical bytes to the single-process
-  // kGlobal merge, because runs carry plan-order tie-break keys.
+  // merge, because runs carry plan-order tie-break keys.
   HitBatch batch;
   batch.bank1 = &session.reference();
   batch.bank2 = &bank2;
@@ -503,7 +486,7 @@ SearchOutcome run_distributed(const Session& session,
   SearchOutcome outcome;
   outcome.stats = st;
   outcome.groups = groups.size();
-  outcome.slices = slices.size();
+  outcome.slices = slices;
   return outcome;
 }
 

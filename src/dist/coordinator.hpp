@@ -15,9 +15,11 @@
 // Topology: one connection per worker, one group in flight per
 // connection (the worker protocol's serial request/response doubles as
 // dynamic load balancing), and the coordinator's own thread as one more
-// executor running groups through the in-process engine.  Finished runs
-// — remote ones rehydrated through SpillRunReader over the socket
-// stream, with the same CRC validation spill files get — enter a shared
+// executor running groups through the in-process engine on the
+// session's worker pool.  The group list comes from
+// core::exec::plan_groups, as the engine's does.  Finished runs —
+// remote ones rehydrated through SpillRunReader over the socket stream,
+// with the same CRC validation spill files get — enter a shared
 // RunMerger keyed by plan-group order, so completion order is
 // irrelevant to the output.
 //
@@ -66,10 +68,9 @@ struct DistConfig {
 /// Search `bank2` against the session's reference, distributing plan
 /// groups over `config.workers` plus the calling thread, and stream the
 /// merged canonical-order alignments into `sink` (same contract as
-/// Session::search, which this degrades to for single-group plans, an
-/// empty worker list, or kGroupLocal ordering).  Throws on local engine
-/// failure or when the options reject; worker failures alone never
-/// throw.
+/// Session::search, which this degrades to for single-group plans or
+/// an empty worker list).  Throws on local engine failure or when the
+/// options reject; worker failures alone never throw.
 SearchOutcome run_distributed(const Session& session,
                               const seqio::SequenceBank& bank2,
                               HitSink& sink, const SearchLimits& limits,

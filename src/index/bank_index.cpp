@@ -32,8 +32,11 @@ std::vector<std::size_t> BankIndex::occupancy_histogram(
   buckets = std::min(std::max<std::size_t>(1, buckets), codes);
   std::vector<std::size_t> hist(buckets, 0);
   const std::size_t per = (codes + buckets - 1) / buckets;
-  for (std::size_t code = 0; code < codes; ++code) {
-    hist[code / per] += occ_offsets_[code + 1] - occ_offsets_[code];
+  // The offsets are cumulative, so a bucket's total is one subtraction.
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::size_t lo = std::min(b * per, codes);
+    const std::size_t hi = std::min(lo + per, codes);
+    hist[b] = occ_offsets_[hi] - occ_offsets_[lo];
   }
   return hist;
 }

@@ -115,8 +115,9 @@ class BankIndex {
   /// Occupancy histogram over the seed-code space: bucket b counts the
   /// indexed positions whose code falls in [b*ceil(4^W/buckets), ...).
   /// The bucket sum equals total_indexed().  `buckets` is clamped to
-  /// [1, 4^W].  O(4^W) over the offsets, so plan compilation places its
-  /// adaptive shard boundaries without reading the positions.
+  /// [1, 4^W].  O(buckets): each bucket is one difference of the
+  /// cumulative offsets, so plan compilation places its adaptive shard
+  /// boundaries without walking the code space or reading the positions.
   [[nodiscard]] std::vector<std::size_t> occupancy_histogram(
       std::size_t buckets) const;
 

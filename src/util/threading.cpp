@@ -9,9 +9,9 @@ namespace scoris::util {
 namespace {
 
 /// Pool/scheduler metrics.  The queue-depth gauge aggregates across all
-/// live pools (transient parallel_chunks pools included), so it reads as
-/// "tasks queued process-wide right now" — exactly the saturation signal
-/// a loaded daemon needs.
+/// live pools (the spawning overloads' transient pools included), so it
+/// reads as "tasks queued process-wide right now" — exactly the
+/// saturation signal a loaded daemon needs.
 struct PoolMetrics {
   obs::Counter& tasks;
   obs::Counter& steals;
@@ -144,19 +144,8 @@ void parallel_chunks(std::size_t begin, std::size_t end, std::size_t threads,
     fn(begin, end);
     return;
   }
-  const std::size_t chunks =
-      std::min(span, std::max<std::size_t>(1, threads * chunks_per_thread));
-  const std::size_t step = (span + chunks - 1) / chunks;
-
   ThreadPool pool(threads);
-  TaskBatch batch((span + step - 1) / step);
-  for (std::size_t lo = begin; lo < end; lo += step) {
-    const std::size_t hi = std::min(end, lo + step);
-    pool.submit([&fn, &batch, lo, hi] {
-      batch.run([&fn, lo, hi] { fn(lo, hi); });
-    });
-  }
-  batch.wait();
+  parallel_chunks(pool, begin, end, fn, chunks_per_thread);
 }
 
 void parallel_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
@@ -219,39 +208,13 @@ bool WorkStealingQueue::pop(std::size_t worker, std::size_t& task) {
 
 void run_tasks(std::size_t count, std::size_t threads, Schedule schedule,
                const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  const std::size_t n = std::min(std::max<std::size_t>(1, threads), count);
+  const std::size_t n = std::min(threads, count);
   if (n <= 1) {
     for (std::size_t t = 0; t < count; ++t) fn(t);
     return;
   }
-
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  TaskBatch batch(n);
-  if (schedule == Schedule::kStatic) {
-    for (std::size_t w = 0; w < n; ++w) {
-      workers.emplace_back([&fn, &batch, w, n, count] {
-        batch.run([&fn, w, n, count] {
-          for (std::size_t t = w; t < count; t += n) fn(t);
-        });
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  } else {
-    WorkStealingQueue queue(count, n);
-    for (std::size_t w = 0; w < n; ++w) {
-      workers.emplace_back([&fn, &batch, &queue, w] {
-        batch.run([&fn, &queue, w] {
-          std::size_t task = 0;
-          while (queue.pop(w, task)) fn(task);
-        });
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    PoolMetrics::get().steals.inc(queue.stolen());
-  }
-  batch.wait();
+  ThreadPool pool(n);
+  run_tasks(pool, count, schedule, fn);
 }
 
 void run_tasks(ThreadPool& pool, std::size_t count, Schedule schedule,

@@ -64,7 +64,8 @@ class ThreadPool {
 };
 
 /// Run `fn(chunk_begin, chunk_end)` over [begin, end) split into
-/// approximately `threads * chunks_per_thread` contiguous chunks.
+/// approximately `threads * chunks_per_thread` contiguous chunks, on a
+/// transient pool of `threads` workers (the pool overload below).
 ///
 /// With `threads <= 1` the call degenerates to a single inline invocation,
 /// so callers need no special single-threaded path.  If any chunk throws,
@@ -124,7 +125,9 @@ class WorkStealingQueue {
 /// kStealing deals contiguous blocks and lets idle workers steal (see
 /// WorkStealingQueue).  Either way every task runs exactly once, so output
 /// written to per-task slots is schedule- and thread-count-invariant.
-/// With `threads <= 1` tasks run inline in ascending order.  The first
+/// When more than one worker would run, the tasks run on a transient pool
+/// of min(threads, count) workers (the pool overload below); otherwise
+/// they run inline in ascending order, starting no thread.  The first
 /// exception a task throws is rethrown here after every task finished.
 void run_tasks(std::size_t count, std::size_t threads, Schedule schedule,
                const std::function<void(std::size_t)>& fn);

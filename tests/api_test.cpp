@@ -48,14 +48,6 @@ std::string reference_m8(const Banks& banks, core::Options options) {
   return os.str();
 }
 
-std::vector<std::string> sorted_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream is(text);
-  for (std::string line; std::getline(is, line);) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
 /// Build a .scix store for `bank` in memory (default key = W 11, DUST).
 store::IndexStore make_store(const seqio::SequenceBank& bank) {
   const store::IndexKey key;
@@ -146,33 +138,7 @@ TEST(SessionStreaming, MemoryBudgetSlicesAndMatches) {
   EXPECT_EQ(streamed.str(), reference);
 }
 
-/// kGroupLocal streams per group: same line set, group-major order, and
-/// identical bytes whenever the plan has a single group.
-TEST(SessionStreaming, GroupLocalOrderingIsAPermutation) {
-  const Banks banks = make_banks(43);
-  core::Options options;
-  options.strand = seqio::Strand::kBoth;
-  const std::string reference = reference_m8(banks, options);
-
-  Session session(banks.bank1, options);
-  SearchLimits limits;
-  limits.ordering = HitOrdering::kGroupLocal;
-  std::ostringstream streamed;
-  M8Writer writer(streamed);
-  session.search(banks.bank2, writer, limits);
-  EXPECT_EQ(sorted_lines(streamed.str()), sorted_lines(reference));
-
-  // Single group (plus strand, unsliced): streaming is already in the
-  // canonical order, so even kGroupLocal is byte-identical.
-  core::Options plus;
-  Session plus_session(banks.bank1, plus);
-  std::ostringstream plus_streamed;
-  M8Writer plus_writer(plus_streamed);
-  plus_session.search(banks.bank2, plus_writer, limits);
-  EXPECT_EQ(plus_streamed.str(), reference_m8(banks, plus));
-}
-
-/// The bounded-delivery acceptance case: a spill-forced kGlobal search
+/// The bounded-delivery acceptance case: a spill-forced search
 /// (tiny delivery budget, multi-group plan) stays byte-identical to the
 /// unbounded run while the measured peak delivery memory respects the
 /// budget and runs demonstrably went through spill files.
@@ -218,15 +184,26 @@ TEST(SessionStreaming, SpillForcedDeliveryBudgetMatchesAndStaysBounded) {
     EXPECT_GT(counted.stats.peak_delivery_bytes, 0u);
     // Precondition for the strict bound (the peak counts the incoming
     // group buffer at the handoff, which the budget cannot shrink):
-    // every group must fit the run share.  A kGroupLocal run reports
-    // the group sizes; its own peak IS the largest group.
-    SearchLimits local = limits;
-    local.ordering = HitOrdering::kGroupLocal;
-    CountingSink groups_sink;
-    const SearchOutcome local_outcome =
-        session.search(banks.bank2, groups_sink, local);
-    ASSERT_LE(local_outcome.stats.peak_delivery_bytes,
-              limits.delivery_budget_bytes / 2);
+    // every group must fit the run share.  A single-group request's
+    // peak IS its group, so one request per (slice, strand) gives the
+    // largest.
+    const core::exec::ExecRequest whole =
+        session.exec_request(banks.bank2, limits);
+    std::size_t largest_group_bytes = 0;
+    for (const core::exec::SliceRange& slice : whole.slices) {
+      for (const seqio::Strand strand :
+           {seqio::Strand::kPlus, seqio::Strand::kMinus}) {
+        core::exec::ExecRequest one = whole;
+        one.slices = {slice};
+        one.options.strand = strand;
+        CountingSink group;
+        largest_group_bytes = std::max(
+            largest_group_bytes,
+            core::exec::execute(one, group).stats.peak_delivery_bytes);
+      }
+    }
+    ASSERT_GT(largest_group_bytes, 0u);
+    ASSERT_LE(largest_group_bytes, limits.delivery_budget_bytes / 2);
     EXPECT_LE(counted.stats.peak_delivery_bytes,
               limits.delivery_budget_bytes);
   }
@@ -380,20 +357,12 @@ TEST(SinkContract, EverySearchEndsWithLastBatchAndStats) {
   options.strand = seqio::Strand::kBoth;
   Session session(banks.bank1, options);
 
-  CountingSink global;
-  session.search(banks.bank2, global);
-  EXPECT_TRUE(global.saw_last());
-  EXPECT_TRUE(global.have_stats());
-  EXPECT_EQ(global.batches(), 1u);  // kGlobal multi-group: one delivery
-
-  CountingSink local;
-  SearchLimits limits;
-  limits.ordering = HitOrdering::kGroupLocal;
-  const SearchOutcome outcome = session.search(banks.bank2, local, limits);
-  EXPECT_TRUE(local.saw_last());
-  EXPECT_EQ(local.batches(), outcome.groups);  // one delivery per group
-  EXPECT_EQ(local.total(), global.total());
-  EXPECT_EQ(local.stats().alignments, local.total());
+  CountingSink sink;
+  session.search(banks.bank2, sink);
+  EXPECT_TRUE(sink.saw_last());
+  EXPECT_TRUE(sink.have_stats());
+  EXPECT_EQ(sink.batches(), 1u);  // multi-group, unbounded: one delivery
+  EXPECT_EQ(sink.stats().alignments, sink.total());
 }
 
 TEST(SinkContract, EmptyQueryStillDeliversFinalBatch) {

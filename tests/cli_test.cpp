@@ -187,7 +187,7 @@ TEST_F(CliTest, DeliveryBudgetFlagIsOutputInvariantAndReported) {
   ASSERT_EQ(reference.exit_code, kOk);
   ASSERT_FALSE(reference.out.empty());
 
-  // The minimum legal budget forces the kGlobal cross-group merge down
+  // The minimum legal budget forces the cross-group merge down
   // the spill path on any non-trivial hit set; the m8 bytes must not
   // move, and --stats must now surface the delivery-path peak.
   const CliResult budgeted =
@@ -825,6 +825,21 @@ TEST_F(CliTest, QueryUsageErrorsExitTwo) {
   const CliResult help = run_cli({"query", "--help"});
   EXPECT_EQ(help.exit_code, kOk);
   EXPECT_NE(help.out.find("--connect"), std::string::npos);
+}
+
+/// `query` names the legal strands with the same diagnostic as every
+/// other form (core::set_strand's).
+TEST_F(CliTest, QueryStrandDiagnosticMatchesOtherForms) {
+  const std::string line =
+      "error: --strand must be plus, minus or both, got 'up'\n";
+  const CliResult flat =
+      run_cli({"--bank1", bank1_, "--bank2", bank2_, "--strand", "up"});
+  const CliResult query = run_cli({"query", "--connect", "unix:/t.sock",
+                                   "--bank2", bank2_, "--strand", "up"});
+  EXPECT_EQ(flat.exit_code, kUsage);
+  EXPECT_EQ(query.exit_code, kUsage);
+  EXPECT_NE(flat.err.find(line), std::string::npos) << flat.err;
+  EXPECT_NE(query.err.find(line), std::string::npos) << query.err;
 }
 
 TEST_F(CliTest, QueryAgainstNoServerExitsOne) {

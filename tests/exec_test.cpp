@@ -52,6 +52,30 @@ TEST(OccupancyHistogram, SumsToTotalIndexed) {
   }
 }
 
+/// Every bucket equals the sum of occurrence_count over its codes,
+/// whether or not the bucket count divides 4^W (a non-divisor leaves
+/// short or empty trailing buckets).
+TEST(OccupancyHistogram, EveryBucketMatchesBruteForceSum) {
+  const auto bank = random_bank(17, 4, 800);
+  for (const int w : {4, 8}) {
+    const auto idx = make_index(bank, w);
+    const auto codes = static_cast<std::size_t>(idx.coder().num_seeds());
+    for (const std::size_t buckets :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{100},
+          std::size_t{1000}, std::size_t{1024}, codes - 1, codes}) {
+      const std::size_t n = std::min(buckets, codes);
+      const std::size_t per = (codes + n - 1) / n;
+      std::vector<std::size_t> expected(n, 0);
+      for (std::size_t code = 0; code < codes; ++code) {
+        expected[code / per] +=
+            idx.occurrence_count(static_cast<index::SeedCode>(code));
+      }
+      EXPECT_EQ(idx.occupancy_histogram(buckets), expected)
+          << "w=" << w << " buckets=" << buckets;
+    }
+  }
+}
+
 TEST(OccupancyHistogram, ClampsBucketCountToCodeSpace) {
   const auto bank = random_bank(13, 1, 200);
   const auto idx = make_index(bank, 4);  // 256 codes
@@ -143,6 +167,47 @@ TEST(CompilePlan, CrossProductOfStrandsSlicesAndRanges) {
   EXPECT_EQ(plan.shards[plan.groups[3].first_shard].group, 3u);
 }
 
+/// plan_groups is the one owner of group order (the merge's tie-break):
+/// slice-major, plus before minus, and no slices meaning the whole bank.
+TEST(CompilePlan, GroupOrderIsSliceMajorPlusBeforeMinus) {
+  using seqio::Strand;
+  const std::vector<SliceRange> slices = {{0, 2}, {2, 5}};
+  struct Want {
+    bool minus;
+    std::size_t from, to;
+  };
+  const auto expect_groups = [](const std::vector<ShardGroup>& groups,
+                                const std::vector<Want>& want) {
+    ASSERT_EQ(groups.size(), want.size());
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      EXPECT_EQ(groups[g].minus, want[g].minus) << "group " << g;
+      EXPECT_EQ(groups[g].slice.from, want[g].from) << "group " << g;
+      EXPECT_EQ(groups[g].slice.to, want[g].to) << "group " << g;
+    }
+  };
+  expect_groups(plan_groups(Strand::kPlus, {}, 5), {{false, 0, 5}});
+  expect_groups(plan_groups(Strand::kMinus, {}, 5), {{true, 0, 5}});
+  expect_groups(plan_groups(Strand::kBoth, {}, 5),
+                {{false, 0, 5}, {true, 0, 5}});
+  expect_groups(plan_groups(Strand::kPlus, slices, 5),
+                {{false, 0, 2}, {false, 2, 5}});
+  expect_groups(plan_groups(Strand::kMinus, slices, 5),
+                {{true, 0, 2}, {true, 2, 5}});
+  expect_groups(plan_groups(Strand::kBoth, slices, 5),
+                {{false, 0, 2}, {true, 0, 2}, {false, 2, 5}, {true, 2, 5}});
+
+  // compile_plan keeps exactly that order.
+  const auto bank = random_bank(31, 2, 400);
+  const auto idx = make_index(bank, 8);
+  PlanRequest req;
+  req.strand = Strand::kBoth;
+  req.slices = slices;
+  req.bank2_size = 5;
+  const auto plan = compile_plan(idx, req);
+  expect_groups(plan.groups,
+                {{false, 0, 2}, {true, 0, 2}, {false, 2, 5}, {true, 2, 5}});
+}
+
 TEST(CompilePlan, AutoShardsSingleThreadIsOne) {
   const auto bank = random_bank(29, 2, 400);
   const auto idx = make_index(bank, 8);
@@ -161,13 +226,10 @@ struct RecordingSink final : HitSink {
   PipelineStats stats;
   bool have_stats = false;
 
-  std::vector<std::size_t> batch_sizes;
-
   void on_group(std::span<const align::GappedAlignment> hits,
                 const HitBatch& batch) override {
     all.insert(all.end(), hits.begin(), hits.end());
     batches.push_back(batch);
-    batch_sizes.push_back(hits.size());
   }
   void on_stats(const PipelineStats& s) override {
     stats = s;
@@ -476,8 +538,6 @@ TEST(RunMergerUnit, SpillsOverBudgetAndMergesSorted) {
     for (std::size_t i = 0; i < sink.batches.size(); ++i) {
       EXPECT_EQ(sink.batches[i].index, i);
       EXPECT_EQ(sink.batches[i].last, i + 1 == sink.batches.size());
-      EXPECT_EQ(sink.batches[i].runs, 2u);
-      EXPECT_EQ(sink.batches[i].spilled_runs, 2u);
     }
   }
   EXPECT_EQ(stats.runs, 2u);
@@ -514,9 +574,9 @@ TEST(RunMergerUnit, EmptyMergeStillDeliversFinalBatch) {
   EXPECT_TRUE(sink.all.empty());
 }
 
-/// The acceptance matrix: kGlobal streamed through the k-way merge is
-/// byte-identical to the pre-change collector semantics (concatenate the
-/// per-group streams in plan order, re-sort with step4_less) across
+/// The acceptance matrix: the multi-group stream through the k-way
+/// merge is byte-identical to the collector semantics (concatenate the
+/// groups' streams in plan order, re-sort with step4_less) across
 /// threads x shards x spill-forced budgets, on a multi-group plan (both
 /// strands x 4 bank2 slices).
 TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
@@ -527,26 +587,35 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
   const auto slices = quarter_slices(hp.bank2.size());
   ASSERT_GE(slices.size(), 2u);
 
-  // Collector reference, rebuilt from kGroupLocal streaming.
+  // Collector reference, rebuilt from one single-group request per
+  // (slice, strand).  The largest group is the largest run the merge
+  // will be handed: the budget provably bounds the peak only while each
+  // run fits the run share, because the incoming handoff buffer itself
+  // is counted.
   const index::BankIndex idx1 = reference_index(hp.bank1, base);
-  ExecRequest ref_request = make_request(idx1, hp.bank2, base);
-  ref_request.slices = slices;
-  ref_request.ordering = HitOrdering::kGroupLocal;
-  RecordingSink ref_sink;
-  execute(ref_request, ref_sink);
-  std::sort(ref_sink.all.begin(), ref_sink.all.end(), step4_less);
-  const std::string reference = alignments_m8(ref_sink.all, hp);
+  std::vector<align::GappedAlignment> collected;
+  std::size_t largest_group_bytes = 0;
+  for (const SliceRange& slice : slices) {
+    for (const seqio::Strand strand :
+         {seqio::Strand::kPlus, seqio::Strand::kMinus}) {
+      Options one = base;
+      one.strand = strand;
+      ExecRequest request = make_request(idx1, hp.bank2, one);
+      request.slices = {slice};
+      RecordingSink group;
+      execute(request, group);
+      ASSERT_EQ(group.batches.size(), 1u);
+      collected.insert(collected.end(), group.all.begin(), group.all.end());
+      largest_group_bytes =
+          std::max(largest_group_bytes,
+                   group.all.size() * sizeof(align::GappedAlignment));
+    }
+  }
+  std::sort(collected.begin(), collected.end(), step4_less);
+  const std::string reference = alignments_m8(collected, hp);
   ASSERT_FALSE(reference.empty());
   const std::size_t total_bytes =
-      ref_sink.all.size() * sizeof(align::GappedAlignment);
-  // Largest single group (= largest run the merge will be handed): the
-  // budget provably bounds the peak only while each run fits the run
-  // share, because the incoming handoff buffer itself is counted.
-  std::size_t largest_group_bytes = 0;
-  for (const std::size_t n : ref_sink.batch_sizes) {
-    largest_group_bytes = std::max(
-        largest_group_bytes, n * sizeof(align::GappedAlignment));
-  }
+      collected.size() * sizeof(align::GappedAlignment);
 
   for (const int threads : {1, 8}) {
     for (const std::size_t shards : {1u, 16u}) {
@@ -558,7 +627,6 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
         options.tmp_dir = ::testing::TempDir();
         ExecRequest request = make_request(idx1, hp.bank2, options);
         request.slices = slices;
-        request.ordering = HitOrdering::kGlobal;
 
         RecordingSink sink;
         execute(request, sink);
@@ -589,28 +657,22 @@ TEST(RunMergeEngine, KGlobalByteIdentityAcrossThreadsShardsAndBudgets) {
   }
 }
 
-/// Per-group streaming paths (kGroupLocal and single-group kGlobal) now
-/// report their delivery buffering too: the peak is the largest group.
+/// A single-group plan streams its group and reports that buffer as its
+/// delivery peak.
 TEST(RunMergeEngine, StreamingPathsReportPeakDeliveryBytes) {
   simulate::Rng rng(67);
   const auto hp = simulate::make_homologous_pair(rng, 400, 10, 8, 0.05);
   Options options;
-  options.strand = seqio::Strand::kBoth;
   const index::BankIndex idx1 = reference_index(hp.bank1, options);
-  ExecRequest request = make_request(idx1, hp.bank2, options);
-  request.ordering = HitOrdering::kGroupLocal;
   RecordingSink sink;
-  execute(request, sink);
+  execute(make_request(idx1, hp.bank2, options), sink);
   ASSERT_TRUE(sink.have_stats);
+  ASSERT_EQ(sink.batches.size(), 1u);
   ASSERT_GT(sink.all.size(), 0u);
   EXPECT_EQ(sink.stats.spilled_runs, 0u);
-  // The streamed peak is exactly the largest delivered group.
-  std::size_t largest = 0;
-  for (const std::size_t n : sink.batch_sizes) {
-    largest = std::max(largest, n * sizeof(align::GappedAlignment));
-  }
-  EXPECT_EQ(sink.stats.peak_delivery_bytes, largest);
-  EXPECT_GT(sink.stats.peak_delivery_bytes, 0u);
+  // The streamed peak is exactly the delivered group.
+  EXPECT_EQ(sink.stats.peak_delivery_bytes,
+            sink.all.size() * sizeof(align::GappedAlignment));
 }
 
 TEST(Engine, EmptyBank2YieldsEmptyResult) {

@@ -171,7 +171,7 @@ TEST(SessionConcurrency, AbortedQueryReclaimsSpillFilesAndSessionSurvives) {
 
   ScratchDir scratch;
   SearchLimits limits;
-  // Force the kGlobal merge to spill sorted runs into the scratch dir,
+  // Force the cross-group merge to spill sorted runs into the scratch dir,
   // so the abort has real temp files to leak if cleanup is broken.
   limits.delivery_budget_bytes = Options::kMinDeliveryBudget;
   limits.tmp_dir = scratch.path();
