@@ -7,8 +7,9 @@ docs, the store format must keep every section CRC-framed, the whole
 tree must lock through the annotated util::Mutex wrappers, the
 deterministic pipeline must never read a wall clock or a PRNG, the
 README's CLI flag table must match the flat form's flag table, the
-metric inventory must match the registered metrics, and threads come
-from the one pool.  Each
+metric inventory must match the registered metrics, threads come
+from the one pool, and m8 rows come from the one formatter's callers.
+Each
 rule below failed-fast on a real class of past or near-miss defect;
 see docs/STATIC_ANALYSIS.md for the rationale per rule.
 
@@ -382,6 +383,32 @@ def check_single_scheduler() -> None:
                        "util::ThreadPool (run_tasks / parallel_chunks)")
 
 
+# --------------------------------------------------------------------------
+# R9 — one m8 row writer.  `scoris serve` promises the bytes `scoris
+# search` writes; that holds because both stream through M8Writer
+# (api/sinks.cpp).  A second sink that formats rows itself re-implements
+# the row loop and can drift from it, so compare::format_m8 may be
+# called only in src/compare/ and api/sinks.cpp.
+# --------------------------------------------------------------------------
+
+R9_ALLOWED_DIR = SRC / "compare"
+R9_ALLOWED = {SRC / "api" / "sinks.cpp"}
+R9_CALL = re.compile(r"\bformat_m8\s*\(")
+
+
+def check_single_m8_writer() -> None:
+    for path in source_files(SRC):
+        if path in R9_ALLOWED or R9_ALLOWED_DIR in path.parents:
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if R9_CALL.search(line):
+                report("R9-second-m8-writer", path, lineno,
+                       "compare::format_m8 outside src/compare/ and "
+                       "api/sinks.cpp — stream m8 rows through M8Writer "
+                       "so every output path writes the same bytes")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
@@ -391,6 +418,7 @@ def main() -> int:
     check_readme_cli_sync()
     check_metric_docs_sync()
     check_single_scheduler()
+    check_single_m8_writer()
     if violations:
         for v in violations:
             print(v)

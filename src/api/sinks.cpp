@@ -1,6 +1,7 @@
 #include "api/sinks.hpp"
 
 #include <ostream>
+#include <string>
 
 #include "compare/m8.hpp"
 
@@ -9,10 +10,14 @@ namespace scoris {
 void M8Writer::on_group(std::span<const align::GappedAlignment> hits,
                         const HitBatch& batch) {
   // Same conversion + formatting path as compare::write_m8, so the byte
-  // stream cannot drift from the collected-result writer.
+  // stream cannot drift from the collected-result writer.  Each row and
+  // its newline are one write, so a stream that frames at write ends
+  // (the daemon's ROWS) never splits a row.
   for (const align::GappedAlignment& a : hits) {
-    *os_ << compare::format_m8(compare::to_m8(a, *batch.bank1, *batch.bank2))
-         << '\n';
+    std::string row =
+        compare::format_m8(compare::to_m8(a, *batch.bank1, *batch.bank2));
+    row += '\n';
+    *os_ << row;
   }
   // A full disk or closed pipe puts the stream in a failed state without
   // throwing; silently dropping the rest of the run would hand the caller

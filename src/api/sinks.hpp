@@ -19,9 +19,12 @@
 namespace scoris {
 
 /// Streams m8 lines as alignments arrive; the byte stream equals
-/// compare::write_m8 of the collected result.  A stream that enters a
+/// compare::write_m8 of the collected result.  Each line, newline
+/// included, is one write to the stream.  A stream that enters a
 /// failed state (disk full, closed pipe) raises SinkError from on_group,
-/// aborting the query instead of truncating its output.
+/// aborting the query instead of truncating its output; an exception
+/// the stream's mask lets through (the daemon's NetError) propagates as
+/// itself.
 class M8Writer final : public HitSink {
  public:
   explicit M8Writer(std::ostream& os) : os_(&os) {}

@@ -45,13 +45,7 @@ BlastResult BlastN::run(const seqio::SequenceBank& bank1,
   plus.alignments.insert(plus.alignments.end(), minus.alignments.begin(),
                          minus.alignments.end());
   std::sort(plus.alignments.begin(), plus.alignments.end(),
-            [](const align::GappedAlignment& x,
-               const align::GappedAlignment& y) {
-              return std::tuple(x.evalue, -x.bitscore, x.seq1, x.s1, x.seq2,
-                                x.s2, x.minus) <
-                     std::tuple(y.evalue, -y.bitscore, y.seq1, y.s1, y.seq2,
-                                y.s2, y.minus);
-            });
+            core::step4_less);
   auto& s = plus.stats;
   const auto& m = minus.stats;
   s.index_seconds += m.index_seconds;

@@ -125,7 +125,8 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   EngineMetrics::get().simd_kernel.set(
       static_cast<std::int64_t>(kernel_ops.kind));
 
-  ShardStatsReducer reducer(plan.shards.size());
+  // One wall time per shard, in its plan slot, whichever worker ran it.
+  std::vector<double> shard_seconds(plan.shards.size());
   // The largest subject index of any group: the engine holds one at a
   // time.
   std::size_t peak_idx2_bytes = 0;
@@ -206,15 +207,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       util::WallTimer ts;
       scan_seed_range(idx1, idx2, scan_params, shard.codes.lo,
                       shard.codes.hi, partials[s]);
-      ShardStats sample;
-      sample.group = gid;
-      sample.codes = shard.codes;
-      sample.weight = shard.weight;
-      sample.seconds = ts.seconds();
-      sample.hit_pairs = partials[s].hit_pairs;
-      sample.order_aborts = partials[s].order_aborts;
-      sample.hsps = partials[s].hsps.size();
-      reducer.record(id, sample);
+      shard_seconds[id] = ts.seconds();
     };
     if (request.pool != nullptr) {
       util::run_tasks(*request.pool, group.shard_count, plan.schedule,
@@ -230,7 +223,11 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     // disjoint), so the HSP stream is shard- and schedule-invariant.
     std::vector<Hsp> hsps;
     std::size_t total_hsps = 0;
-    for (const SeedScanResult& p : partials) total_hsps += p.hsps.size();
+    for (const SeedScanResult& p : partials) {
+      total_hsps += p.hsps.size();
+      st.hit_pairs += p.hit_pairs;
+      st.order_aborts += p.order_aborts;
+    }
     hsps.reserve(total_hsps);
     for (SeedScanResult& p : partials) {
       hsps.insert(hsps.end(), p.hsps.begin(), p.hsps.end());
@@ -336,9 +333,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     sink.on_group({}, batch);
   }
 
-  st.hit_pairs = reducer.total_hit_pairs();
-  st.order_aborts = reducer.total_order_aborts();
-  st.shard_balance = reducer.balance();
+  st.shard_balance = reduce_seconds(std::move(shard_seconds));
   st.index_group_balance = reduce_seconds(std::move(index_group_seconds));
   st.gapped_group_balance = reduce_seconds(std::move(gapped_group_seconds));
   st.masked_bases += idx1.masked_bases();

@@ -22,7 +22,7 @@
 // Determinism: shard outputs concatenate in ascending seed-code order, so
 // the HSP stream — and therefore the m8 output — is byte-identical for
 // any thread count, shard count, or schedule.  Timing and shard-balance
-// numbers land in PipelineStats via the ShardStatsReducer; the reference
+// numbers land in PipelineStats through reduce_seconds; the reference
 // index is counted once (bytes and masked bases), whatever the number of
 // slices or strands.
 #pragma once

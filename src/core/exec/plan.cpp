@@ -110,9 +110,7 @@ ExecutionPlan compile_plan(const index::BankIndex& idx1,
                  ? 1
                  : static_cast<std::size_t>(plan.threads) * 8;
   }
-  std::vector<std::size_t> weights;
-  const std::vector<SeedRange> ranges =
-      split_seed_ranges(idx1, shards, &weights);
+  const std::vector<SeedRange> ranges = split_seed_ranges(idx1, shards);
 
   plan.groups =
       plan_groups(request.strand, request.slices, request.bank2_size);
@@ -121,8 +119,7 @@ ExecutionPlan compile_plan(const index::BankIndex& idx1,
     group.first_shard = plan.shards.size();
     group.shard_count = ranges.size();
     for (std::size_t r = 0; r < ranges.size(); ++r) {
-      plan.shards.push_back(
-          {static_cast<std::uint32_t>(g), ranges[r], weights[r]});
+      plan.shards.push_back({static_cast<std::uint32_t>(g), ranges[r]});
     }
   }
   return plan;

@@ -54,7 +54,6 @@ struct ShardGroup {
 struct Shard {
   std::uint32_t group = 0;  ///< index into ExecutionPlan::groups
   SeedRange codes;
-  std::size_t weight = 0;  ///< bank1 occurrences in the range (balance est.)
 };
 
 struct ExecutionPlan {

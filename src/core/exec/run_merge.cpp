@@ -59,64 +59,28 @@ constexpr std::size_t kAlignBytes = sizeof(GappedAlignment);
 /// Batch size when no budget bounds the delivery path.
 constexpr std::size_t kDefaultBatchElems = 8192;
 
-/// Forwards writes to a target streambuf while counting the bytes.
-/// Spill runs are also written to non-seekable sinks (the worker
-/// protocol streams them over a socket streambuf), where the usual
-/// tellp() delta is unavailable (-1 on both ends).
-class CountingBuf : public std::streambuf {
- public:
-  explicit CountingBuf(std::streambuf* dst) : dst_(dst) {}
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return ch;
-    const int_type put = dst_->sputc(traits_type::to_char_type(ch));
-    if (!traits_type::eq_int_type(put, traits_type::eof())) ++count_;
-    return put;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    const std::streamsize written = dst_->sputn(s, n);
-    count_ += static_cast<std::uint64_t>(written);
-    return written;
-  }
-  int sync() override { return dst_->pubsync(); }
-
- private:
-  std::streambuf* dst_;
-  std::uint64_t count_ = 0;
-};
-
 }  // namespace
 
 std::uint64_t write_spill_run(std::ostream& os,
                               std::span<const GappedAlignment> run,
                               std::size_t block_elems) {
   if (block_elems == 0) block_elems = 1;
-  CountingBuf counter(os.rdbuf());
-  std::ostream cos(&counter);
-  // Match the caller's exception discipline so a streambuf throw (the
-  // worker's dead-peer NetError) propagates as itself instead of being
-  // swallowed into badbit.
-  cos.exceptions(os.exceptions());
-  store::write_header(cos, kRunMagic, kRunVersion);
+  // Counted here rather than by tellp(): the worker writes runs to a
+  // socket-backed streambuf, where tellp() is -1.
+  std::uint64_t bytes = store::write_header(os, kRunMagic, kRunVersion);
   {
     store::SectionWriter header(kRunHeader);
     header.put_u64(run.size());
     header.put_u64(block_elems);
-    header.finish(cos);
+    bytes += header.finish(os);
   }
   for (std::size_t from = 0; from < run.size(); from += block_elems) {
     const std::size_t n = std::min(block_elems, run.size() - from);
     store::SectionWriter block(kRunBlock);
     block.put_array(run.subspan(from, n));
-    block.finish(cos);
+    bytes += block.finish(os);
   }
-  if (!cos) {
-    os.setstate(cos.rdstate());
-    throw std::runtime_error("spill run: write failed");
-  }
-  return counter.count();
+  return bytes;
 }
 
 SpillRunReader::SpillRunReader(std::istream& is, std::string what)

@@ -4,18 +4,6 @@
 
 namespace scoris::core::exec {
 
-std::size_t ShardStatsReducer::total_hit_pairs() const {
-  std::size_t n = 0;
-  for (const ShardStats& s : samples_) n += s.hit_pairs;
-  return n;
-}
-
-std::size_t ShardStatsReducer::total_order_aborts() const {
-  std::size_t n = 0;
-  for (const ShardStats& s : samples_) n += s.order_aborts;
-  return n;
-}
-
 ShardBalance reduce_seconds(std::vector<double> seconds) {
   ShardBalance b;
   b.shards = seconds.size();
@@ -26,13 +14,6 @@ ShardBalance reduce_seconds(std::vector<double> seconds) {
   b.max_seconds = seconds.back();
   b.median_seconds = seconds[seconds.size() / 2];
   return b;
-}
-
-ShardBalance ShardStatsReducer::balance() const {
-  std::vector<double> seconds;
-  seconds.reserve(samples_.size());
-  for (const ShardStats& s : samples_) seconds.push_back(s.seconds);
-  return reduce_seconds(std::move(seconds));
 }
 
 }  // namespace scoris::core::exec

@@ -1,31 +1,14 @@
-// Per-shard step-2 accounting and its reduction into pipeline statistics.
-//
-// Every shard records its own wall time and counters into a slot indexed
-// by its plan position, so the recorded samples are deterministic in
-// content and order no matter which worker ran which shard or in what
-// order.  The reducer turns the samples into the run-wide counters and a
-// balance summary (min/median/max shard wall time) that makes scheduler
-// imbalance visible from --stats without a profiler.
+// Reduction of per-shard and per-group stage wall times into the
+// balance summary (min/median/max) that makes scheduler imbalance
+// visible from --stats without a profiler.  The engine records one wall
+// time per shard into a slot indexed by its plan position, so the
+// samples do not depend on which worker ran which shard.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "core/exec/plan.hpp"
-
 namespace scoris::core::exec {
-
-/// One shard's step-2 record.
-struct ShardStats {
-  std::uint32_t group = 0;
-  SeedRange codes;
-  std::size_t weight = 0;  ///< planned bank1 occurrences (see Shard)
-  double seconds = 0.0;    ///< shard wall time
-  std::size_t hit_pairs = 0;
-  std::size_t order_aborts = 0;
-  std::size_t hsps = 0;  ///< HSPs the shard emitted (pre-dedup)
-};
 
 /// Reduced spread of shard wall times, embedded in core::PipelineStats.
 struct ShardBalance {
@@ -37,35 +20,8 @@ struct ShardBalance {
 };
 
 /// Reduce raw wall-time samples into a ShardBalance.  Shared by the
-/// step-2 reducer and the engine's per-group stage timings, so every
+/// step-2 shards and the engine's per-group stage timings, so every
 /// min/median/max in --stats comes from one definition.
 [[nodiscard]] ShardBalance reduce_seconds(std::vector<double> seconds);
-
-/// Slot-per-shard accumulator: workers record concurrently without locks
-/// because each shard owns its slot.
-class ShardStatsReducer {
- public:
-  explicit ShardStatsReducer(std::size_t shard_count)
-      : samples_(shard_count) {}
-
-  /// Record shard `id`'s outcome (id is the plan-wide shard index).
-  void record(std::size_t id, const ShardStats& stats) {
-    samples_[id] = stats;
-  }
-
-  [[nodiscard]] const std::vector<ShardStats>& samples() const {
-    return samples_;
-  }
-
-  /// Sum of a counter over all shards.
-  [[nodiscard]] std::size_t total_hit_pairs() const;
-  [[nodiscard]] std::size_t total_order_aborts() const;
-
-  /// Wall-time spread over all recorded shards.
-  [[nodiscard]] ShardBalance balance() const;
-
- private:
-  std::vector<ShardStats> samples_;
-};
 
 }  // namespace scoris::core::exec

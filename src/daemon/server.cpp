@@ -1,11 +1,12 @@
 #include "daemon/server.hpp"
 
 #include <exception>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "compare/m8.hpp"
+#include "api/sinks.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_annotations.hpp"
 #include "seqio/fasta.hpp"
@@ -56,37 +57,6 @@ struct DaemonMetrics {
 };
 
 }  // namespace
-
-void SocketM8Sink::on_group(std::span<const align::GappedAlignment> hits,
-                            const HitBatch& batch) {
-  // The same conversion path as M8Writer, so a networked query is
-  // byte-identical to a local `scoris search` over the same inputs.
-  for (const align::GappedAlignment& a : hits) {
-    const std::string line =
-        compare::format_m8(compare::to_m8(a, *batch.bank1, *batch.bank2));
-    buffer_ += line;
-    buffer_ += '\n';
-    row_bytes_ += line.size() + 1;
-    ++rows_;
-    if (buffer_.size() >= chunk_bytes_) {
-      // send_all blocks while the client's receive window is full: the
-      // engine's delivery thread stalls here, which is exactly the
-      // per-query backpressure that keeps a slow client from ballooning
-      // the daemon's memory.  A vanished client throws NetError out
-      // through the engine, unwinding (and spill-cleaning) this query
-      // only.
-      net::write_frame(*sock_, net::kRowsTag, std::string_view(buffer_));
-      buffer_.clear();
-    }
-  }
-}
-
-void SocketM8Sink::flush() {
-  if (!buffer_.empty()) {
-    net::write_frame(*sock_, net::kRowsTag, std::string_view(buffer_));
-    buffer_.clear();
-  }
-}
 
 struct Server::Conversation final : net::Service {
   Conversation(const Session& session, ServerConfig config)
@@ -218,24 +188,35 @@ void Server::Conversation::serve_query(net::Connection& conn,
                                  std::to_string(strand_byte));
     }
 
-    SocketM8Sink sink(conn.socket(), config.chunk_bytes);
-    session->search(bank2, sink, limits);
-    sink.flush();
+    // The rows stream as they are formatted.  send_all blocks while the
+    // client's receive window is full, stalling the engine's delivery
+    // thread: per-query backpressure, so a slow client cannot balloon
+    // the daemon's memory.  A vanished client's NetError must leave the
+    // stream as itself (badbit in the mask), unwinding and
+    // spill-cleaning this query only.  The tail goes out before DONE is
+    // composed, so a failed send aborts the query first.
+    net::FrameWriter frames(conn.socket(), net::kRowsTag, config.chunk_bytes);
+    std::ostream os(&frames);
+    os.exceptions(std::ios::badbit);
+    M8Writer rows(os);
+    session->search(bank2, rows, limits);
+    frames.flush();
 
     const double seconds = timer.seconds();
     net::PayloadWriter done;
-    done.put_u64(sink.rows());
-    done.put_u64(sink.row_bytes());
+    done.put_u64(rows.written());
+    done.put_u64(frames.bytes_sent());
     done.put_f64(seconds);
     const std::vector<std::uint8_t> payload = done.take();
     net::write_frame(conn.socket(), net::kDoneTag, payload);
     count(&ServerCounters::served);
     metrics.queries_completed.inc();
-    metrics.bytes_sent.inc(sink.row_bytes());
+    metrics.bytes_sent.inc(frames.bytes_sent());
     metrics.query_seconds.observe(seconds);
     conn.log().info("query served",
-                    {obs::kv("conn", conn.id()), obs::kv("rows", sink.rows()),
-                     obs::kv("bytes", sink.row_bytes()),
+                    {obs::kv("conn", conn.id()),
+                     obs::kv("rows", rows.written()),
+                     obs::kv("bytes", frames.bytes_sent()),
                      obs::kv("seconds", seconds)});
     return;
   } catch (const net::NetError&) {

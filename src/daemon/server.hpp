@@ -5,7 +5,10 @@
 // net/frame.hpp protocol.  This is the service the ROADMAP's Session API
 // was built for: the expensive reference preparation happens once, and
 // every client query rides Session::search's documented thread-safety —
-// the daemon adds only the query conversation.  Accepting, admission,
+// the daemon adds only the query conversation.  A query's rows go
+// through the M8Writer `scoris search` uses, on an ostream over a
+// net::FrameWriter, so the ROWS payloads concatenate to the bytes a
+// local search writes.  Accepting, admission,
 // per-connection threads and the drain on request_stop() are
 // net::Server's (net/server.hpp); a connection refused by the
 // max_clients cap gets a BUSY frame.
@@ -36,9 +39,11 @@ struct ServerConfig {
   /// Largest QRY payload accepted (advertised in HELO; larger queries
   /// get an ERR and the connection survives).
   std::uint64_t max_query_bytes = std::uint64_t{64} << 20;
-  /// ROWS frame flush threshold: m8 text is batched into frames of
-  /// roughly this many bytes.  Small values exist for tests that need
-  /// many frames in flight (mid-stream disconnect coverage).
+  /// ROWS frame flush threshold: m8 rows are batched into frames of at
+  /// least this many bytes (the last frame may hold fewer), each ending
+  /// on a row boundary.  Small values exist for tests that need many
+  /// frames in flight (mid-stream disconnect coverage); 1 sends one row
+  /// per frame.
   std::size_t chunk_bytes = std::size_t{256} << 10;
   /// Applied to every query (delivery budget, tmp dir, ...); the QRY
   /// strand byte overrides `base_limits.strand` per query.
@@ -55,32 +60,6 @@ struct ServerCounters {
   std::uint64_t rejected = 0;  ///< connections refused (BUSY sent)
   std::uint64_t served = 0;    ///< queries that reached DONE
   std::uint64_t failed = 0;    ///< queries that ended in ERR or a drop
-};
-
-/// Streams m8 rows from a Session::search into ROWS frames.  Public so
-/// the tests can drive it against a socketpair without a full server.
-class SocketM8Sink final : public HitSink {
- public:
-  SocketM8Sink(net::Socket& sock, std::size_t chunk_bytes)
-      : sock_(&sock), chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {}
-
-  void on_group(std::span<const align::GappedAlignment> hits,
-                const HitBatch& batch) override;
-
-  /// Send any buffered tail.  Called after the search returns; not from
-  /// on_stats, because a failed flush must abort the query *before* the
-  /// DONE frame is composed.
-  void flush();
-
-  [[nodiscard]] std::uint64_t rows() const { return rows_; }
-  [[nodiscard]] std::uint64_t row_bytes() const { return row_bytes_; }
-
- private:
-  net::Socket* sock_;
-  std::size_t chunk_bytes_;
-  std::string buffer_;
-  std::uint64_t rows_ = 0;
-  std::uint64_t row_bytes_ = 0;
 };
 
 /// bind/serve/request_stop/endpoint are net::Server's.

@@ -1,9 +1,5 @@
 #include "dist/protocol.hpp"
 
-#include <algorithm>
-#include <span>
-#include <string_view>
-
 #include "net/socket.hpp"
 
 namespace scoris::dist {
@@ -90,51 +86,6 @@ GroupEnd read_group_end(net::PayloadReader& in) {
   end.elements = in.get_u64();
   end.run_bytes = in.get_u64();
   return end;
-}
-
-RunFrameWriter::RunFrameWriter(net::Socket& sock, std::size_t chunk_bytes)
-    : sock_(&sock), chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {
-  buffer_.reserve(chunk_bytes_);
-}
-
-RunFrameWriter::~RunFrameWriter() {
-  try {
-    flush();
-  } catch (...) {
-    // Destructor flush is best-effort; the worker flushes explicitly
-    // before WEND so a throw here means the group already failed.
-  }
-}
-
-void RunFrameWriter::flush() {
-  if (!buffer_.empty()) send_buffer();
-}
-
-void RunFrameWriter::send_buffer() {
-  net::write_frame(*sock_, kRunChunkTag,
-                   std::string_view(buffer_.data(), buffer_.size()));
-  bytes_sent_ += buffer_.size();
-  buffer_.clear();
-}
-
-RunFrameWriter::int_type RunFrameWriter::overflow(int_type ch) {
-  if (traits_type::eq_int_type(ch, traits_type::eof())) return ch;
-  buffer_.push_back(traits_type::to_char_type(ch));
-  if (buffer_.size() >= chunk_bytes_) send_buffer();
-  return ch;
-}
-
-std::streamsize RunFrameWriter::xsputn(const char* s, std::streamsize n) {
-  std::streamsize written = 0;
-  while (written < n) {
-    const std::size_t room = chunk_bytes_ - buffer_.size();
-    const std::size_t take =
-        std::min(room, static_cast<std::size_t>(n - written));
-    buffer_.insert(buffer_.end(), s + written, s + written + take);
-    written += static_cast<std::streamsize>(take);
-    if (buffer_.size() >= chunk_bytes_) send_buffer();
-  }
-  return written;
 }
 
 RunFrameReader::RunFrameReader(net::Socket& sock) : sock_(&sock) {

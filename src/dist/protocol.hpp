@@ -52,7 +52,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <streambuf>
 #include <string>
 #include <vector>
@@ -78,9 +77,10 @@ enum class RefKind : std::uint8_t {
   kIndexPath = 1,   ///< path to a .scix artifact the worker loads itself
 };
 
-/// WRUN chunk size: spill-run bytes are flushed to the socket in frames
-/// of roughly this many bytes, so a large group streams with bounded
-/// buffering instead of one giant frame.
+/// WRUN chunk size: the worker streams spill-run bytes through a
+/// net::FrameWriter with this threshold, so a large group goes out in
+/// frames of at least this many bytes (except the last) and at most
+/// this plus one section write, instead of one giant frame.
 inline constexpr std::size_t kRunChunkBytes = std::size_t{256} << 10;
 
 /// One plan group as the coordinator dispatches it.  `id` is the
@@ -117,37 +117,6 @@ void write_group(net::PayloadWriter& out, const GroupTask& task);
 
 void write_group_end(net::PayloadWriter& out, const GroupEnd& end);
 [[nodiscard]] GroupEnd read_group_end(net::PayloadReader& in);
-
-/// std::streambuf sending everything written to it as WRUN frames of at
-/// most `chunk_bytes` — the worker points write_spill_run at one of
-/// these and the run streams to the coordinator with bounded buffering.
-/// Call flush() (or let the destructor) to send the buffered tail;
-/// destructor flushes are best-effort (no throwing), so the worker
-/// flushes explicitly before WEND.
-class RunFrameWriter : public std::streambuf {
- public:
-  explicit RunFrameWriter(net::Socket& sock,
-                          std::size_t chunk_bytes = kRunChunkBytes);
-  ~RunFrameWriter() override;
-
-  /// Send any buffered tail now (throws net::NetError on a dead peer).
-  void flush();
-
-  /// Total bytes framed so far (== the WEND run_bytes field).
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-
- protected:
-  int_type overflow(int_type ch) override;
-  std::streamsize xsputn(const char* s, std::streamsize n) override;
-
- private:
-  void send_buffer();
-
-  net::Socket* sock_;
-  std::size_t chunk_bytes_;
-  std::vector<char> buffer_;
-  std::uint64_t bytes_sent_ = 0;
-};
 
 /// std::streambuf yielding the concatenated WRUN payload bytes of one
 /// group as a non-seekable read stream — the coordinator wraps the

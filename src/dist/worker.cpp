@@ -151,19 +151,19 @@ void send_error(net::Socket& conn, const std::string& message) {
     return false;
   }
 
-  RunFrameWriter writer(conn.socket());
-  std::ostream os(&writer);
+  net::FrameWriter frames(conn.socket(), kRunChunkTag, kRunChunkBytes);
+  std::ostream os(&frames);
   // Without this, a NetError thrown inside a streambuf write would be
   // swallowed into badbit by std::ostream; with badbit in the
   // exception mask the original exception is rethrown to us.
   os.exceptions(std::ios::badbit);
   core::exec::write_spill_run(os, result.alignments, kWireBlockElems);
-  writer.flush();
+  frames.flush();
 
   GroupEnd end;
   end.id = task.id;
   end.elements = result.alignments.size();
-  end.run_bytes = writer.bytes_sent();
+  end.run_bytes = frames.bytes_sent();
   net::PayloadWriter done;
   write_group_end(done, end);
   const std::vector<std::uint8_t> payload = done.take();

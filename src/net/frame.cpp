@@ -86,6 +86,35 @@ bool read_frame(Socket& sock, Frame& frame) {
   return true;
 }
 
+FrameWriter::FrameWriter(Socket& sock, const FrameTag& tag,
+                         std::size_t chunk_bytes)
+    : sock_(&sock),
+      tag_(tag),
+      chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {}
+
+void FrameWriter::flush() {
+  if (!buffer_.empty()) send();
+}
+
+void FrameWriter::send() {
+  write_frame(*sock_, tag_, std::string_view(buffer_));
+  bytes_sent_ += buffer_.size();
+  buffer_.clear();
+}
+
+FrameWriter::int_type FrameWriter::overflow(int_type ch) {
+  if (traits_type::eq_int_type(ch, traits_type::eof())) return ch;
+  buffer_.push_back(traits_type::to_char_type(ch));
+  if (buffer_.size() >= chunk_bytes_) send();
+  return ch;
+}
+
+std::streamsize FrameWriter::xsputn(const char* s, std::streamsize n) {
+  buffer_.append(s, static_cast<std::size_t>(n));
+  if (buffer_.size() >= chunk_bytes_) send();
+  return n;
+}
+
 void PayloadWriter::put_u32(std::uint32_t v) { append_u32(bytes_, v); }
 
 void PayloadWriter::put_u64(std::uint64_t v) { append_u64(bytes_, v); }

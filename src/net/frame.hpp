@@ -19,6 +19,7 @@
 //   client -> server   QRY  [u8 strand (0 = server default, 1 = plus,
 //                            2 = minus, 3 = both)][FASTA bytes]
 //   server -> client   ROWS [raw m8 text]            (0..n per query)
+//                        — whole rows: every frame ends on a newline
 //   server -> client   DONE [u64 alignments][u64 row_bytes]
 //                           [f64 server_seconds]        (v2+)
 //                        — query complete; row_bytes lets the client
@@ -47,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,6 +104,44 @@ void write_frame(Socket& sock, const FrameTag& tag, std::string_view payload);
 /// Read one frame.  Returns false on clean EOF before a header; throws
 /// NetError on truncation or an oversized length prefix.
 [[nodiscard]] bool read_frame(Socket& sock, Frame& frame);
+
+/// std::streambuf that sends what is written to it as frames of one
+/// tag: the daemon's ROWS (an M8Writer over an ostream on it) and the
+/// worker's WRUN (write_spill_run into one).  Each write is appended
+/// whole, and once the buffer holds `chunk_bytes` it goes out as one
+/// frame at the end of the write that crossed the threshold, so a
+/// frame never splits a write: frames hold at least `chunk_bytes`
+/// (except the last) and at most `chunk_bytes` - 1 plus one write.
+///
+/// Only flush() sends the tail — not the destructor, not
+/// ostream::flush() — so a caller that fails mid-stream drops its
+/// unsent bytes.  A send to a vanished peer throws NetError; an ostream
+/// over the writer must keep badbit in its exception mask, or the
+/// NetError is swallowed into badbit instead of reaching the caller.
+class FrameWriter : public std::streambuf {
+ public:
+  /// `chunk_bytes` 0 behaves as 1 (one frame per write).
+  FrameWriter(Socket& sock, const FrameTag& tag, std::size_t chunk_bytes);
+
+  /// Send the buffered tail, if any, as one frame.
+  void flush();
+
+  /// Payload bytes framed so far.
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+
+ protected:
+  int_type overflow(int_type ch) override;
+  std::streamsize xsputn(const char* s, std::streamsize n) override;
+
+ private:
+  void send();
+
+  Socket* sock_;
+  FrameTag tag_;
+  std::size_t chunk_bytes_;
+  std::string buffer_;
+  std::uint64_t bytes_sent_ = 0;
+};
 
 /// Little-endian payload composer for the scalar-bearing frames.
 class PayloadWriter {

@@ -45,41 +45,35 @@ void resolve(const Endpoint& ep, bool passive, AddrInfo& out) {
   }
 }
 
-/// Finish one non-blocking connect within the deadline: poll for
-/// writability, then read SO_ERROR for the actual outcome.  Returns an
-/// errno-style code (0 = connected, ETIMEDOUT on deadline).
-int await_connect(int fd, int timeout_ms) {
-  pollfd pfd{fd, POLLOUT, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return errno;
-    }
-    if (rc == 0) return ETIMEDOUT;
-    break;
+/// Set SO_RCVTIMEO or SO_SNDTIMEO; `timeout_ms` <= 0 clears it.
+void set_timeout(int fd, int option, int timeout_ms) {
+  timeval tv{};
+  if (timeout_ms > 0) {
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = static_cast<suseconds_t>(timeout_ms % 1000) * 1000;
   }
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return errno;
-  return err;
+  if (::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv)) != 0) {
+    throw_errno(option == SO_RCVTIMEO ? "setsockopt SO_RCVTIMEO"
+                                      : "setsockopt SO_SNDTIMEO");
+  }
 }
 
-/// One timed connect attempt on an already-created socket.  Returns an
-/// errno-style code; 0 = connected and restored to blocking mode.
-int connect_with_deadline(int fd, const sockaddr* addr, socklen_t addrlen,
-                          int timeout_ms) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return errno;
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) return errno;
-  int err = 0;
-  if (::connect(fd, addr, addrlen) != 0) {
-    err = (errno == EINPROGRESS || errno == EAGAIN)
-              ? await_connect(fd, timeout_ms)
-              : errno;
+/// One blocking connect of `sock`, bounded by `timeout_ms` when it is
+/// positive.  Linux bounds a blocking connect by SO_SNDTIMEO: at expiry
+/// it fails with EINPROGRESS (TCP handshake still pending) or EAGAIN
+/// (unix listener's backlog still full), both reported as "timed out".
+/// The bound is cleared once connected, so sends stay unbounded.
+/// Returns the failure text, empty on success.
+std::string connect_socket(Socket& sock, const sockaddr* addr,
+                           socklen_t addrlen, int timeout_ms) {
+  if (timeout_ms > 0) set_timeout(sock.fd(), SO_SNDTIMEO, timeout_ms);
+  if (::connect(sock.fd(), addr, addrlen) != 0) {
+    const bool expired =
+        timeout_ms > 0 && (errno == EINPROGRESS || errno == EAGAIN);
+    return expired ? "timed out" : std::strerror(errno);
   }
-  if (::fcntl(fd, F_SETFL, flags) != 0 && err == 0) err = errno;
-  return err;
+  if (timeout_ms > 0) set_timeout(sock.fd(), SO_SNDTIMEO, 0);
+  return {};
 }
 
 sockaddr_un unix_addr(const std::string& path) {
@@ -240,73 +234,31 @@ Socket listen_endpoint(Endpoint& ep, int backlog) {
   throw NetError("bind " + to_string(ep) + ": " + last_error);
 }
 
-Socket connect_endpoint(const Endpoint& ep) {
-  if (ep.kind == Endpoint::Kind::kUnix) {
-    Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (!sock.valid()) throw_errno("socket");
-    const sockaddr_un addr = unix_addr(ep.path);
-    if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      throw_errno("connect " + to_string(ep));
-    }
-    return sock;
-  }
-
-  AddrInfo ai;
-  resolve(ep, /*passive=*/false, ai);
-  std::string last_error = "no addresses";
-  for (addrinfo* a = ai.head; a != nullptr; a = a->ai_next) {
-    Socket sock(::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC,
-                         a->ai_protocol));
-    if (!sock.valid()) continue;
-    if (::connect(sock.fd(), a->ai_addr, a->ai_addrlen) == 0) return sock;
-    last_error = std::strerror(errno);
-  }
-  throw NetError("connect " + to_string(ep) + ": " + last_error);
-}
-
 Socket connect_endpoint(const Endpoint& ep, int timeout_ms) {
-  if (timeout_ms <= 0) return connect_endpoint(ep);
-
+  std::string error = "no addresses";
   if (ep.kind == Endpoint::Kind::kUnix) {
     Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!sock.valid()) throw_errno("socket");
     const sockaddr_un addr = unix_addr(ep.path);
-    const int err = connect_with_deadline(
-        sock.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-        timeout_ms);
-    if (err != 0) {
-      throw NetError("connect " + to_string(ep) + ": " +
-                     (err == ETIMEDOUT ? "timed out" : std::strerror(err)));
+    error = connect_socket(sock, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr), timeout_ms);
+    if (error.empty()) return sock;
+  } else {
+    AddrInfo ai;
+    resolve(ep, /*passive=*/false, ai);
+    for (addrinfo* a = ai.head; a != nullptr; a = a->ai_next) {
+      Socket sock(::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC,
+                           a->ai_protocol));
+      if (!sock.valid()) continue;
+      error = connect_socket(sock, a->ai_addr, a->ai_addrlen, timeout_ms);
+      if (error.empty()) return sock;
     }
-    return sock;
   }
-
-  AddrInfo ai;
-  resolve(ep, /*passive=*/false, ai);
-  std::string last_error = "no addresses";
-  for (addrinfo* a = ai.head; a != nullptr; a = a->ai_next) {
-    Socket sock(::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC,
-                         a->ai_protocol));
-    if (!sock.valid()) continue;
-    const int err = connect_with_deadline(sock.fd(), a->ai_addr,
-                                          a->ai_addrlen, timeout_ms);
-    if (err == 0) return sock;
-    last_error = err == ETIMEDOUT ? "timed out" : std::strerror(err);
-  }
-  throw NetError("connect " + to_string(ep) + ": " + last_error);
+  throw NetError("connect " + to_string(ep) + ": " + error);
 }
 
 void set_recv_timeout(Socket& sock, int timeout_ms) {
-  timeval tv{};
-  if (timeout_ms > 0) {
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = static_cast<suseconds_t>(timeout_ms % 1000) * 1000;
-  }
-  if (::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) !=
-      0) {
-    throw_errno("setsockopt SO_RCVTIMEO");
-  }
+  set_timeout(sock.fd(), SO_RCVTIMEO, timeout_ms);
 }
 
 Socket accept_connection(Socket& listener) {

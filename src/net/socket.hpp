@@ -83,14 +83,12 @@ class Socket {
 /// `ep` so callers can advertise the real address.
 [[nodiscard]] Socket listen_endpoint(Endpoint& ep, int backlog);
 
-/// Connect to the endpoint (blocking).  Throws NetError.
-[[nodiscard]] Socket connect_endpoint(const Endpoint& ep);
-
-/// Connect with a deadline: the TCP handshake (or unix connect) must
-/// finish within `timeout_ms` or NetError("connect ...: timed out") is
-/// thrown.  `timeout_ms` <= 0 degenerates to the blocking connect.  The
-/// returned socket is back in blocking mode.
-[[nodiscard]] Socket connect_endpoint(const Endpoint& ep, int timeout_ms);
+/// Connect to the endpoint.  With `timeout_ms` > 0 the TCP handshake,
+/// or the wait for room in a unix listener's full backlog, must finish
+/// within it or NetError("connect ...: timed out") is thrown; <= 0
+/// waits without bound.  The deadline covers the connect only: sends on
+/// the returned socket stay unbounded.  Throws NetError on any failure.
+[[nodiscard]] Socket connect_endpoint(const Endpoint& ep, int timeout_ms = 0);
 
 /// Bound every subsequent recv on `sock` to `timeout_ms` (SO_RCVTIMEO).
 /// A stalled peer then surfaces as NetError("recv: timed out ...") from

@@ -97,10 +97,12 @@ std::uint64_t read_u64(std::istream& is, const std::string& what) {
   return v;
 }
 
-void write_header(std::ostream& os, const Tag& magic, std::uint32_t version) {
+std::uint64_t write_header(std::ostream& os, const Tag& magic,
+                           std::uint32_t version) {
   os.write(magic.data(), magic.size());
   write_u32(os, version);
   write_u32(os, kEndianTag);
+  return magic.size() + 2 * sizeof(std::uint32_t);
 }
 
 std::uint32_t read_header(std::istream& is, const Tag& magic,
@@ -168,7 +170,7 @@ void SectionWriter::put_bytes(const void* data, std::size_t size) {
   }
 }
 
-void SectionWriter::finish(std::ostream& os) const {
+std::uint64_t SectionWriter::finish(std::ostream& os) const {
   std::uint64_t total = 0;
   Crc32 crc;
   for (const Segment& segment : segments_) {
@@ -187,6 +189,7 @@ void SectionWriter::finish(std::ostream& os) const {
     throw std::runtime_error("section write failed (" + tag_to_string(tag_) +
                              ")");
   }
+  return tag_.size() + sizeof(std::uint64_t) + sizeof(std::uint32_t) + total;
 }
 
 // --- SectionReader ----------------------------------------------------------

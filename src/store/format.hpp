@@ -58,8 +58,10 @@ void write_u64(std::ostream& os, std::uint64_t v);
 
 // --- file header ------------------------------------------------------------
 
-/// Write `[magic][version][endianness tag]`.
-void write_header(std::ostream& os, const Tag& magic, std::uint32_t version);
+/// Write `[magic][version][endianness tag]`.  Returns the bytes written
+/// (12).
+std::uint64_t write_header(std::ostream& os, const Tag& magic,
+                           std::uint32_t version);
 
 /// Validate a header written by write_header. `what` prefixes diagnostics
 /// (e.g. "bank load"). Throws std::runtime_error on (checked in order):
@@ -101,8 +103,9 @@ class SectionWriter {
 
   /// Write the framed section (length and CRC are computed over the
   /// composed segments, then everything streams straight to `os`).
-  /// Throws std::runtime_error on stream failure.
-  void finish(std::ostream& os) const;
+  /// Returns the bytes written, header included.  Throws
+  /// std::runtime_error on stream failure.
+  std::uint64_t finish(std::ostream& os) const;
 
  private:
   struct Segment {

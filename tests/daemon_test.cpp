@@ -6,6 +6,7 @@
 // guarantee for a long-lived server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -176,6 +177,61 @@ TEST(Daemon, ConcurrentClientsAllReceiveTheCanonicalResult) {
   // The scratch dir holds the unix socket (removed with the server) and
   // must hold nothing else — no spill residue from any query.
   EXPECT_EQ(daemon.scratch().entries(), 1u) << "spill files leaked";
+}
+
+/// The ROWS payloads a query's m8 text must arrive in: rows are
+/// appended whole, and a frame goes out at the end of the row that
+/// brings it to `chunk` bytes; the tail goes out last.
+std::vector<std::string> expected_rows_frames(const std::string& m8,
+                                              std::size_t chunk) {
+  std::vector<std::string> frames;
+  std::string frame;
+  for (std::size_t from = 0; from < m8.size();) {
+    std::size_t end = m8.find('\n', from);
+    end = end == std::string::npos ? m8.size() : end + 1;
+    frame.append(m8, from, end - from);
+    from = end;
+    if (frame.size() >= chunk) {
+      frames.push_back(frame);
+      frame.clear();
+    }
+  }
+  if (!frame.empty()) frames.push_back(frame);
+  return frames;
+}
+
+TEST(Daemon, RowsFramesEndOnRowBoundaries) {
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{300}}) {
+    daemon::ServerConfig config;
+    config.chunk_bytes = chunk;
+    DaemonFixture daemon(config);
+    const std::string reference = daemon.direct_m8();
+    ASSERT_FALSE(reference.empty());
+
+    net::QueryClient client =
+        net::QueryClient::connect(daemon.server().endpoint());
+    std::vector<std::string> frames;
+    const net::QueryResult result =
+        client.query(daemon.fasta(), net::QueryStrand::kDefault,
+                     [&frames](std::string_view payload) {
+                       frames.emplace_back(payload);
+                     });
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(frames, expected_rows_frames(reference, chunk))
+        << "chunk_bytes " << chunk;
+    std::uint64_t payload_bytes = 0;
+    for (const std::string& frame : frames) payload_bytes += frame.size();
+    EXPECT_EQ(result.row_bytes, payload_bytes);
+    EXPECT_EQ(result.alignments,
+              static_cast<std::uint64_t>(
+                  std::count(reference.begin(), reference.end(), '\n')));
+    if (chunk == 1) {
+      for (const std::string& frame : frames) {
+        EXPECT_EQ(std::count(frame.begin(), frame.end(), '\n'), 1) << frame;
+        EXPECT_EQ(frame.back(), '\n');
+      }
+    }
+  }
 }
 
 TEST(Daemon, MixedStrandQueriesOnOneConnection) {

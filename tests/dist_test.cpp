@@ -209,7 +209,7 @@ TEST(DistStream, SpillRunSurvivesWrunFramingEndToEnd) {
   // Worker side: stream the run in deliberately tiny WRUN chunks so the
   // reader must cross many frame boundaries, then the WEND trailer.
   std::thread worker([&] {
-    dist::RunFrameWriter frames(pair.a, /*chunk_bytes=*/64);
+    net::FrameWriter frames(pair.a, dist::kRunChunkTag, /*chunk_bytes=*/64);
     std::ostream os(&frames);
     os.exceptions(std::ios::badbit);
     const std::uint64_t bytes = write_spill_run(os, run, /*block_elems=*/8);

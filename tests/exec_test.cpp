@@ -98,7 +98,9 @@ TEST(SplitSeedRanges, CoversCodeSpaceContiguously) {
     std::size_t weight_sum = 0;
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       EXPECT_LT(ranges[i].lo, ranges[i].hi);
-      if (i > 0) EXPECT_EQ(ranges[i].lo, ranges[i - 1].hi);
+      if (i > 0) {
+        EXPECT_EQ(ranges[i].lo, ranges[i - 1].hi);
+      }
       weight_sum += weights[i];
     }
     EXPECT_EQ(weight_sum, idx.total_indexed());

@@ -1,17 +1,22 @@
 // Unit coverage for the scorisd transport layer (src/net/): endpoint
-// parsing, frame round-trips over a real socketpair, the corrupt-length
-// guard, truncation detection, the payload scalar helpers, and the
-// shutdown wake pipe.
+// parsing, frame round-trips over a real socketpair, the frame writer's
+// boundaries and failure paths, the corrupt-length guard, truncation
+// detection, the payload scalar helpers, connect deadlines against full
+// listen backlogs, and the shutdown wake pipe.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,13 +244,175 @@ TEST(Payload, TagNamesEscapeUnprintableBytes) {
   EXPECT_EQ(tag_name(FrameTag{'\x01', 'A', 'B', 'C'}), "\\x01ABC");
 }
 
-// --- connect failures --------------------------------------------------------
+// --- frame writer ------------------------------------------------------------
+
+/// Every frame readable on `sock` until the peer closes, as text.
+std::vector<std::string> drain_frames(Socket& sock, const FrameTag& tag) {
+  std::vector<std::string> payloads;
+  Frame frame;
+  while (read_frame(sock, frame)) {
+    EXPECT_EQ(tag_name(frame.tag), tag_name(tag));
+    payloads.emplace_back(frame.payload.begin(), frame.payload.end());
+  }
+  return payloads;
+}
+
+TEST(FrameWriter, SendsAtTheEndOfTheWriteThatReachesTheChunk) {
+  SocketPair pair;
+  FrameWriter frames(pair.a, kRowsTag, /*chunk_bytes=*/8);
+  std::ostream os(&frames);
+  os.exceptions(std::ios::badbit);
+  os << std::string("abc");
+  EXPECT_EQ(frames.bytes_sent(), 0u);
+  os << std::string("defghij");  // reaches 8 mid-write: sent whole, at 10
+  EXPECT_EQ(frames.bytes_sent(), 10u);
+  os << std::string("0123456789ABCDEF");  // one write over the chunk
+  EXPECT_EQ(frames.bytes_sent(), 26u);
+  os.put('x');  // single characters go through overflow()
+  os.put('y');
+  os.flush();  // a stream flush is not a frame boundary
+  EXPECT_EQ(frames.bytes_sent(), 26u);
+  frames.flush();
+  EXPECT_EQ(frames.bytes_sent(), 28u);
+  frames.flush();  // nothing buffered: no empty frame
+  pair.a.close();
+
+  const std::vector<std::string> payloads = drain_frames(pair.b, kRowsTag);
+  EXPECT_EQ(payloads, (std::vector<std::string>{"abcdefghij",
+                                                "0123456789ABCDEF", "xy"}));
+  std::uint64_t received = 0;
+  for (const std::string& p : payloads) received += p.size();
+  EXPECT_EQ(received, frames.bytes_sent());
+}
+
+TEST(FrameWriter, DestructionDropsTheUnflushedTail) {
+  SocketPair pair;
+  {
+    FrameWriter frames(pair.a, kRowsTag, /*chunk_bytes=*/64);
+    std::ostream os(&frames);
+    os << std::string("never flushed");
+  }
+  pair.a.close();
+  Frame frame;
+  EXPECT_FALSE(read_frame(pair.b, frame)) << "the destructor sent a frame";
+}
+
+TEST(FrameWriter, ClosedPeerNetErrorEscapesAStreamWithBadbitSet) {
+  SocketPair pair;
+  pair.b.close();
+  FrameWriter frames(pair.a, kRowsTag, /*chunk_bytes=*/1);
+  std::ostream os(&frames);
+  os.exceptions(std::ios::badbit);
+  EXPECT_THROW(os << std::string("row\n"), NetError);
+  EXPECT_TRUE(os.bad());
+  EXPECT_EQ(frames.bytes_sent(), 0u);
+}
+
+// --- connect failures and deadlines -------------------------------------------
 
 TEST(Connect, RefusedPortThrowsNetError) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUnix;
   ep.path = "/nonexistent/scoris-test.sock";
   EXPECT_THROW((void)connect_endpoint(ep), NetError);
+}
+
+/// A unix endpoint in a private temp directory, removed with it.
+class UnixEndpoint {
+ public:
+  UnixEndpoint() {
+    std::string templ =
+        (std::filesystem::temp_directory_path() / "scoris-nt-XXXXXX")
+            .string();
+    if (::mkdtemp(templ.data()) == nullptr) {
+      ADD_FAILURE() << "mkdtemp failed";
+    }
+    dir_ = templ;
+    ep_.kind = Endpoint::Kind::kUnix;
+    ep_.path = dir_ + "/listener.sock";
+  }
+  ~UnixEndpoint() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  [[nodiscard]] Endpoint& get() { return ep_; }
+
+ private:
+  std::string dir_;
+  Endpoint ep_;
+};
+
+Endpoint loopback_tcp() {
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kTcp;
+  ep.host = "127.0.0.1";
+  ep.port = 0;
+  return ep;
+}
+
+/// Fill the queue of a listener that never accepts: with backlog 1 the
+/// kernel queues two connections, and a third finds it full.
+std::vector<Socket> fill_backlog(const Endpoint& ep) {
+  std::vector<Socket> queued;
+  for (int i = 0; i < 2; ++i) queued.push_back(connect_endpoint(ep, 2000));
+  return queued;
+}
+
+/// A 200 ms connect into a full queue must wait out its deadline and
+/// throw NetError naming the timeout, not hand back a socket.
+void expect_connect_times_out(const Endpoint& ep) {
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    const Socket sock = connect_endpoint(ep, 200);
+    ADD_FAILURE() << "connect returned fd " << sock.fd()
+                  << " through a full backlog";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
+        << e.what();
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(150));
+  EXPECT_LT(waited, std::chrono::seconds(10));
+}
+
+TEST(Connect, UnixFullBacklogTimesOut) {
+  UnixEndpoint ep;
+  const Socket listener = listen_endpoint(ep.get(), /*backlog=*/1);
+  const std::vector<Socket> queued = fill_backlog(ep.get());
+  expect_connect_times_out(ep.get());
+}
+
+TEST(Connect, TcpFullAcceptQueueTimesOut) {
+  Endpoint ep = loopback_tcp();
+  const Socket listener = listen_endpoint(ep, /*backlog=*/1);
+  const std::vector<Socket> queued = fill_backlog(ep);
+  expect_connect_times_out(ep);
+}
+
+TEST(Connect, BothFormsReachALiveListenerAndLeaveSendsUnbounded) {
+  UnixEndpoint unix_ep;
+  for (Endpoint ep : {unix_ep.get(), loopback_tcp()}) {
+    Socket listener = listen_endpoint(ep, 4);
+    for (const int timeout_ms : {0, 200}) {
+      Socket sock = timeout_ms == 0 ? connect_endpoint(ep)
+                                    : connect_endpoint(ep, timeout_ms);
+      ASSERT_TRUE(sock.valid()) << to_string(ep);
+      timeval tv{1, 1};
+      socklen_t len = sizeof(tv);
+      ASSERT_EQ(::getsockopt(sock.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, &len),
+                0);
+      EXPECT_EQ(tv.tv_sec, 0) << to_string(ep) << " " << timeout_ms;
+      EXPECT_EQ(tv.tv_usec, 0) << to_string(ep) << " " << timeout_ms;
+
+      Socket conn = accept_connection(listener);
+      ASSERT_TRUE(conn.valid());
+      write_frame(sock, kStatTag, std::string_view("ping"));
+      Frame frame;
+      ASSERT_TRUE(read_frame(conn, frame));
+      EXPECT_EQ(std::string(frame.payload.begin(), frame.payload.end()),
+                "ping");
+    }
+  }
 }
 
 TEST(Client, HeloWithWrongVersionIsRejected) {

@@ -310,7 +310,9 @@ TEST(IndexStoreBank, AmbiguityCodesCollapseToN) {
   seqio::SequenceBank bank("amb");
   bank.add("s", "ACGTRYKMACGT");
   const auto loaded =
-      load_blob(store_blob(bank, {store::IndexKey{.w = 4, .dust = false}}));
+      load_blob(store_blob(bank, {store::IndexKey{.w = 4,
+                                                  .dust = false,
+                                                  .dust_params = {}}}));
   EXPECT_EQ(loaded.bank().bases(0), "ACGTNNNNACGT");
   EXPECT_EQ(loaded.bank().bases(0), bank.bases(0));
 }
@@ -514,7 +516,8 @@ TEST(IndexStoreReject, WrongMagic) {
 
 TEST(IndexStoreReject, TruncatedAtEveryQuarter) {
   const auto bank = make_bank(819, 4);
-  const std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  const std::string blob =
+      store_blob(bank, {store::IndexKey{.w = 8, .dust_params = {}}});
   for (const std::size_t num : {1u, 2u, 3u}) {
     std::stringstream cut(blob.substr(0, blob.size() * num / 4));
     EXPECT_THROW((void)store::load_index(cut, "index store"),
@@ -525,7 +528,8 @@ TEST(IndexStoreReject, TruncatedAtEveryQuarter) {
 
 TEST(IndexStoreReject, CorruptBankSectionNamedInDiagnostic) {
   const auto bank = make_bank(821, 4);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob =
+      store_blob(bank, {store::IndexKey{.w = 8, .dust_params = {}}});
   ASSERT_TRUE(testing::corrupt_section(blob, "BANK"));
   try {
     (void)load_blob(blob);
@@ -538,7 +542,8 @@ TEST(IndexStoreReject, CorruptBankSectionNamedInDiagnostic) {
 
 TEST(IndexStoreReject, CorruptIndexSectionNamedInDiagnostic) {
   const auto bank = make_bank(823, 4);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob =
+      store_blob(bank, {store::IndexKey{.w = 8, .dust_params = {}}});
   ASSERT_TRUE(testing::corrupt_section(blob, "INDX"));
   try {
     (void)load_blob(blob);
@@ -551,7 +556,8 @@ TEST(IndexStoreReject, CorruptIndexSectionNamedInDiagnostic) {
 
 TEST(IndexStoreReject, FutureVersionNamedInDiagnostic) {
   const auto bank = make_bank(825, 2);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob =
+      store_blob(bank, {store::IndexKey{.w = 8, .dust_params = {}}});
   blob[4] = 99;  // version u32 starts at byte 4
   try {
     (void)load_blob(blob);
