@@ -308,7 +308,7 @@ TEST(FrameWriter, ClosedPeerNetErrorEscapesAStreamWithBadbitSet) {
   EXPECT_EQ(frames.bytes_sent(), 0u);
 }
 
-// --- connect failures and deadlines -------------------------------------------
+// --- connect failures and deadlines ------------------------------------------
 
 TEST(Connect, RefusedPortThrowsNetError) {
   Endpoint ep;
