@@ -80,7 +80,7 @@ void BM_UngappedExtensionPlain(benchmark::State& state) {
 BENCHMARK(BM_UngappedExtensionPlain);
 
 // --- match-run kernels, one benchmark per instruction set -------------------
-// Arg(0..2) = scalar / sse4.1 / avx2 on in-frame sequences with ~3%
+// Arg(0) = scalar, Arg(2) = avx2, on in-frame sequences with ~3%
 // substitutions (no indels, which would break the frame): the realistic
 // mix of long match runs and isolated mismatches the step-2 extension
 // walks over.  Unsupported kernels skip.
@@ -117,7 +117,7 @@ void BM_MatchRunKernel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(walked));
   state.SetLabel(ops.name);
 }
-BENCHMARK(BM_MatchRunKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatchRunKernel)->Arg(0)->Arg(2);
 
 void BM_MatchRunKernelBwd(benchmark::State& state) {
   const auto kind = static_cast<align::simd::Kernel>(state.range(0));
@@ -141,7 +141,7 @@ void BM_MatchRunKernelBwd(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(walked));
   state.SetLabel(ops.name);
 }
-BENCHMARK(BM_MatchRunKernelBwd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatchRunKernelBwd)->Arg(0)->Arg(2);
 
 // Whole-scan A/B: the full step-2 seed scan with a pinned kernel, so the
 // end-to-end effect of the SIMD path (kernels + CSR occurrence lists +
@@ -170,7 +170,7 @@ void BM_SeedScanKernel(benchmark::State& state) {
   }
   state.SetLabel(params.kernel->name);
 }
-BENCHMARK(BM_SeedScanKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SeedScanKernel)->Arg(0)->Arg(2);
 
 void BM_OrderedExtension(benchmark::State& state) {
   simulate::Rng rng(7);

@@ -355,11 +355,13 @@ def check_metric_docs_sync() -> None:
 
 # --------------------------------------------------------------------------
 # R8 — one scheduler.  Parallel work runs on util::ThreadPool through
-# run_tasks / parallel_chunks; a second hand-rolled thread loop drifts
-# from the pool's exception capture and task assignment.  Only the
-# pool's own workers, the server's connection threads and the
-# coordinator's per-worker I/O threads may name std::thread or
-# std::jthread (std::thread::hardware_concurrency and friends are fine).
+# util::run_tasks, whose claim loop hands out step-2 shards and step-3
+# slices alike; a second hand-rolled loop drifts from its task
+# assignment and exception capture.  So ThreadPool::submit is called
+# only in util/threading.cpp, and only the pool's own workers, the
+# server's connection threads and the coordinator's per-worker I/O
+# threads may name std::thread or std::jthread
+# (std::thread::hardware_concurrency and friends are fine).
 # --------------------------------------------------------------------------
 
 R8_ALLOWED = {
@@ -368,19 +370,24 @@ R8_ALLOWED = {
     SRC / "dist" / "coordinator.cpp",  # per-worker I/O threads
 }
 R8_THREAD = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+R8_SUBMIT_ALLOWED = SRC / "util" / "threading.cpp"  # run_tasks itself
+R8_SUBMIT = re.compile(r"(?:\.|->)\s*submit\s*\(")
 
 
 def check_single_scheduler() -> None:
     for path in source_files(SRC):
-        if path in R8_ALLOWED:
-            continue
         text = strip_comments(path.read_text())
         for lineno, line in enumerate(text.splitlines(), 1):
-            if R8_THREAD.search(line):
+            if path not in R8_ALLOWED and R8_THREAD.search(line):
                 report("R8-raw-thread", path, lineno,
                        "std::thread outside the pool, the server and the "
                        "coordinator — run parallel work on "
-                       "util::ThreadPool (run_tasks / parallel_chunks)")
+                       "util::ThreadPool through util::run_tasks")
+            if path != R8_SUBMIT_ALLOWED and R8_SUBMIT.search(line):
+                report("R8-raw-submit", path, lineno,
+                       "ThreadPool::submit outside util/threading.cpp — "
+                       "hand parallel work to util::run_tasks, the one "
+                       "loop that assigns tasks and captures exceptions")
 
 
 # --------------------------------------------------------------------------

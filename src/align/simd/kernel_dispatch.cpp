@@ -14,8 +14,6 @@ constexpr KernelOps kScalarOps{Kernel::kScalar, "scalar",
                                &match_run_bwd_scalar};
 
 #if defined(__x86_64__) || defined(__i386__)
-constexpr KernelOps kSse41Ops{Kernel::kSse41, "sse4.1",
-                              &match_run_fwd_sse41, &match_run_bwd_sse41};
 constexpr KernelOps kAvx2Ops{Kernel::kAvx2, "avx2", &match_run_fwd_avx2,
                              &match_run_bwd_avx2};
 #endif
@@ -31,8 +29,6 @@ const char* to_string(Kernel k) {
   switch (k) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kSse41:
-      return "sse4.1";
     case Kernel::kAvx2:
       return "avx2";
   }
@@ -44,12 +40,9 @@ bool cpu_supports(Kernel k) {
     case Kernel::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case Kernel::kSse41:
-      return __builtin_cpu_supports("sse4.1") != 0;
     case Kernel::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
 #else
-    case Kernel::kSse41:
     case Kernel::kAvx2:
       return false;
 #endif
@@ -64,8 +57,6 @@ const KernelOps& kernel(Kernel k) {
   }
   switch (k) {
 #if defined(__x86_64__) || defined(__i386__)
-    case Kernel::kSse41:
-      return kSse41Ops;
     case Kernel::kAvx2:
       return kAvx2Ops;
 #endif
@@ -80,7 +71,6 @@ const KernelOps& dispatch() {
   static const KernelOps* best = [] {
     if (force_scalar_env()) return &kScalarOps;
     if (cpu_supports(Kernel::kAvx2)) return &kernel(Kernel::kAvx2);
-    if (cpu_supports(Kernel::kSse41)) return &kernel(Kernel::kSse41);
     return &kScalarOps;
   }();
   return *best;

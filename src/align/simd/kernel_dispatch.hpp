@@ -2,7 +2,7 @@
 //
 // The step-2 scan spends its time in two-sided ungapped extension, whose
 // inner loop is "walk identical concrete bases until the first mismatch".
-// That primitive vectorizes cleanly (compare 16/32 code bytes, movemask,
+// That primitive vectorizes cleanly (compare 32 code bytes, movemask,
 // count zeros — see kernels.hpp), while the x-drop scoring and the ORIS
 // order-abort bookkeeping stay scalar and only run once per *match-run
 // boundary* instead of once per character.
@@ -32,7 +32,9 @@
 
 namespace scoris::align::simd {
 
-enum class Kernel { kScalar = 0, kSse41 = 1, kAvx2 = 2 };
+/// The values are what the scoris_simd_kernel_level gauge reports, so they
+/// stay fixed; 1 is unassigned.
+enum class Kernel { kScalar = 0, kAvx2 = 2 };
 
 /// One kernel's entry points (see kernels.hpp for the exact semantics
 /// and the bounds contract).  References returned by the dispatch layer
@@ -46,7 +48,7 @@ struct KernelOps {
                                std::size_t max) = nullptr;
 };
 
-/// "scalar" / "sse4.1" / "avx2".
+/// "scalar" / "avx2".
 [[nodiscard]] const char* to_string(Kernel k);
 
 /// True when this build AND this CPU can run `k` (scalar: always).

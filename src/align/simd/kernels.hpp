@@ -5,9 +5,9 @@
 // character pair counts as a match exactly when a[i] == b[i] AND a[i] < 4:
 // equal kAmbiguous or kSentinel bytes compare equal but are NOT matches,
 // which is precisely the `is_base(a) && a == b` predicate of the scalar
-// x-drop loops.  The SIMD variants evaluate 16 (SSE4.1) or 32 (AVX2)
-// characters per iteration and reduce to the first mismatch via
-// movemask + count-trailing/leading-zeros.
+// x-drop loops.  The AVX2 variant evaluates 32 characters per iteration
+// and reduces to the first mismatch via movemask +
+// count-trailing/leading-zeros.
 //
 // Bounds contract: a caller passes `max`, the number of characters it can
 // legally read in the walk direction, and every load stays inside those
@@ -36,10 +36,6 @@ std::size_t match_run_bwd_scalar(const seqio::Code* a, const seqio::Code* b,
                                  std::size_t max);
 
 #if defined(__x86_64__) || defined(__i386__)
-std::size_t match_run_fwd_sse41(const seqio::Code* a, const seqio::Code* b,
-                                std::size_t max);
-std::size_t match_run_bwd_sse41(const seqio::Code* a, const seqio::Code* b,
-                                std::size_t max);
 std::size_t match_run_fwd_avx2(const seqio::Code* a, const seqio::Code* b,
                                std::size_t max);
 std::size_t match_run_bwd_avx2(const seqio::Code* a, const seqio::Code* b,

@@ -542,7 +542,7 @@ Form flat_form(CliConfig& c) {
                   run_flags(c),
                   {on("kernel", c.kernel_probe,
                       "print the match-run kernel this machine\n"
-                      "dispatches to (scalar/sse4.1/avx2) and exit")
+                      "dispatches to (scalar/avx2) and exit")
                        .stops(),
                    help_flag(c.help),
                    on("version", c.version, "show version and exit").stops()}}),

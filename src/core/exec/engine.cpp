@@ -40,7 +40,7 @@ struct EngineMetrics {
                     "(strand x slice) plan groups executed"),
           r.gauge("scoris_simd_kernel_level",
                   "Match-run kernel of the last run "
-                  "(0=scalar, 1=sse4.1, 2=avx2)"),
+                  "(0=scalar, 2=avx2)"),
       };
     }();
     return *m;
@@ -49,7 +49,12 @@ struct EngineMetrics {
 
 /// Span label for a plan group, e.g. "g0+" / "g3-".
 std::string group_label(std::uint32_t gid, bool minus) {
-  return "g" + std::to_string(gid) + (minus ? "-" : "+");
+  // Appended, not `"g" + std::to_string(gid)`: libstdc++ builds that by
+  // inserting at the front, which g++ 12 flags with a false -Wrestrict.
+  std::string label = "g";
+  label += std::to_string(gid);
+  label += minus ? '-' : '+';
+  return label;
 }
 
 using align::Hsp;
@@ -205,8 +210,12 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       const std::size_t id = group.first_shard + s;
       const Shard& shard = plan.shards[id];
       util::WallTimer ts;
+      // Scan into a local, not the slot: neighbouring slots share cache
+      // lines, and the claim loop runs neighbouring shards at once.
+      SeedScanResult out;
       scan_seed_range(idx1, idx2, scan_params, shard.codes.lo,
-                      shard.codes.hi, partials[s]);
+                      shard.codes.hi, out);
+      partials[s] = std::move(out);
       shard_seconds[id] = ts.seconds();
     };
     if (request.pool != nullptr) {

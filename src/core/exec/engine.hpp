@@ -7,9 +7,9 @@
 //   groups   each (strand x bank2-slice) group is processed in plan
 //            order: the slice is materialized (and reverse-complemented
 //            for minus groups), masked and indexed as a SubjectIndex (no
-//            4^W array), its seed-code shards run on the static or
-//            work-stealing scheduler over that one shared index, and the
-//            group's HSPs feed the gapped stage;
+//            4^W array), its seed-code shards run through util::run_tasks
+//            (static or claim-the-next-shard) over that one shared
+//            index, and the group's HSPs feed the gapped stage;
 //   merge    group alignments are remapped to bank2-global coordinates
 //            and delivered to the HitSink in the canonical step-4 order:
 //            a single-group plan delivers its group the moment it

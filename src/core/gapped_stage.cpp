@@ -1,7 +1,6 @@
 #include "core/gapped_stage.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <tuple>
 
@@ -169,8 +168,7 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
                      std::tuple(y.seq2, y.hsp.diagonal(), y.hsp.s1, y.hsp.s2);
             });
 
-  // Slice boundaries at subject-sequence changes, grouped into ~uniform
-  // chunks for the pool.
+  // Slice boundaries at subject-sequence changes: one pool task each.
   std::vector<std::size_t> starts;  // slice start offsets
   for (std::size_t i = 0; i < keyed.size(); ++i) {
     if (i == 0 || keyed[i].seq2 != keyed[i - 1].seq2) starts.push_back(i);
@@ -178,7 +176,7 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
   starts.push_back(keyed.size());
 
   std::vector<GappedAlignment> result;
-  const std::size_t num_slices = starts.empty() ? 0 : starts.size() - 1;
+  const std::size_t num_slices = starts.size() - 1;
   const std::size_t workers = options.pool != nullptr
                                   ? options.pool->thread_count()
                                   : static_cast<std::size_t>(
@@ -191,20 +189,24 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
   } else {
     std::vector<std::vector<GappedAlignment>> partial(num_slices);
     std::vector<GappedStageStats> partial_stats(num_slices);
-    const auto run_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        process_slice(keyed.data() + starts[s], starts[s + 1] - starts[s],
-                      bank1, bank2, karlin, options, partial[s],
-                      partial_stats[s]);
-      }
+    const auto run_slice = [&](std::size_t s) {
+      process_slice(keyed.data() + starts[s], starts[s + 1] - starts[s], bank1,
+                    bank2, karlin, options, partial[s], partial_stats[s]);
     };
     if (options.pool != nullptr) {
-      util::parallel_chunks(*options.pool, 0, num_slices, run_range);
+      util::run_tasks(*options.pool, num_slices, util::Schedule::kStealing,
+                      run_slice);
     } else {
-      util::parallel_chunks(0, num_slices, workers, run_range);
+      util::run_tasks(num_slices, workers, util::Schedule::kStealing,
+                      run_slice);
     }
+    std::size_t total = 0;
+    for (const auto& p : partial) total += p.size();
+    result.reserve(total);
     for (std::size_t s = 0; s < num_slices; ++s) {
       result.insert(result.end(), partial[s].begin(), partial[s].end());
+      // Freed once copied, so the copy never holds every alignment twice.
+      std::vector<GappedAlignment>().swap(partial[s]);
       st.skipped_contained += partial_stats[s].skipped_contained;
       st.gapped_extensions += partial_stats[s].gapped_extensions;
       st.fast_path += partial_stats[s].fast_path;

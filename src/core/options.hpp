@@ -60,8 +60,8 @@ struct Options {
   /// the bank1 dictionary's occupancy histogram (see core/exec/plan.hpp);
   /// the m8 output is invariant under this knob.
   std::size_t shards = 0;
-  /// How shards are assigned to workers (static round-robin or
-  /// work-stealing).  Output-invariant, like `shards`.
+  /// How shards are assigned to workers (static round-robin, or each
+  /// worker claims the next shard).  Output-invariant, like `shards`.
   util::Schedule schedule = util::Schedule::kStealing;
   std::size_t max_gap_extent = 1u << 20;
   /// Ablation switch (bench A1): when false, step 2 uses the plain

@@ -59,7 +59,7 @@ struct PipelineStats {
   std::size_t index_chain_bytes = 0;  ///< per-word arrays, both
   std::size_t index_positions = 0;    ///< bank positions of both indexes
   std::size_t masked_bases = 0;     ///< DUST-masked positions, both banks
-  /// Match-run kernel the step-2 extensions ran with ("scalar", "sse4.1",
+  /// Match-run kernel the step-2 extensions ran with ("scalar" or
   /// "avx2") — the dispatcher's pick, or scalar when forced by the
   /// Options knob / SCORIS_FORCE_SCALAR.
   const char* simd_kernel = "scalar";

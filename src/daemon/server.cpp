@@ -75,7 +75,10 @@ struct Server::Conversation final : net::Service {
 
   void converse(net::Connection& conn) override;
   void refuse(net::Socket& sock, obs::Logger& log) override;
-  void connection_failed() override { count(&ServerCounters::failed); }
+  // `failed` counts queries: one that died with its connection counted
+  // itself in serve_query, and a conversation that failed outside a
+  // query was no query.
+  void connection_failed() override {}
   void serve_query(net::Connection& conn, const net::Frame& request);
 };
 

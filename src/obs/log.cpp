@@ -112,7 +112,9 @@ std::string rfc3339_utc_now() {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Seven int fields of at most 11 characters ("-2147483648"), seven
+  // separators and the terminator: no field value can truncate the stamp.
+  char buf[7 * 11 + 7 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(millis));

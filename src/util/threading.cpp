@@ -1,6 +1,7 @@
 #include "util/threading.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "obs/metrics.hpp"
@@ -14,7 +15,6 @@ namespace {
 /// saturation signal a loaded daemon needs.
 struct PoolMetrics {
   obs::Counter& tasks;
-  obs::Counter& steals;
   obs::Gauge& queue_depth;
 
   static PoolMetrics& get() {
@@ -23,8 +23,6 @@ struct PoolMetrics {
       return new PoolMetrics{
           r.counter("scoris_pool_tasks_total",
                     "Tasks executed by thread pools"),
-          r.counter("scoris_exec_steals_total",
-                    "Tasks that migrated between workers (kStealing)"),
           r.gauge("scoris_pool_queue_depth",
                   "Tasks queued across all live pools"),
       };
@@ -135,77 +133,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_chunks(std::size_t begin, std::size_t end, std::size_t threads,
-                     const std::function<void(std::size_t, std::size_t)>& fn,
-                     std::size_t chunks_per_thread) {
-  if (end <= begin) return;
-  const std::size_t span = end - begin;
-  if (threads <= 1 || span == 1) {
-    fn(begin, end);
-    return;
-  }
-  ThreadPool pool(threads);
-  parallel_chunks(pool, begin, end, fn, chunks_per_thread);
-}
-
-void parallel_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t, std::size_t)>& fn,
-                     std::size_t chunks_per_thread) {
-  if (end <= begin) return;
-  const std::size_t span = end - begin;
-  const std::size_t threads = pool.thread_count();
-  if (threads <= 1 || span == 1) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t chunks =
-      std::min(span, std::max<std::size_t>(1, threads * chunks_per_thread));
-  const std::size_t step = (span + chunks - 1) / chunks;
-  TaskBatch batch((span + step - 1) / step);
-  for (std::size_t lo = begin; lo < end; lo += step) {
-    const std::size_t hi = std::min(end, lo + step);
-    pool.submit([&fn, &batch, lo, hi] {
-      batch.run([&fn, lo, hi] { fn(lo, hi); });
-    });
-  }
-  batch.wait();
-}
-
-WorkStealingQueue::WorkStealingQueue(std::size_t count, std::size_t workers)
-    : deques_(std::max<std::size_t>(1, workers)) {
-  const std::size_t n = deques_.size();
-  for (std::size_t w = 0; w < n; ++w) {
-    const std::size_t lo = count * w / n;
-    const std::size_t hi = count * (w + 1) / n;
-    for (std::size_t t = lo; t < hi; ++t) deques_[w].tasks.push_back(t);
-  }
-}
-
-bool WorkStealingQueue::pop(std::size_t worker, std::size_t& task) {
-  const std::size_t n = deques_.size();
-  worker %= n;
-  {
-    PerWorker& own = deques_[worker];
-    MutexLock lock(own.mu);
-    if (!own.tasks.empty()) {
-      task = own.tasks.front();
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  for (std::size_t k = 1; k < n; ++k) {
-    PerWorker& victim = deques_[(worker + k) % n];
-    MutexLock lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      task = victim.tasks.back();
-      victim.tasks.pop_back();
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 void run_tasks(std::size_t count, std::size_t threads, Schedule schedule,
                const std::function<void(std::size_t)>& fn) {
   const std::size_t n = std::min(threads, count);
@@ -226,29 +153,22 @@ void run_tasks(ThreadPool& pool, std::size_t count, Schedule schedule,
     return;
   }
 
+  // kStatic: worker w runs tasks w, w + n, ...  kStealing: every worker
+  // claims the next index from one cursor until the tasks run out.
+  std::atomic<std::size_t> next{0};
   TaskBatch batch(n);
-  if (schedule == Schedule::kStatic) {
-    for (std::size_t w = 0; w < n; ++w) {
-      pool.submit([&fn, &batch, w, n, count] {
-        batch.run([&fn, w, n, count] {
-          for (std::size_t t = w; t < count; t += n) fn(t);
-        });
-      });
-    }
-    batch.wait();
-    return;
-  }
-  WorkStealingQueue queue(count, n);
   for (std::size_t w = 0; w < n; ++w) {
-    pool.submit([&fn, &batch, &queue, w] {
-      batch.run([&fn, &queue, w] {
-        std::size_t task = 0;
-        while (queue.pop(w, task)) fn(task);
+    pool.submit([&fn, &batch, &next, schedule, w, n, count] {
+      batch.run([&fn, &next, schedule, w, n, count] {
+        if (schedule == Schedule::kStatic) {
+          for (std::size_t t = w; t < count; t += n) fn(t);
+          return;
+        }
+        for (std::size_t t = next++; t < count; t = next++) fn(t);
       });
     });
   }
   batch.wait();
-  PoolMetrics::get().steals.inc(queue.stolen());
 }
 
 }  // namespace scoris::util

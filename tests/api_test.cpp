@@ -18,6 +18,7 @@
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "store/index_store.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris {
 namespace {
@@ -149,8 +150,8 @@ TEST(SessionStreaming, SpillForcedDeliveryBudgetMatchesAndStaysBounded) {
   Banks banks;
   for (int i = 0; i < 40; ++i) {
     const auto codes = simulate::random_codes(rng, 150);
-    banks.bank1.add_codes("q" + std::to_string(i), codes);
-    banks.bank2.add_codes("s" + std::to_string(i), codes);
+    banks.bank1.add_codes(testing::numbered("q", i), codes);
+    banks.bank2.add_codes(testing::numbered("s", i), codes);
   }
   core::Options options;
   options.strand = seqio::Strand::kBoth;
@@ -243,7 +244,7 @@ TEST(SessionReuse, ReferenceIndexedExactlyOnce) {
   simulate::Rng rng(48);
   seqio::SequenceBank other("other");
   for (int i = 0; i < 4; ++i) {
-    other.add_codes("o" + std::to_string(i),
+    other.add_codes(testing::numbered("o", i),
                     simulate::random_codes(rng, 300));
   }
 

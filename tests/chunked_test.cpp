@@ -14,6 +14,7 @@
 #include "simulate/generators.hpp"
 #include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris::core {
 namespace {
@@ -51,7 +52,7 @@ TEST(SliceBank, CopiesRangeWithNamesAndContent) {
   simulate::Rng rng(601);
   seqio::SequenceBank bank("orig");
   for (int i = 0; i < 6; ++i) {
-    bank.add_codes("s" + std::to_string(i),
+    bank.add_codes(testing::numbered("s", i),
                    simulate::random_codes(rng, 50 + 10 * static_cast<std::size_t>(i)));
   }
   const auto slice = slice_bank(bank, 2, 5);
@@ -193,8 +194,8 @@ TEST(Chunked, BudgetDrivesChunkCount) {
   simulate::Rng rng(613);
   seqio::SequenceBank b1("b1"), b2("b2");
   for (int i = 0; i < 20; ++i) {
-    b1.add_codes("a" + std::to_string(i), simulate::random_codes(rng, 2000));
-    b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 2000));
+    b1.add_codes(testing::numbered("a", i), simulate::random_codes(rng, 2000));
+    b2.add_codes(testing::numbered("b", i), simulate::random_codes(rng, 2000));
   }
   // Budget just over one dictionary + index1: forces many slices.
   const auto r_tight = search_sliced(
@@ -212,7 +213,7 @@ TEST(PlanBudgetSlices, BudgetSmallerThanBank1DegradesToFinestCut) {
   simulate::Rng rng(619);
   seqio::SequenceBank b2("b2");
   for (int i = 0; i < 7; ++i) {
-    b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 400));
+    b2.add_codes(testing::numbered("b", i), simulate::random_codes(rng, 400));
   }
   ChunkedOptions copt;
   copt.memory_budget_bytes = 1000;  // far below any bank1 index
@@ -256,7 +257,7 @@ TEST(PlanBudgetSlices, MinChunksClampsToSequenceCount) {
   simulate::Rng rng(623);
   seqio::SequenceBank b2("b2");
   for (int i = 0; i < 3; ++i) {
-    b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 200));
+    b2.add_codes(testing::numbered("b", i), simulate::random_codes(rng, 200));
   }
   ChunkedOptions copt;
   copt.memory_budget_bytes = std::size_t{4} << 30;

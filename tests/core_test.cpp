@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "api/session.hpp"
 #include "core/gapped_stage.hpp"
@@ -14,6 +16,7 @@
 #include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
 #include "test_helpers.hpp"
+#include "util/threading.hpp"
 
 namespace scoris::core {
 namespace {
@@ -307,6 +310,58 @@ TEST(GappedStage, SortedByEvalue) {
   for (std::size_t i = 1; i < alignments.size(); ++i) {
     EXPECT_LE(alignments[i - 1].evalue, alignments[i].evalue);
   }
+}
+
+/// Every field of an alignment, for exact comparisons across runs.
+auto alignment_key(const align::GappedAlignment& a) {
+  return std::tuple(a.s1, a.e1, a.s2, a.e2, a.score, a.stats.length,
+                    a.stats.matches, a.stats.mismatches, a.stats.gap_opens,
+                    a.stats.gap_columns, a.evalue, a.bitscore, a.seq1, a.seq2,
+                    a.minus);
+}
+
+auto stats_key(const GappedStageStats& s) {
+  return std::tuple(s.hsps_in, s.skipped_contained, s.gapped_extensions,
+                    s.fast_path, s.second_dp, s.below_cutoff,
+                    s.exact_duplicates);
+}
+
+// Each subject sequence is one task that any worker may claim, and the
+// slots concatenate in sequence order, so neither the alignments nor the
+// counters depend on the worker count or on where the workers come from.
+TEST(GappedStage, SameResultAtEveryWorkerCount) {
+  simulate::Rng rng(67);
+  const auto hp = simulate::make_homologous_pair(rng, 300, 48, 40, 0.1);
+  const SeedCoder coder(11);
+  const BankIndex i1(hp.bank1, coder), i2(hp.bank2, coder);
+  const auto hsps = enumerate_ordered_hsps(i1, i2, 18, align::ScoringParams{});
+  const auto karlin = stats::karlin_match_mismatch(1, 3);
+  const auto run = [&](const GappedStageOptions& opt) {
+    auto copy = hsps;
+    GappedStageStats st;
+    std::vector<decltype(alignment_key(align::GappedAlignment{}))> keys;
+    for (const auto& a :
+         gapped_stage(copy, hp.bank1, hp.bank2, karlin, opt, &st)) {
+      keys.push_back(alignment_key(a));
+    }
+    return std::pair(keys, stats_key(st));
+  };
+
+  std::set<std::size_t> subjects;
+  for (const auto& h : hsps) subjects.insert(hp.bank2.seq_of_pos(h.s2));
+  ASSERT_GE(subjects.size(), 30u);  // many slices to hand out
+
+  const auto serial = run({});
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    util::ThreadPool pool(workers);
+    GappedStageOptions opt;
+    opt.pool = &pool;
+    EXPECT_TRUE(run(opt) == serial) << "pool of " << workers;
+  }
+  GappedStageOptions spawning;
+  spawning.threads = 4;
+  EXPECT_TRUE(run(spawning) == serial) << "threads = 4, no pool";
 }
 
 // --- pipeline --------------------------------------------------------------------

@@ -23,6 +23,8 @@
 #include "api/sinks.hpp"
 #include "daemon/server.hpp"
 #include "net/client.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "seqio/fasta.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -388,6 +390,36 @@ TEST(Daemon, MidStreamDisconnectDoesNotDisturbOtherClients) {
   // server) and nothing else may remain in the scratch dir.
   EXPECT_LE(daemon.scratch().entries(), 1u)
       << "aborted networked query leaked spill files";
+}
+
+// `failed` counts queries: a client that vanishes mid-query fails that
+// query once, not once more for its connection.  The raw client sends
+// one QRY and closes without reading, so on a unix socket the server's
+// first send for the query fails at once.
+TEST(Daemon, DroppedQueryCountsAsOneFailure) {
+  DaemonFixture daemon;
+  {
+    net::Socket sock = net::connect_endpoint(daemon.server().endpoint());
+    net::Frame hello;
+    ASSERT_TRUE(net::read_frame(sock, hello));
+    ASSERT_EQ(hello.tag, net::kHelloTag);
+    net::PayloadWriter query;
+    query.put_u8(static_cast<std::uint8_t>(net::QueryStrand::kDefault));
+    query.put_bytes(daemon.fasta());
+    net::write_frame(sock, net::kQueryTag, query.take());
+  }
+  // stop() would close a connection still waiting for its frame, so wait
+  // (bounded) until the query has failed before draining.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (daemon.server().counters().failed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  daemon.stop();
+  const daemon::ServerCounters counters = daemon.server().counters();
+  EXPECT_EQ(counters.served, 0u);
+  EXPECT_EQ(counters.failed, 1u);
 }
 
 TEST(Daemon, GracefulStopDrainsAndRemovesTheSocket) {

@@ -22,6 +22,7 @@
 #include "simulate/mutate.hpp"
 #include "simulate/rng.hpp"
 #include "stats/karlin.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris::core::exec {
 namespace {
@@ -29,9 +30,9 @@ namespace {
 seqio::SequenceBank random_bank(std::uint64_t seed, int sequences,
                                 std::size_t len) {
   simulate::Rng rng(seed);
-  seqio::SequenceBank bank("b" + std::to_string(seed));
+  seqio::SequenceBank bank(testing::numbered("b", seed));
   for (int i = 0; i < sequences; ++i) {
-    bank.add_codes("s" + std::to_string(i), simulate::random_codes(rng, len));
+    bank.add_codes(testing::numbered("s", i), simulate::random_codes(rng, len));
   }
   return bank;
 }

@@ -126,7 +126,7 @@ TEST(BankIndex, MatchesNaiveEnumerationOnRandomBank) {
   seqio::SequenceBank bank("rand");
   for (int i = 0; i < 5; ++i) {
     const auto s = simulate::random_codes(rng, 300 + rng.next_below(200));
-    bank.add_codes("s" + std::to_string(i), s);
+    bank.add_codes(testing::numbered("s", i), s);
   }
   const SeedCoder coder(6);
   const BankIndex idx(bank, coder);

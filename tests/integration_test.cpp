@@ -13,6 +13,7 @@
 #include "simulate/generators.hpp"
 #include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris {
 namespace {
@@ -104,7 +105,7 @@ TEST(Integration, SelfComparisonFindsSelfAlignments) {
   simulate::Rng rng(207);
   seqio::SequenceBank bank("self");
   for (int i = 0; i < 3; ++i) {
-    bank.add_codes("s" + std::to_string(i),
+    bank.add_codes(testing::numbered("s", i),
                    simulate::random_codes(rng, 300));
   }
   const core::Result r = Session(bank).search_collect(bank);
@@ -149,8 +150,8 @@ TEST(Integration, LargeishRandomBanksStayClean) {
   simulate::Rng rng(213);
   seqio::SequenceBank b1("big1"), b2("big2");
   for (int i = 0; i < 50; ++i) {
-    b1.add_codes("a" + std::to_string(i), simulate::random_codes(rng, 2000));
-    b2.add_codes("b" + std::to_string(i), simulate::random_codes(rng, 2000));
+    b1.add_codes(testing::numbered("a", i), simulate::random_codes(rng, 2000));
+    b2.add_codes(testing::numbered("b", i), simulate::random_codes(rng, 2000));
   }
   const core::Result sr = Session(b1).search_collect(b2);
   const blast::BlastResult br = blast::BlastN().run(b1, b2);

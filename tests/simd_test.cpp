@@ -1,5 +1,5 @@
 // Differential tests for the SIMD match-run kernels and their dispatch
-// layer: every kernel (scalar, SSE4.1, AVX2) must produce IDENTICAL
+// layer: every kernel (scalar, AVX2) must produce IDENTICAL
 // results — the same run lengths, the same HSP sets, the same order-abort
 // decisions — because the CI determinism matrix byte-diffs forced-scalar
 // m8 output against the dispatched run.  Kernels the CPU lacks are
@@ -42,7 +42,7 @@ using testing_str = std::basic_string<Code>;
 /// Every kernel the build AND this CPU can run (scalar always included).
 std::vector<const KernelOps*> supported_kernels() {
   std::vector<const KernelOps*> out;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse41, Kernel::kAvx2}) {
+  for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2}) {
     if (align::simd::cpu_supports(k)) {
       out.push_back(&align::simd::kernel(k));
     }
@@ -136,17 +136,10 @@ TEST_P(KernelSweep, AgreesWithScalarOnRandomArrays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelSweep,
-                         ::testing::Values(Kernel::kScalar, Kernel::kSse41,
-                                           Kernel::kAvx2),
+                         ::testing::Values(Kernel::kScalar, Kernel::kAvx2),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Kernel::kSse41:
-                               return "Sse41";
-                             case Kernel::kAvx2:
-                               return "Avx2";
-                             default:
-                               return "Scalar";
-                           }
+                           return info.param == Kernel::kAvx2 ? "Avx2"
+                                                              : "Scalar";
                          });
 
 // --- dispatch layer ---------------------------------------------------------
@@ -166,9 +159,8 @@ TEST(KernelDispatch, DispatchReturnsSupportedKernel) {
 }
 
 TEST(KernelDispatch, UnsupportedKernelThrows) {
-  for (const Kernel k : {Kernel::kSse41, Kernel::kAvx2}) {
-    if (align::simd::cpu_supports(k)) continue;
-    EXPECT_THROW((void)align::simd::kernel(k), std::runtime_error);
+  if (!align::simd::cpu_supports(Kernel::kAvx2)) {
+    EXPECT_THROW((void)align::simd::kernel(Kernel::kAvx2), std::runtime_error);
   }
   // Scalar can never throw.
   EXPECT_NO_THROW((void)align::simd::kernel(Kernel::kScalar));
@@ -220,7 +212,7 @@ seqio::SequenceBank nasty_bank(simulate::Rng& rng, const std::string& name,
     for (auto& c : codes) {
       if (rng.next_bool(0.02)) c = kAmbiguous;
     }
-    bank.add_codes("s" + std::to_string(s), codes);
+    bank.add_codes(testing::numbered("s", s), codes);
   }
   return bank;
 }

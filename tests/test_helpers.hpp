@@ -25,6 +25,16 @@ inline CodeStr codes_of(std::string_view bases) {
   return seqio::encode(bases);
 }
 
+/// `prefix` followed by the decimal `i`, e.g. numbered("s", 3) == "s3".
+/// It appends instead of writing `"s" + std::to_string(i)`: libstdc++'s
+/// `const char* + std::string&&` inserts at the front, which g++ 12
+/// flags with a false -Wrestrict once it is inlined.
+inline std::string numbered(std::string_view prefix, std::uint64_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 /// 64-bit FNV-1a of `bytes` — a compact fingerprint for pinning output
 /// bytes in tests (not a cryptographic digest).
 inline std::uint64_t fnv1a64(std::string_view bytes) {

@@ -18,7 +18,6 @@
 namespace {
 
 using scoris::util::ThreadPool;
-using scoris::util::parallel_chunks;
 
 TEST(ThreadPoolStress, ManyTasksFromManyProducers) {
   ThreadPool pool(4);
@@ -115,75 +114,8 @@ TEST(ThreadPoolStress, DestructorJoinsQuietlyAfterWaitIdle) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ParallelChunksStress, MoreThreadsThanItems) {
-  std::vector<std::atomic<int>> hits(3);
-  parallel_chunks(0, 3, 16, [&hits](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelChunksStress, LargeRangeCoveredExactlyOnce) {
-  constexpr std::size_t kN = 100000;
-  std::vector<std::atomic<unsigned char>> hits(kN);
-  parallel_chunks(0, kN, 8, [&hits](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "position " << i;
-  }
-}
-
 using scoris::util::run_tasks;
 using scoris::util::Schedule;
-using scoris::util::WorkStealingQueue;
-
-TEST(WorkStealingQueue, HandsOutEveryTaskExactlyOnce) {
-  constexpr std::size_t kTasks = 97;
-  WorkStealingQueue queue(kTasks, 4);
-  std::vector<int> seen(kTasks, 0);
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < queue.workers(); ++w) {
-    workers.emplace_back([&queue, &seen, w] {
-      std::size_t task = 0;
-      while (queue.pop(w, task)) {
-        ++seen[task];
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(seen[i], 1) << "task " << i;
-  }
-}
-
-TEST(WorkStealingQueue, SingleWorkerDrainsInOrder) {
-  WorkStealingQueue queue(5, 1);
-  std::size_t task = 0;
-  for (std::size_t expect = 0; expect < 5; ++expect) {
-    ASSERT_TRUE(queue.pop(0, task));
-    EXPECT_EQ(task, expect);
-  }
-  EXPECT_FALSE(queue.pop(0, task));
-  EXPECT_EQ(queue.stolen(), 0u);
-}
-
-TEST(WorkStealingQueue, IdleWorkerStealsFromLoadedPeer) {
-  // Two workers, all tasks dealt to blocks: worker 1's own half plus
-  // whatever it can steal from worker 0's tail once its deque drains.
-  WorkStealingQueue queue(8, 2);
-  std::size_t task = 0;
-  // Worker 1 drains its own block (tasks 4..7), then steals from 0.
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.pop(1, task));
-  ASSERT_TRUE(queue.pop(1, task));
-  EXPECT_EQ(queue.stolen(), 1u);
-  EXPECT_EQ(task, 3u);  // stolen from the *tail* of worker 0's block
-}
 
 class RunTasksSchedules
     : public ::testing::TestWithParam<Schedule> {};
@@ -231,22 +163,6 @@ TEST_P(RunTasksSchedules, PoolOverloadRunsEveryTaskExactlyOnceAcrossCalls) {
   }
 }
 
-TEST(ParallelChunksPool, CoversRangeExactlyOnceAcrossCalls) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::atomic<int>> hits(100);
-    parallel_chunks(pool, 0, hits.size(),
-                    [&hits](std::size_t lo, std::size_t hi) {
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        hits[i].fetch_add(1, std::memory_order_relaxed);
-                      }
-                    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "round=" << round << " i=" << i;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Schedules, RunTasksSchedules,
                          ::testing::Values(Schedule::kStatic,
                                            Schedule::kStealing),
@@ -256,11 +172,36 @@ INSTANTIATE_TEST_SUITE_P(Schedules, RunTasksSchedules,
                                       : "Stealing";
                          });
 
+/// kStealing hands each worker the next unclaimed task, so a worker held
+/// up by a long task leaves the rest to its peer: task 0 waits (bounded)
+/// until tasks 1-7 have run, which only the other worker can do.  A
+/// fixed assignment (kStatic) would leave tasks 2, 4 and 6 behind it.
+TEST(RunTasksStealing, IdleWorkerClaimsEveryTaskBehindABusyOne) {
+  ThreadPool pool(2);
+  constexpr std::size_t kTasks = 8;
+  std::atomic<std::size_t> others_done{0};
+  bool others_ran_first = false;
+  run_tasks(pool, kTasks, Schedule::kStealing, [&](std::size_t t) {
+    if (t != 0) {
+      ++others_done;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done < kTasks - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    others_ran_first = others_done == kTasks - 1;
+  });
+  EXPECT_TRUE(others_ran_first);
+}
+
 // --- exception propagation ---------------------------------------------------
-// A task that throws must surface at the run_tasks/parallel_chunks call
-// site (not std::terminate the pool worker): the daemon relies on this
-// to unwind an aborted query — RAII spill cleanup runs, the pool
-// survives — when a sink fails mid-search.
+// A task that throws must surface at the run_tasks call site (not
+// std::terminate the pool worker): the daemon relies on this to unwind
+// an aborted query — RAII spill cleanup runs, the pool survives — when
+// a sink fails mid-search.
 
 TEST(RunTasksExceptions, SpawningOverloadRethrowsAtCallSite) {
   for (const Schedule schedule : {Schedule::kStatic, Schedule::kStealing}) {
@@ -292,24 +233,6 @@ TEST(RunTasksExceptions, PoolOverloadRethrowsAndPoolSurvives) {
     });
     EXPECT_EQ(ran.load(), 8);
   }
-}
-
-TEST(ParallelChunksExceptions, BothOverloadsRethrow) {
-  EXPECT_THROW(parallel_chunks(0, 100, 4,
-                               [](std::size_t lo, std::size_t /*hi*/) {
-                                 if (lo == 0) {
-                                   throw std::runtime_error("chunk");
-                                 }
-                               }),
-               std::runtime_error);
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_chunks(pool, 0, 100,
-                               [](std::size_t lo, std::size_t /*hi*/) {
-                                 if (lo == 0) {
-                                   throw std::runtime_error("chunk");
-                                 }
-                               }),
-               std::runtime_error);
 }
 
 // --- concurrent callers on one pool ------------------------------------------

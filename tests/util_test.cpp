@@ -1,9 +1,8 @@
-// Tests for src/util: thread pool, parallel_chunks, argparse, table,
-// strings, timer.
+// Tests for src/util: thread pool, argparse, table, strings, timer.
+// (threading_test.cpp covers run_tasks.)
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <sstream>
 
 #include "util/argparse.hpp"
@@ -49,28 +48,6 @@ TEST(ThreadPool, TasksCanSubmitMoreWork) {
   });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ParallelChunks, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> touched(1000);
-  parallel_chunks(0, 1000, 4, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) touched[i].fetch_add(1);
-  });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ParallelChunks, SingleThreadInline) {
-  std::vector<int> touched(64, 0);
-  parallel_chunks(0, 64, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++touched[i];
-  });
-  EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 64);
-}
-
-TEST(ParallelChunks, EmptyRangeIsNoop) {
-  bool called = false;
-  parallel_chunks(5, 5, 4, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(Args, ParsesFlagValueForms) {
