@@ -205,10 +205,15 @@ void BM_GappedExtension(benchmark::State& state) {
   const auto copy =
       simulate::mutate(rng, base, simulate::MutationModel::with_divergence(0.06));
   const align::ScoringParams params;
+  std::size_t cells = 0;  // x-drop DP cells per call
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::extend_gapped(base, copy, 2000, 2000, params));
+    const align::GappedExtent ext =
+        align::extend_gapped(base, copy, 2000, 2000, params);
+    benchmark::DoNotOptimize(ext);
+    cells = ext.cells;
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
 }
 BENCHMARK(BM_GappedExtension);
 
@@ -218,12 +223,16 @@ void BM_BandedGlobalStats(benchmark::State& state) {
   const auto copy =
       simulate::mutate(rng, base, simulate::MutationModel::with_divergence(0.05));
   const align::ScoringParams params;
+  std::size_t cells = 0;  // banded DP cells per call
   for (auto _ : state) {
     std::int32_t score = 0;
     benchmark::DoNotOptimize(align::banded_global_stats(
         base, 0, static_cast<seqio::Pos>(base.size()), copy, 0,
-        static_cast<seqio::Pos>(copy.size()), params, &score));
+        static_cast<seqio::Pos>(copy.size()), params, &score, nullptr,
+        &cells));
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
 }
 BENCHMARK(BM_BandedGlobalStats);
 

@@ -1,7 +1,7 @@
 #include "align/gapped.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -16,16 +16,22 @@ using seqio::Pos;
 
 constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
 
+// Both DP loops write each cell update without branches on cell values:
+// H, E and F are taken with std::max, dead states are clamped back to
+// exactly kNegInf (so every comparison reads as it would behind a
+// `> kNegInf` guard), and the trace bits come from compares and ORs.
+
 struct OneDirResult {
   std::int32_t score = 0;
   std::size_t len1 = 0;  // characters of seq1 consumed at the best cell
   std::size_t len2 = 0;
+  std::size_t cells = 0;  // DP cells computed in rows 1..
 };
 
-/// Reusable per-thread DP scratch.  Step 3 runs one extension per HSP, so
-/// avoiding a fresh allocation per call matters; the arrays grow to the
+/// Reusable per-thread x-drop scratch.  Step 3 runs one extension per HSP,
+/// so avoiding a fresh allocation per call matters; the arrays grow to the
 /// longest extension seen by this thread and are reused.
-struct Scratch {
+struct XdropScratch {
   std::vector<std::int32_t> h_prev;
   std::vector<std::int32_t> h_cur;
   std::vector<std::int32_t> f;
@@ -40,15 +46,35 @@ struct Scratch {
   }
 };
 
-thread_local Scratch tl_scratch;
+/// Reusable per-thread banded-DP scratch: one H and one F row over the
+/// band, each updated in place, and the traceback matrix.
+struct BandScratch {
+  std::vector<std::int32_t> h;
+  std::vector<std::int32_t> f;
+  std::vector<std::uint8_t> tb;
+};
 
-/// Adaptive-band x-drop extension of the (implicit) sequences a[0..) and
-/// b[0..), read through `dir` (+1 forward from the anchor, -1 backward).
-/// Sequence ends are discovered lazily: a kSentinel (or running off the
-/// span, or exceeding max_extent) terminates that axis — no pre-scan.
+thread_local XdropScratch tl_xdrop;
+thread_local BandScratch tl_band;
+
+/// The code a row's seq1 character matches: ambiguous bases and markers
+/// match nothing (ScoringParams::score).
+int match_code(Code c) { return seqio::is_base(c) ? c : -1; }
+
+/// Character i of a walk that starts at `base` and steps by Dir.
+template <int Dir>
+Code at(const Code* base, std::size_t i) {
+  return base[Dir * static_cast<std::ptrdiff_t>(i)];
+}
+
+/// Adaptive-band x-drop extension from the anchor, forward (Dir = +1:
+/// seq[anchor + i]) or backward (Dir = -1: seq[anchor - 1 - i]).  Sequence
+/// ends are discovered lazily: a kSentinel (or running off the span, or
+/// exceeding max_extent) terminates that axis — no pre-scan.
+template <int Dir>
 OneDirResult xdrop_one_direction(std::span<const Code> seq1, Pos anchor1,
                                  std::span<const Code> seq2, Pos anchor2,
-                                 int dir, std::size_t max_extent,
+                                 std::size_t max_extent,
                                  const ScoringParams& params) {
   OneDirResult best;  // the empty extension scores 0
 
@@ -56,68 +82,73 @@ OneDirResult xdrop_one_direction(std::span<const Code> seq1, Pos anchor1,
   // detected during the walk; these bounds only prevent out-of-range
   // reads).
   const std::size_t n1 =
-      std::min(max_extent, dir > 0 ? seq1.size() - anchor1
+      std::min(max_extent, Dir > 0 ? seq1.size() - anchor1
                                    : static_cast<std::size_t>(anchor1));
   std::size_t n2 =
-      std::min(max_extent, dir > 0 ? seq2.size() - anchor2
+      std::min(max_extent, Dir > 0 ? seq2.size() - anchor2
                                    : static_cast<std::size_t>(anchor2));
   if (n1 == 0 || n2 == 0) return best;
-
-  const auto a = [&](std::size_t i) -> Code {
-    return seq1[dir > 0 ? anchor1 + i
-                        : static_cast<std::size_t>(anchor1 - 1 - i)];
-  };
-  const auto b = [&](std::size_t j) -> Code {
-    return seq2[dir > 0 ? anchor2 + j
-                        : static_cast<std::size_t>(anchor2 - 1 - j)];
-  };
+  // Both sides are non-empty, so a backward walk's base (the character
+  // just before the anchor) lies inside the span.
+  const Code* a = seq1.data() + (Dir > 0 ? anchor1 : anchor1 - 1);
+  const Code* b = seq2.data() + (Dir > 0 ? anchor2 : anchor2 - 1);
 
   const int xdrop = params.xdrop_gapped;
   const int gap_first = params.gap_first();
   const int ge = params.gap_extend;
+  const std::int32_t match_score = params.match;
+  const std::int32_t mismatch_score = -params.mismatch;
 
-  Scratch& sc = tl_scratch;
-  sc.ensure(64);
-  auto* h_prev = &sc.h_prev;
-  auto* h_cur = &sc.h_cur;
-  auto& f = sc.f;
-
+  XdropScratch& sc = tl_xdrop;
   std::int32_t best_score = 0;
 
-  // Row 0: pure gaps in seq1 (consume b only).
-  (*h_prev)[0] = 0;
+  // Row 0: pure gaps in seq1 (consume b only), within xdrop of the empty
+  // extension's score 0.
   std::size_t prev_lo = 0;
   std::size_t prev_hi = 0;
-  for (std::size_t j = 1; j <= n2; ++j) {
-    if (b(j - 1) == kSentinel) {
+  while (prev_hi < n2) {
+    const std::size_t j = prev_hi + 1;
+    if (at<Dir>(b, j - 1) == kSentinel) {
       n2 = j - 1;
       break;
     }
-    const std::int32_t v = -(params.gap_open + static_cast<int>(j) * ge);
-    if (best_score - v > xdrop) break;
-    // ensure() may reallocate vector storage, but h_prev/h_cur point at the
-    // vector objects themselves, so they stay valid.
-    sc.ensure(j + 2);
-    (*h_prev)[j] = v;
+    if (params.gap_open + static_cast<int>(j) * ge > xdrop) break;
     prev_hi = j;
+  }
+  sc.ensure(prev_hi + 3);
+  for (std::size_t j = 0; j <= prev_hi; ++j) {
+    sc.h_prev[j] =
+        j == 0 ? 0 : -(params.gap_open + static_cast<int>(j) * ge);
   }
   // The scratch persists across calls; row 1 reads f[] over the row-0
   // window, so those entries must not leak F values from a previous
-  // extension.  (Later rows only read f[] where the previous row wrote it.)
-  std::fill(f.begin(), f.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min(f.size(), prev_hi + 2)),
-            kNegInf);
+  // extension.  (Later rows only read f[] where the previous row wrote it,
+  // or the edge sentinel.)
+  std::fill_n(sc.f.begin(), prev_hi + 2, kNegInf);
 
   for (std::size_t i = 1; i <= n1; ++i) {
-    const Code ai = a(i - 1);
+    const Code ai = at<Dir>(a, i - 1);
     if (ai == kSentinel) break;
+    const int am = match_code(ai);
+    // Cells below this are pruned; it moves only between rows.
+    const std::int32_t live_min = best_score - xdrop;
 
-    const auto hp = [&](std::size_t j) -> std::int32_t {
-      return (j < prev_lo || j > prev_hi) ? kNegInf : (*h_prev)[j];
-    };
-    const auto fp = [&](std::size_t j) -> std::int32_t {
-      return (j < prev_lo || j > prev_hi) ? kNegInf : f[j];
-    };
+    // Columns up to prev_hi were read by earlier rows; the first one past
+    // the previous row's reach may sit on a bank boundary.
+    std::size_t hi = std::min(n2, prev_hi + 1);
+    if (hi > prev_hi && at<Dir>(b, hi - 1) == kSentinel) {
+      n2 = prev_hi;  // bank boundary on the b axis
+      hi = prev_hi;
+    }
+
+    sc.ensure(prev_hi + 3);
+    std::int32_t* hp = sc.h_prev.data();
+    std::int32_t* hc = sc.h_cur.data();
+    std::int32_t* f = sc.f.data();
+    // Edge sentinels: the previous row is dead outside [prev_lo, prev_hi].
+    hp[prev_hi + 1] = kNegInf;
+    f[prev_hi + 1] = kNegInf;
+    if (prev_lo > 0) hp[prev_lo - 1] = kNegInf;
 
     std::int32_t e = kNegInf;  // horizontal gap state, row-local
     std::size_t new_lo = SIZE_MAX;
@@ -130,8 +161,8 @@ OneDirResult xdrop_one_direction(std::span<const Code> seq1, Pos anchor1,
     // Column 0 (no b consumed): only vertical gaps reach it.
     if (j == 0) {
       const std::int32_t v = -(params.gap_open + static_cast<int>(i) * ge);
-      const std::int32_t h0 = (best_score - v > xdrop) ? kNegInf : v;
-      (*h_cur)[0] = h0;
+      const std::int32_t h0 = v < live_min ? kNegInf : v;
+      hc[0] = h0;
       if (h0 > kNegInf) {
         new_lo = 0;
         new_hi = 0;
@@ -139,50 +170,61 @@ OneDirResult xdrop_one_direction(std::span<const Code> seq1, Pos anchor1,
       j = 1;
     }
 
-    const std::size_t j_limit = std::min(n2, prev_hi + 1);
-    for (; j <= n2; ++j) {
-      // Beyond the previous row's reach only the row-local E can feed us.
-      if (j > j_limit && e <= best_score - xdrop) break;
+    for (; j <= hi; ++j) {
+      // Vertical gap: consume a(i) without b.  Diagonal: consume both; a
+      // dead predecessor stays far below live_min whatever it scores.
+      const std::int32_t f_val =
+          std::max({hp[j] - gap_first, f[j] - ge, kNegInf});
+      const std::int32_t s = static_cast<int>(at<Dir>(b, j - 1)) == am
+                                 ? match_score
+                                 : mismatch_score;
+      std::int32_t h = std::max({hp[j - 1] + s, e, f_val});
+      h = h < live_min ? kNegInf : h;
+      hc[j] = h;
+      f[j] = f_val;
 
-      const Code bj = b(j - 1);
-      if (bj == kSentinel) {
-        n2 = j - 1;  // bank boundary on the b axis
-        break;
-      }
-      sc.ensure(j + 2);
-
-      // Vertical gap: consume a(i) without b.
-      const std::int32_t hpj = hp(j);
-      const std::int32_t f_open = hpj > kNegInf ? hpj - gap_first : kNegInf;
-      const std::int32_t fpj = fp(j);
-      const std::int32_t f_ext = fpj > kNegInf ? fpj - ge : kNegInf;
-      const std::int32_t f_val = std::max(f_open, f_ext);
-
-      // Diagonal: consume a(i) and b(j).
-      const std::int32_t hpd = j >= 1 ? hp(j - 1) : kNegInf;
-      const std::int32_t diag =
-          hpd > kNegInf ? hpd + params.score(ai, bj) : kNegInf;
-
-      std::int32_t h = std::max({diag, e, f_val});
-      if (best_score - h > xdrop) h = kNegInf;
-      (*h_cur)[j] = h;
-      f[j] = f_val;  // safe: fp(j) was consumed above
-
-      if (h > kNegInf) {
-        if (new_lo == SIZE_MAX) new_lo = j;
-        new_hi = j;
-        if (h > row_best) {
-          row_best = h;
-          row_best_j = j;
-        }
-      }
+      const bool live = h != kNegInf;
+      new_lo = std::min(new_lo, live ? j : SIZE_MAX);
+      new_hi = live ? j : new_hi;
+      row_best_j = h > row_best ? j : row_best_j;
+      row_best = std::max(row_best, h);
 
       // E for the next column of this row.
-      const std::int32_t e_open = h > kNegInf ? h - gap_first : kNegInf;
-      const std::int32_t e_ext = e > kNegInf ? e - ge : kNegInf;
-      e = std::max(e_open, e_ext);
-      if (best_score - e > xdrop) e = kNegInf;
+      const std::int32_t e_next = std::max(h - gap_first, e - ge);
+      e = e_next < live_min ? kNegInf : e_next;
     }
+
+    // Past the previous row's reach only the row-local E feeds a cell, and
+    // a live E falls by min(gap_first, gap_extend) a column; that bounds
+    // the run, so the scratch grows once for it.
+    if (hi == prev_hi + 1 && hi < n2 && e > live_min) {
+      const std::int32_t drop = std::min(gap_first, ge);
+      std::size_t run = n2 - hi;
+      if (drop > 0) {
+        const auto reach = static_cast<std::size_t>((e - live_min - 1) / drop);
+        run = std::min(run, reach + 1);
+      }
+      sc.ensure(hi + run + 3);
+      hc = sc.h_cur.data();
+      f = sc.f.data();
+      for (; j <= n2 && e > live_min; ++j) {
+        if (at<Dir>(b, j - 1) == kSentinel) {
+          n2 = j - 1;
+          break;
+        }
+        hc[j] = e;
+        f[j] = kNegInf;
+        new_lo = std::min(new_lo, j);
+        new_hi = j;
+        if (e > row_best) {
+          row_best = e;
+          row_best_j = j;
+        }
+        const std::int32_t e_next = std::max(e - gap_first, e - ge);
+        e = e_next < live_min ? kNegInf : e_next;
+      }
+    }
+    best.cells += j - prev_lo;
 
     if (new_lo == SIZE_MAX) break;  // no live cell: extension finished
 
@@ -193,13 +235,10 @@ OneDirResult xdrop_one_direction(std::span<const Code> seq1, Pos anchor1,
       best.len2 = row_best_j;
     }
 
-    std::swap(h_prev, h_cur);
+    std::swap(sc.h_prev, sc.h_cur);
     prev_lo = new_lo;
     prev_hi = new_hi;
   }
-
-  // The swap dance may leave h_prev/h_cur pointing at either buffer; no
-  // state persists between calls, so nothing to restore.
   return best;
 }
 
@@ -210,9 +249,9 @@ GappedExtent extend_gapped(std::span<const Code> seq1,
                            const ScoringParams& params,
                            std::size_t max_extent) {
   const OneDirResult right =
-      xdrop_one_direction(seq1, mid1, seq2, mid2, +1, max_extent, params);
+      xdrop_one_direction<+1>(seq1, mid1, seq2, mid2, max_extent, params);
   const OneDirResult left =
-      xdrop_one_direction(seq1, mid1, seq2, mid2, -1, max_extent, params);
+      xdrop_one_direction<-1>(seq1, mid1, seq2, mid2, max_extent, params);
 
   GappedExtent out;
   out.s1 = mid1 - static_cast<Pos>(left.len1);
@@ -220,6 +259,7 @@ GappedExtent extend_gapped(std::span<const Code> seq1,
   out.e1 = mid1 + static_cast<Pos>(right.len1);
   out.e2 = mid2 + static_cast<Pos>(right.len2);
   out.score = left.score + right.score;
+  out.cells = left.cells + right.cells;
   return out;
 }
 
@@ -227,11 +267,13 @@ AlignmentStats banded_global_stats(std::span<const Code> seq1, Pos s1, Pos e1,
                                    std::span<const Code> seq2, Pos s2, Pos e2,
                                    const ScoringParams& params,
                                    std::int32_t* out_score,
-                                   std::vector<AlignOp>* out_ops) {
+                                   std::vector<AlignOp>* out_ops,
+                                   std::size_t* out_cells) {
   const std::size_t n1 = e1 - s1;
   const std::size_t n2 = e2 - s2;
   AlignmentStats stats;
   if (out_ops != nullptr) out_ops->clear();
+  if (out_cells != nullptr) *out_cells = 0;
 
   // Degenerate cases: one side empty -> all-gap alignment.
   if (n1 == 0 || n2 == 0) {
@@ -260,15 +302,24 @@ AlignmentStats banded_global_stats(std::span<const Code> seq1, Pos s1, Pos e1,
 
   // Traceback byte per cell: bits 0-1 = H source (0 diag, 1 E, 2 F,
   // 3 unreachable); bit 2: the E state feeding the *next* column extends an
-  // E run; bit 3: the F state of this cell extends an F run.
-  std::vector<std::uint8_t> tb((n1 + 1) * band, 3);
-  std::vector<std::int32_t> h_prev(band, kNegInf);
-  std::vector<std::int32_t> h_cur(band, kNegInf);
-  std::vector<std::int32_t> f_prev(band, kNegInf);
-  std::vector<std::int32_t> f_cur(band, kNegInf);
+  // E run; bit 3: the F state of this cell extends an F run.  Cells no row
+  // computes keep 3, so a path that strays onto one is caught below.
+  BandScratch& sc = tl_band;
+  sc.tb.assign((n1 + 1) * band, 3);
+  // Row i updates band column k in place after reading columns k
+  // (diagonal) and k + 1 (vertical) of row i - 1, so each row reads only
+  // cells the previous row wrote, row 0's initial values, or the dead cell
+  // at index `band` that stands for the vertical step out of the band.
+  sc.h.assign(band + 1, kNegInf);
+  sc.f.assign(band + 1, kNegInf);
+  std::uint8_t* tb = sc.tb.data();
+  std::int32_t* h = sc.h.data();
+  std::int32_t* f = sc.f.data();
 
   const int gap_first = params.gap_first();
   const int ge = params.gap_extend;
+  const std::int32_t match_score = params.match;
+  const std::int32_t mismatch_score = -params.mismatch;
 
   const auto kidx = [&](std::size_t i, std::size_t j) -> std::size_t {
     return static_cast<std::size_t>(static_cast<int>(j) -
@@ -281,75 +332,66 @@ AlignmentStats banded_global_stats(std::span<const Code> seq1, Pos s1, Pos e1,
 
   // Row 0: E chain along the top edge.
   for (std::size_t j = 0; j <= n2 && in_band(0, j); ++j) {
-    h_prev[kidx(0, j)] =
-        j == 0 ? 0 : -(params.gap_open + static_cast<int>(j) * ge);
+    h[kidx(0, j)] = j == 0 ? 0 : -(params.gap_open + static_cast<int>(j) * ge);
     tb[kidx(0, j)] = j == 0 ? 0 : static_cast<std::uint8_t>(1 | 4);
   }
 
+  const Code* b = seq2.data() + s2;
+  std::size_t cells = 0;
   for (std::size_t i = 1; i <= n1; ++i) {
-    std::fill(h_cur.begin(), h_cur.end(), kNegInf);
-    std::fill(f_cur.begin(), f_cur.end(), kNegInf);
-    std::int32_t e = kNegInf;
-    const Code ai = seq1[s1 + i - 1];
+    const int am = match_code(seq1[s1 + i - 1]);
     const std::size_t j_lo = static_cast<std::size_t>(
         std::max<std::int64_t>(0, static_cast<std::int64_t>(i) + kmin));
     const std::size_t j_hi = static_cast<std::size_t>(std::min<std::int64_t>(
         static_cast<std::int64_t>(n2), static_cast<std::int64_t>(i) + kmax));
+    cells += j_hi - j_lo + 1;
+    std::uint8_t* row = tb + i * band;
+    std::int32_t e = kNegInf;
 
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      const std::size_t k = kidx(i, j);
-
+    // One cell at band column k whose diagonal candidate is `diag`.  Ties
+    // go to the diagonal, then E, then F.
+    const auto cell = [&](std::size_t k, std::int32_t diag) {
       // F: vertical gap, from (i-1, j) which sits at band column k+1.
-      std::int32_t f_val = kNegInf;
-      bool f_ext = false;
-      if (k + 1 < band) {
-        const std::int32_t f_open =
-            h_prev[k + 1] > kNegInf ? h_prev[k + 1] - gap_first : kNegInf;
-        const std::int32_t f_cont =
-            f_prev[k + 1] > kNegInf ? f_prev[k + 1] - ge : kNegInf;
-        f_val = std::max(f_open, f_cont);
-        f_ext = f_cont > f_open;
-      }
-      f_cur[k] = f_val;
-
-      // Diagonal from (i-1, j-1) = band column k of the previous row.
-      std::int32_t diag = kNegInf;
-      if (j >= 1 && h_prev[k] > kNegInf) {
-        diag = h_prev[k] + params.score(ai, seq2[s2 + j - 1]);
-      }
-
-      std::int32_t h = diag;
-      std::uint8_t trace = 0;
-      if (e > h) {
-        h = e;
-        trace = 1;
-      }
-      if (f_val > h) {
-        h = f_val;
-        trace = 2;
-      }
-      if (h <= kNegInf) trace = 3;
-      h_cur[k] = h;
-
-      std::uint8_t byte = trace;
-      if (f_ext) byte |= 8;
-
+      const std::int32_t f_open = std::max(h[k + 1] - gap_first, kNegInf);
+      const std::int32_t f_cont = std::max(f[k + 1] - ge, kNegInf);
+      const std::int32_t f_val = std::max(f_open, f_cont);
+      const std::int32_t diag_or_e = std::max(diag, e);
+      const std::int32_t hv = std::max(diag_or_e, f_val);
+      const bool from_f = f_val > diag_or_e;
+      const bool from_e = (e > diag) & !from_f;
       // E feeding column j+1 of this row.
-      const std::int32_t e_open = h > kNegInf ? h - gap_first : kNegInf;
-      const std::int32_t e_cont = e > kNegInf ? e - ge : kNegInf;
-      if (e_cont > e_open) byte |= 4;
+      const std::int32_t e_open = std::max(hv - gap_first, kNegInf);
+      const std::int32_t e_cont = std::max(e - ge, kNegInf);
+      row[k] = static_cast<std::uint8_t>(
+          (static_cast<unsigned>(from_f) << 1) | static_cast<unsigned>(from_e) |
+          (hv == kNegInf ? 3u : 0u) |
+          (static_cast<unsigned>(e_cont > e_open) << 2) |
+          (static_cast<unsigned>(f_cont > f_open) << 3));
+      h[k] = hv;
+      f[k] = f_val;
       e = std::max(e_open, e_cont);
+    };
 
-      tb[i * band + k] = byte;
+    std::size_t j = j_lo;
+    std::size_t k = kidx(i, j_lo);
+    if (j == 0) {  // column 0 has no diagonal predecessor
+      cell(k, kNegInf);
+      ++j;
+      ++k;
     }
-    h_prev.swap(h_cur);
-    f_prev.swap(f_cur);
+    for (; j <= j_hi; ++j, ++k) {
+      // Diagonal from (i-1, j-1) = band column k of the previous row.
+      const std::int32_t hd = h[k];
+      const std::int32_t s = b[j - 1] == am ? match_score : mismatch_score;
+      cell(k, hd == kNegInf ? kNegInf : hd + s);
+    }
   }
+  if (out_cells != nullptr) *out_cells = cells;
 
   if (!in_band(n1, n2)) {
     throw std::logic_error("banded_global_stats: endpoint outside band");
   }
-  const std::int32_t final_score = h_prev[kidx(n1, n2)];
+  const std::int32_t final_score = h[kidx(n1, n2)];
   if (out_score != nullptr) *out_score = final_score;
 
   // Traceback.  State 0 = H, 1 = E (gap in seq1, consumes b), 2 = F (gap in
@@ -364,9 +406,9 @@ AlignmentStats banded_global_stats(std::span<const Code> seq1, Pos s1, Pos e1,
       const int src = byte & 3;
       if (src == 0 && i > 0 && j > 0) {
         const Code a = seq1[s1 + i - 1];
-        const Code b = seq2[s2 + j - 1];
+        const Code bj = seq2[s2 + j - 1];
         ++stats.length;
-        if (seqio::is_base(a) && a == b) {
+        if (seqio::is_base(a) && a == bj) {
           ++stats.matches;
         } else {
           ++stats.mismatches;

@@ -14,6 +14,7 @@
 //    have produced, so the recomputed score is >= the x-drop score.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -30,6 +31,8 @@ struct GappedExtent {
   seqio::Pos s2 = 0;
   seqio::Pos e2 = 0;
   std::int32_t score = 0;
+  /// x-drop DP cells computed, both directions (rows past the anchor).
+  std::size_t cells = 0;
 };
 
 /// Extend from the anchor pair (mid1, mid2): the returned region satisfies
@@ -54,11 +57,12 @@ enum class AlignOp : std::uint8_t {
 /// non-null.  When `out_ops` is non-null it receives the optimal path's
 /// column operations in alignment order (for pairwise display / CIGAR).
 /// The band automatically covers the length difference plus the largest
-/// gap excursion an x-drop path could make.
+/// gap excursion an x-drop path could make.  When `out_cells` is non-null
+/// it receives the number of DP cells computed (rows 1..e1 - s1).
 [[nodiscard]] AlignmentStats banded_global_stats(
     std::span<const seqio::Code> seq1, seqio::Pos s1, seqio::Pos e1,
     std::span<const seqio::Code> seq2, seqio::Pos s2, seqio::Pos e2,
     const ScoringParams& params, std::int32_t* out_score = nullptr,
-    std::vector<AlignOp>* out_ops = nullptr);
+    std::vector<AlignOp>* out_ops = nullptr, std::size_t* out_cells = nullptr);
 
 }  // namespace scoris::align

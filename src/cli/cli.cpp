@@ -700,10 +700,12 @@ void print_stats(std::ostream& err, const core::PipelineStats& s) {
       << "s (kernel " << s.simd_kernel << "), step3 " << s.gapped_seconds
       << "s, total " << s.total_seconds << "s\n";
   // Step-3 work: every extension either takes the pure-diagonal fast path
-  // or runs the second (banded global) DP.
+  // or runs the second (banded global) DP.  The DP cell counts of the two
+  // loops give step 3's time per cell.
   const core::GappedStageStats& g = s.gapped;
   err << "  step3 " << g.gapped_extensions << " extensions (" << g.fast_path
-      << " fast path, " << g.second_dp << " second DP), "
+      << " fast path, " << g.second_dp << " second DP), " << g.xdrop_cells
+      << " x-drop cells, " << g.band_cells << " band cells, "
       << g.skipped_contained << " contained, " << g.below_cutoff
       << " below cutoff\n";
   // Index memory accounting (paper section 3.1: ~5 bytes per position =

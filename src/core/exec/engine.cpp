@@ -276,13 +276,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     GappedStageStats gstats;
     std::vector<align::GappedAlignment> alignments =
         gapped_stage(hsps, bank1, subject, karlin, gopt, &gstats);
-    st.gapped.hsps_in += gstats.hsps_in;
-    st.gapped.skipped_contained += gstats.skipped_contained;
-    st.gapped.gapped_extensions += gstats.gapped_extensions;
-    st.gapped.fast_path += gstats.fast_path;
-    st.gapped.second_dp += gstats.second_dp;
-    st.gapped.below_cutoff += gstats.below_cutoff;
-    st.gapped.exact_duplicates += gstats.exact_duplicates;
+    st.gapped += gstats;
 
     // Remap subject ids and global positions back to bank2.  The reverse
     // complement preserves per-sequence offsets, so one remap serves both

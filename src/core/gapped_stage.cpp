@@ -74,6 +74,7 @@ void process_slice(const KeyedHsp* hsps, std::size_t count,
     const align::GappedExtent ext = align::extend_gapped(
         seq1, seq2, mid1, mid2, options.scoring, options.max_gap_extent);
     ++st.gapped_extensions;
+    st.xdrop_cells += ext.cells;
 
     // Fast path: when the extension is pure-diagonal and a direct column
     // scan reproduces the x-drop score, the optimal path has no gaps and
@@ -102,9 +103,12 @@ void process_slice(const KeyedHsp* hsps, std::size_t count,
       }
     }
     if (!have_stats) {
+      std::size_t cells = 0;
       stats = align::banded_global_stats(seq1, ext.s1, ext.e1, seq2, ext.s2,
-                                         ext.e2, options.scoring, &score);
+                                         ext.e2, options.scoring, &score,
+                                         nullptr, &cells);
       ++st.second_dp;
+      st.band_cells += cells;
     }
 
     const std::uint32_t sid2 = hsps[n].seq2;
@@ -137,6 +141,19 @@ void process_slice(const KeyedHsp* hsps, std::size_t count,
 }
 
 }  // namespace
+
+GappedStageStats& GappedStageStats::operator+=(const GappedStageStats& o) {
+  hsps_in += o.hsps_in;
+  skipped_contained += o.skipped_contained;
+  gapped_extensions += o.gapped_extensions;
+  fast_path += o.fast_path;
+  second_dp += o.second_dp;
+  below_cutoff += o.below_cutoff;
+  exact_duplicates += o.exact_duplicates;
+  xdrop_cells += o.xdrop_cells;
+  band_cells += o.band_cells;
+  return *this;
+}
 
 bool step4_less(const GappedAlignment& x, const GappedAlignment& y) {
   return std::tuple(x.evalue, -x.bitscore, x.seq1, x.s1, x.seq2, x.s2,
@@ -207,11 +224,7 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
       result.insert(result.end(), partial[s].begin(), partial[s].end());
       // Freed once copied, so the copy never holds every alignment twice.
       std::vector<GappedAlignment>().swap(partial[s]);
-      st.skipped_contained += partial_stats[s].skipped_contained;
-      st.gapped_extensions += partial_stats[s].gapped_extensions;
-      st.fast_path += partial_stats[s].fast_path;
-      st.second_dp += partial_stats[s].second_dp;
-      st.below_cutoff += partial_stats[s].below_cutoff;
+      st += partial_stats[s];
     }
   }
 

@@ -50,6 +50,13 @@ struct GappedStageStats {
   std::size_t second_dp = 0;
   std::size_t below_cutoff = 0;       ///< extensions failing the e-value cut
   std::size_t exact_duplicates = 0;   ///< identical alignments removed
+  /// DP cells computed by the x-drop pass of every extension.
+  std::size_t xdrop_cells = 0;
+  /// DP cells computed by the second DP's banded re-alignments.
+  std::size_t band_cells = 0;
+
+  /// Adds every counter of `o` (slice and group totals).
+  GappedStageStats& operator+=(const GappedStageStats& o);
 };
 
 /// The step-4 output ordering, shared by every merge point in the code

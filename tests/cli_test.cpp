@@ -709,6 +709,52 @@ TEST_F(CliTest, FlatStatsReportStepThreeCounters) {
   }
 }
 
+// The step3 line carries the DP cell counts of both loops: x-drop cells
+// for every extension, band cells only for the re-aligned ones.
+TEST_F(CliTest, StatsStepThreeLineCountsDpCells) {
+  const std::string core =
+      "TTGACCGTAAGCTTGGCATTCGAGGCTAAGCTTGGCATTCGAGGACCGTA"
+      "CGATTACGGATCCGGCTAAGTCGATCGATGCATGCATGGCTAGCTAGGAT";
+  const std::string ins_path = dir_ + "CliTest_cells_ins.fa";
+  // The subject carries a 3-base insertion mid-way, so its extension
+  // must re-align; the exact copy takes the fast path.
+  write_file(ins_path, ">sI\n" + core.substr(0, 50) + "GTC" +
+                           core.substr(50) + "\n");
+  const std::string exact_path = dir_ + "CliTest_cells_exact.fa";
+  write_file(exact_path, ">sE\n" + core + "\n");
+  const std::string query_path = dir_ + "CliTest_cells_query.fa";
+  write_file(query_path, ">q\n" + core + "\n");
+
+  const std::regex line(
+      R"(  step3 (\d+) extensions \((\d+) fast path, (\d+) second DP\), )"
+      R"((\d+) x-drop cells, (\d+) band cells, \d+ contained, )"
+      R"(\d+ below cutoff\n)");
+  for (const std::string& subject : {ins_path, exact_path}) {
+    const CliResult r =
+        run_cli({"--bank1", query_path, "--bank2", subject, "--stats"});
+    ASSERT_EQ(r.exit_code, kOk) << r.err;
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(r.err, m, line)) << r.err;
+    const auto extensions = std::stoull(m[1]);
+    const auto second_dp = std::stoull(m[3]);
+    const auto xdrop_cells = std::stoull(m[4]);
+    const auto band_cells = std::stoull(m[5]);
+    ASSERT_GT(extensions, 0u) << r.err;
+    // Each extension walks at least one row per aligned query base.
+    EXPECT_GE(xdrop_cells, extensions * core.size() / 2) << r.err;
+    if (subject == ins_path) {
+      EXPECT_GT(second_dp, 0u) << r.err;
+      EXPECT_GE(band_cells, core.size()) << r.err;
+    } else {
+      EXPECT_EQ(second_dp, 0u) << r.err;
+      EXPECT_EQ(band_cells, 0u) << r.err;
+    }
+  }
+  std::remove(ins_path.c_str());
+  std::remove(exact_path.c_str());
+  std::remove(query_path.c_str());
+}
+
 #ifdef SCORIS_CLI_PATH
 TEST_F(CliTest, SubprocessBinaryRunsEndToEnd) {
   const std::string out_path = dir_ + "cli_subprocess.m8";

@@ -229,6 +229,8 @@ TEST(GappedStage, IdenticalPairTakesOnlyTheFastPath) {
   EXPECT_GE(st.gapped_extensions, 1u);
   EXPECT_EQ(st.fast_path, st.gapped_extensions);
   EXPECT_EQ(st.second_dp, 0u);
+  EXPECT_GT(st.xdrop_cells, 0u);
+  EXPECT_EQ(st.band_cells, 0u);  // no re-alignment ran
 }
 
 TEST(GappedStage, IndelPairTakesTheSecondDp) {
@@ -250,6 +252,8 @@ TEST(GappedStage, IndelPairTakesTheSecondDp) {
   EXPECT_GT(alignments[0].stats.gap_columns, 0u);
   EXPECT_GE(st.second_dp, 1u);
   EXPECT_EQ(st.fast_path + st.second_dp, st.gapped_extensions);
+  EXPECT_GT(st.xdrop_cells, 0u);
+  EXPECT_GT(st.band_cells, 0u);
 }
 
 TEST(GappedStage, FastPathAndSecondDpCoverEveryExtension) {
@@ -323,7 +327,7 @@ auto alignment_key(const align::GappedAlignment& a) {
 auto stats_key(const GappedStageStats& s) {
   return std::tuple(s.hsps_in, s.skipped_contained, s.gapped_extensions,
                     s.fast_path, s.second_dp, s.below_cutoff,
-                    s.exact_duplicates);
+                    s.exact_duplicates, s.xdrop_cells, s.band_cells);
 }
 
 // Each subject sequence is one task that any worker may claim, and the
@@ -352,6 +356,9 @@ TEST(GappedStage, SameResultAtEveryWorkerCount) {
   ASSERT_GE(subjects.size(), 30u);  // many slices to hand out
 
   const auto serial = run({});
+  // The DP cell counters are summed over the slices too.
+  ASSERT_GT(std::get<7>(serial.second), 0u);
+  ASSERT_GT(std::get<8>(serial.second), 0u);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
     util::ThreadPool pool(workers);
