@@ -5,7 +5,10 @@
 // path the same way — an index or gapped-stage rewrite, say.  Each case
 // here pins the row count, the byte length and a 64-bit FNV-1a of the m8
 // bytes a Session streams for one PaperData(scale, 42) comparison on two
-// threads.  Re-pinning is a hand edit whose reason goes in CHANGES.md.
+// threads.  The baselines that share step 2's ungapped walk are pinned the
+// same way: BLASTN, its BLAT configuration and the order-rule ablation,
+// each with its HSP count.  Re-pinning is a hand edit whose reason goes in
+// CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +18,9 @@
 
 #include "api/session.hpp"
 #include "api/sinks.hpp"
+#include "blast/blastn.hpp"
+#include "blast/blat_like.hpp"
+#include "compare/m8.hpp"
 #include "seqio/strand.hpp"
 #include "simulate/paper_datasets.hpp"
 #include "test_helpers.hpp"
@@ -102,6 +108,46 @@ TEST(GoldenM8, EstPairSpillForcedGlobalMerge) {
   const auto run = run_m8(est_pair().est1, est_pair().est2, options, limits);
   EXPECT_GT(run.outcome.stats.spilled_runs, 0u);
   expect_pin(run.pin, {238, 14270, 0xfb151e29df543631ull});
+}
+
+/// The m8 pin and HSP count of a comparator run over the EST pair.
+struct BaselineRun {
+  Pin pin;
+  std::size_t hsps = 0;
+};
+
+template <typename Comparator, typename ComparatorOptions>
+BaselineRun run_baseline(ComparatorOptions options) {
+  options.threads = 2;
+  const auto result =
+      Comparator(options).run(est_pair().est1, est_pair().est2);
+  std::ostringstream os;
+  compare::write_m8(os, result.alignments, est_pair().est1, est_pair().est2);
+  const std::string m8 = os.str();
+  return {{result.alignments.size(), m8.size(), testing::fnv1a64(m8)},
+          result.stats.hsps};
+}
+
+TEST(GoldenM8, EstPairBlastnBaseline) {
+  const auto run = run_baseline<blast::BlastN>(blast::BlastOptions{});
+  expect_pin(run.pin, {235, 14091, 0x60f69100330296efull});
+  EXPECT_EQ(run.hsps, 497u);
+}
+
+TEST(GoldenM8, EstPairBlatConfiguration) {
+  const auto run = run_baseline<blast::BlatLike>(blast::BlatOptions{});
+  expect_pin(run.pin, {233, 13975, 0x76ae4ab92ead41e5ull});
+  EXPECT_EQ(run.hsps, 480u);
+}
+
+TEST(GoldenM8, EstPairOrderRuleAblation) {
+  // The plain extension with explicit de-duplication (A1) finds one HSP
+  // more than the order rule keeps, and the same alignments.
+  Options options;
+  options.enforce_order = false;
+  const auto run = run_m8(est_pair().est1, est_pair().est2, options);
+  expect_pin(run.pin, {238, 14270, 0xfb151e29df543631ull});
+  EXPECT_EQ(run.outcome.stats.hsps, 499u);
 }
 
 TEST(GoldenM8, LargePairBacteriaAgainstEst) {
