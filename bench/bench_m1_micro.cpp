@@ -4,7 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
+#include <utility>
 
 #include "align/gapped.hpp"
 #include "align/simd/kernel_dispatch.hpp"
@@ -66,16 +68,41 @@ void BM_IndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexBuild)->Arg(100000)->Arg(1000000);
 
+/// A seed on the homologous diagonal of `a` and its mutated copy `b`: the
+/// first W-mer at or after `from` in `a` that recurs in `b` within 64
+/// positions.  The copy's indels move the diagonal by a few bases, so a
+/// fixed anchor would extend through unrelated sequence.
+std::pair<seqio::Pos, seqio::Pos> homologous_seed(
+    const simulate::CodeString& a, const simulate::CodeString& b,
+    std::size_t from, std::size_t w) {
+  for (std::size_t p1 = from; p1 + w <= a.size(); ++p1) {
+    const std::size_t lo = p1 > 64 ? p1 - 64 : 0;
+    for (std::size_t p2 = lo; p2 <= p1 + 64 && p2 + w <= b.size(); ++p2) {
+      if (std::equal(a.begin() + static_cast<std::ptrdiff_t>(p1),
+                     a.begin() + static_cast<std::ptrdiff_t>(p1 + w),
+                     b.begin() + static_cast<std::ptrdiff_t>(p2))) {
+        return {static_cast<seqio::Pos>(p1), static_cast<seqio::Pos>(p2)};
+      }
+    }
+  }
+  return {0, 0};
+}
+
 void BM_UngappedExtensionPlain(benchmark::State& state) {
   simulate::Rng rng(5);
   const auto base = simulate::random_codes(rng, 2000);
   const auto copy =
       simulate::mutate(rng, base, simulate::MutationModel::with_divergence(0.05));
   const align::ScoringParams params;
+  const auto [p1, p2] = homologous_seed(base, copy, 1000, 11);
+  std::size_t bases = 0;  // HSP length per call
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::extend_ungapped(base, copy, 1000, 1000, 11, params));
+    const align::Hsp h = align::extend_ungapped(base, copy, p1, p2, 11, params);
+    benchmark::DoNotOptimize(h);
+    bases = h.e1 - h.s1;
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bases));
 }
 BENCHMARK(BM_UngappedExtensionPlain);
 
@@ -185,17 +212,25 @@ void BM_OrderedExtension(benchmark::State& state) {
   const align::ScoringParams params;
   // Find one real hit to extend repeatedly.
   seqio::Pos p1 = 0, p2 = 0;
+  index::SeedCode code = 0;
   bool found = false;
   for (index::SeedCode c = 0; c < coder.num_seeds() && !found; ++c) {
     if (i1.occurrence_count(c) > 0 && i2.occurrence_count(c) > 0) {
       p1 = static_cast<seqio::Pos>(i1.occurrences_span(c).front());
       p2 = static_cast<seqio::Pos>(i2.occurrences_span(c).front());
+      code = c;
       found = true;
     }
   }
+  std::size_t bases = 0;  // HSP length per call
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::extend_ordered(i1, i2, p1, p2, params));
+    const core::OrderedExtendOutcome o =
+        core::extend_ordered(i1, i2, p1, p2, code, params);
+    benchmark::DoNotOptimize(o);
+    bases = o.hsp.has_value() ? o.hsp->e1 - o.hsp->s1 : 0;
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bases));
 }
 BENCHMARK(BM_OrderedExtension);
 
@@ -205,10 +240,11 @@ void BM_GappedExtension(benchmark::State& state) {
   const auto copy =
       simulate::mutate(rng, base, simulate::MutationModel::with_divergence(0.06));
   const align::ScoringParams params;
+  const auto [p1, p2] = homologous_seed(base, copy, 2000, 11);
   std::size_t cells = 0;  // x-drop DP cells per call
   for (auto _ : state) {
     const align::GappedExtent ext =
-        align::extend_gapped(base, copy, 2000, 2000, params);
+        align::extend_gapped(base, copy, p1, p2, params);
     benchmark::DoNotOptimize(ext);
     cells = ext.cells;
   }

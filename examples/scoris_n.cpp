@@ -9,6 +9,7 @@
 //   scoris_n <bank1.fa> <bank2.fa> [--out FILE] [--w N] [--evalue E]
 //            [--threads N] [--asymmetric] [--no-dust] [--s1 SCORE]
 //            [--baseline]   (run the BLASTN-style baseline instead)
+//            [--blat]       (run its BLAT configuration instead)
 //            [--stats]      (print per-step statistics to stderr)
 #include <fstream>
 #include <iostream>
@@ -16,7 +17,6 @@
 #include "align/display.hpp"
 #include "align/gapped.hpp"
 #include "blast/blastn.hpp"
-#include "blast/blat_like.hpp"
 #include "scoris/api.hpp"
 #include "util/argparse.hpp"
 
@@ -36,7 +36,7 @@ void print_usage(const char* prog) {
       << "  --save-banks P  also write banks as P_1.scob / P_2.scob\n"
       << "  --align N       also print full pairwise alignments of the top N\n"
       << "  --baseline      run the BLASTN-style baseline instead of ORIS\n"
-      << "  --blat          run the BLAT-style comparator instead of ORIS\n"
+      << "  --blat          run the baseline's BLAT configuration instead\n"
       << "  --stats         print per-step statistics to stderr\n";
 }
 
@@ -125,8 +125,11 @@ int main(int argc, char** argv) {
   const auto strand = parse_strand(args.get("strand", "plus"));
   const auto align_top = static_cast<std::size_t>(args.get_int_or_exit("align", 0));
 
-  if (args.get_flag("baseline")) {
-    blast::BlastOptions opt;
+  const bool blat = args.get_flag("blat");
+  if (args.get_flag("baseline") || blat) {
+    // The BLAT configuration's lookup width and tile stride follow --w.
+    blast::BlastOptions opt =
+        blat ? blast::blat_options() : blast::BlastOptions{};
     opt.w = static_cast<int>(args.get_int_or_exit("w", 11));
     opt.max_evalue = args.get_double_or_exit("evalue", 1e-3);
     opt.dust = !args.get_flag("no-dust");
@@ -140,33 +143,12 @@ int main(int argc, char** argv) {
                             align_top);
     }
     if (want_stats) {
-      std::cerr << "baseline: " << r.alignments.size() << " alignments, "
+      std::cerr << (blat ? "blat-like: " : "baseline: ")
+                << r.alignments.size() << " alignments, "
                 << r.stats.hit_pairs << " hits, " << r.stats.hsps
                 << " HSPs, scan " << r.stats.scan_seconds << "s, gapped "
                 << r.stats.gapped_seconds << "s, total "
                 << r.stats.total_seconds << "s\n";
-    }
-    return 0;
-  }
-
-  if (args.get_flag("blat")) {
-    blast::BlatOptions opt;
-    opt.w = static_cast<int>(args.get_int_or_exit("w", 11));
-    opt.max_evalue = args.get_double_or_exit("evalue", 1e-3);
-    opt.dust = !args.get_flag("no-dust");
-    opt.min_hsp_score = static_cast<int>(args.get_int_or_exit("s1", 25));
-    opt.threads = static_cast<int>(args.get_int_or_exit("threads", 1));
-    opt.strand = strand;
-    const blast::BlatResult r = blast::BlatLike(opt).run(bank1, bank2);
-    compare::write_m8(*out, r.alignments, bank1, bank2);
-    if (align_top > 0) {
-      print_full_alignments(*out, r.alignments, bank1, bank2, opt.scoring,
-                            align_top);
-    }
-    if (want_stats) {
-      std::cerr << "blat-like: " << r.alignments.size() << " alignments, "
-                << r.stats.hit_pairs << " hits, " << r.stats.hsps
-                << " HSPs, total " << r.stats.total_seconds << "s\n";
     }
     return 0;
   }

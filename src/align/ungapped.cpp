@@ -1,131 +1,16 @@
 #include "align/ungapped.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace scoris::align {
 
-using seqio::Code;
-using seqio::is_base;
-using seqio::kSentinel;
-using seqio::Pos;
-
-// Both walks below consume a whole run of matching concrete bases per
-// iteration (one kernel call), then handle exactly one boundary character
-// — a mismatch, an ambiguity code, a sentinel, or the span edge — with
-// the scalar scoring rules.  The x-drop deficit only grows at boundary
-// characters and the in-run score is monotone, so checking the drop-off
-// once per iteration and taking the best score at the run end reproduces
-// the per-character loop exactly.
-
-SideExtension extend_left_plain(std::span<const Code> seq1,
-                                std::span<const Code> seq2, Pos p1, Pos p2,
-                                const ScoringParams& params,
-                                const simd::KernelOps& ops) {
-  SideExtension best;
-  int score = 0;
-  int maxi = 0;
-  std::size_t i = p1;  // next character examined is seq1[i - 1]
-  std::size_t j = p2;
-  Pos steps = 0;
-  while (maxi - score < params.xdrop_ungapped) {
-    const std::size_t avail = std::min<std::size_t>(i, j);
-    const std::size_t run =
-        ops.match_run_bwd(seq1.data() + i, seq2.data() + j, avail);
-    if (run > 0) {
-      score += static_cast<int>(run) * params.match;
-      steps += static_cast<Pos>(run);
-      i -= run;
-      j -= run;
-      if (score > maxi) {
-        maxi = score;
-        best.score_gain = score;
-        best.span = steps;
-      }
-    }
-    if (i == 0 || j == 0) break;
-    const Code a = seq1[i - 1];
-    const Code b = seq2[j - 1];
-    if (a == kSentinel || b == kSentinel) break;
-    score += params.score(a, b);
-    ++steps;
-    --i;
-    --j;
-  }
-  return best;
-}
-
-SideExtension extend_right_plain(std::span<const Code> seq1,
-                                 std::span<const Code> seq2, Pos p1, Pos p2,
-                                 const ScoringParams& params,
-                                 const simd::KernelOps& ops) {
-  SideExtension best;
-  int score = 0;
-  int maxi = 0;
-  std::size_t i = p1;
-  std::size_t j = p2;
-  Pos steps = 0;
-  while (maxi - score < params.xdrop_ungapped) {
-    const std::size_t avail =
-        std::min<std::size_t>(seq1.size() - i, seq2.size() - j);
-    const std::size_t run =
-        ops.match_run_fwd(seq1.data() + i, seq2.data() + j, avail);
-    if (run > 0) {
-      score += static_cast<int>(run) * params.match;
-      steps += static_cast<Pos>(run);
-      i += run;
-      j += run;
-      if (score > maxi) {
-        maxi = score;
-        best.score_gain = score;
-        best.span = steps;
-      }
-    }
-    if (i >= seq1.size() || j >= seq2.size()) break;
-    const Code a = seq1[i];
-    const Code b = seq2[j];
-    if (a == kSentinel || b == kSentinel) break;
-    score += params.score(a, b);
-    ++steps;
-    ++i;
-    ++j;
-  }
-  return best;
-}
-
-Hsp extend_ungapped(std::span<const Code> seq1, std::span<const Code> seq2,
-                    Pos p1, Pos p2, int w, const ScoringParams& params,
+Hsp extend_ungapped(std::span<const seqio::Code> seq1,
+                    std::span<const seqio::Code> seq2, seqio::Pos p1,
+                    seqio::Pos p2, int w, const ScoringParams& params,
                     const simd::KernelOps& ops) {
   assert(w > 0);
-  const SideExtension left =
-      extend_left_plain(seq1, seq2, p1, p2, params, ops);
-  const SideExtension right =
-      extend_right_plain(seq1, seq2, p1 + static_cast<Pos>(w),
-                         p2 + static_cast<Pos>(w), params, ops);
-  Hsp hsp;
-  hsp.s1 = p1 - left.span;
-  hsp.s2 = p2 - left.span;
-  hsp.e1 = p1 + static_cast<Pos>(w) + right.span;
-  hsp.e2 = p2 + static_cast<Pos>(w) + right.span;
-  hsp.score = w * params.match + left.score_gain + right.score_gain;
-  return hsp;
-}
-
-SideExtension extend_left_plain(std::span<const Code> seq1,
-                                std::span<const Code> seq2, Pos p1, Pos p2,
-                                const ScoringParams& params) {
-  return extend_left_plain(seq1, seq2, p1, p2, params, simd::dispatch());
-}
-
-SideExtension extend_right_plain(std::span<const Code> seq1,
-                                 std::span<const Code> seq2, Pos p1, Pos p2,
-                                 const ScoringParams& params) {
-  return extend_right_plain(seq1, seq2, p1, p2, params, simd::dispatch());
-}
-
-Hsp extend_ungapped(std::span<const Code> seq1, std::span<const Code> seq2,
-                    Pos p1, Pos p2, int w, const ScoringParams& params) {
-  return extend_ungapped(seq1, seq2, p1, p2, w, params, simd::dispatch());
+  PlainWalk plain;
+  return *extend_seed(seq1, seq2, p1, p2, w, params, ops, plain, plain);
 }
 
 }  // namespace scoris::align

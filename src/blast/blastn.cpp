@@ -25,6 +25,15 @@ constexpr int kLookupWidth = 8;
 
 }  // namespace
 
+BlastOptions blat_options() {
+  BlastOptions options;
+  options.tile_database = true;
+  options.length_adjust = false;
+  options.dust_params = filter::DustParams{};
+  options.scoring = align::ScoringParams{};
+  return options;
+}
+
 BlastN::BlastN(BlastOptions options) : options_(std::move(options)) {
   karlin_ = stats::karlin_match_mismatch(options_.scoring.match,
                                          options_.scoring.mismatch);
@@ -58,6 +67,7 @@ BlastResult BlastN::run(const seqio::SequenceBank& bank1,
   s.two_hit_deferred += m.two_hit_deferred;
   s.hsps += m.hsps;
   s.duplicate_hsps += m.duplicate_hsps;
+  s.gapped += m.gapped;
   s.alignments = plus.alignments.size();
   return plus;
 }
@@ -69,7 +79,7 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
   util::WallTimer total;
 
   const int w = options_.w;
-  const int lut_w = std::min(w, kLookupWidth);
+  const int lut_w = options_.tile_database ? w : std::min(w, kLookupWidth);
   // Scan stride: every w-mer of the stream contains (w - lut_w + 1)
   // lookup-word start offsets, so scanning this stride misses nothing.
   const std::size_t stride = static_cast<std::size_t>(w - lut_w + 1);
@@ -81,12 +91,14 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
   filter::MaskBitmap mask1;
   filter::MaskBitmap mask2;
   index::IndexOptions iopt1;
+  if (options_.tile_database) iopt1.stride = w;
   if (options_.dust) {
     mask1 = filter::dust_mask(bank1, options_.dust_params);
     mask2 = filter::dust_mask(bank2, options_.dust_params);
     iopt1.mask = &mask1;
   }
   const index::BankIndex db(bank1, coder, iopt1);
+  result.stats.index_bytes = db.memory_bytes();
   result.stats.index_seconds = t1.seconds();
 
   // ---- seed scan + verification + ungapped extension -----------------------
@@ -111,6 +123,7 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
   }
 
   std::vector<Hsp> hsps;
+  const align::simd::KernelOps& ops = align::simd::dispatch();
 
   // Stream bank2 with a rolling lookup word, visiting every `stride`-th
   // valid word start (NCBI scans its packed database the same way).
@@ -147,17 +160,15 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
       {
         std::size_t i = p1;
         std::size_t j = word_start;
-        while (i > 0 && j > 0) {
+        while (i > 0 && j > 0 &&
+               left + static_cast<std::size_t>(lut_w) <
+                   static_cast<std::size_t>(w)) {
           const Code a = seq1[i - 1];
           const Code b = seq2[j - 1];
           if (!seqio::is_base(a) || a != b) break;
           --i;
           --j;
           ++left;
-          if (left + static_cast<std::size_t>(lut_w) >=
-              static_cast<std::size_t>(w)) {
-            break;
-          }
         }
       }
       std::size_t right = 0;
@@ -199,7 +210,7 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
       const Pos s1 = static_cast<Pos>(p1 - left);
       const Pos s2 = static_cast<Pos>(word_start - left);
       const Hsp h =
-          align::extend_ungapped(seq1, seq2, s1, s2, w, options_.scoring);
+          align::extend_ungapped(seq1, seq2, s1, s2, w, options_.scoring, ops);
       diag_level[diag] = static_cast<std::int64_t>(h.e2);
       if (h.score >= options_.min_hsp_score) hsps.push_back(h);
     }
@@ -227,7 +238,7 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
   gopt.max_evalue = options_.max_evalue;
   gopt.max_gap_extent = options_.max_gap_extent;
   gopt.threads = options_.threads;
-  gopt.length_adjust = true;  // NCBI-style effective search space
+  gopt.length_adjust = options_.length_adjust;
   result.alignments =
       core::gapped_stage(hsps, bank1, bank2, karlin_, gopt,
                          &result.stats.gapped);

@@ -26,6 +26,21 @@
 // Sensitivity differences with SCORIS-N arise naturally from the diagonal
 // high-water-mark pruning vs. the seed-order abort; the paper observes a
 // few percent disagreement both ways (section 3.4).
+//
+// blat_options() configures the same pipeline as a BLAT-style comparator
+// (Kent, Genome Res. 2002; the paper's section-4 perspective on programs
+// that index a bank in main memory).  BLAT's defining trade-off is its
+// database index: only NON-OVERLAPPING W-mers (tile stride W), looked up
+// at full width W, with the stream scanned at every position.  So:
+//  * the index holds ~N/W positions instead of N (vs ORIS's 5N bytes);
+//  * a homologous region is found only if it holds an exact W-mer match
+//    aligned to the database's W-grid, so sensitivity drops on diverged
+//    sequences — BLAT is built for high-identity comparisons;
+//  * hit volume is ~1/W of a full index scan, and a hit needs no
+//    verification.
+// The ungapped walk, the gapped stage and the statistics are shared, so
+// the three-way comparison (bench_a5_comparators) isolates the indexing
+// strategies.
 #pragma once
 
 #include <vector>
@@ -77,7 +92,18 @@ struct BlastOptions {
   /// nucleotide searches, but the option is part of the family.
   bool two_hit = false;
   int two_hit_window = 40;
+  /// BLAT's index: the database's non-overlapping W-mers (stride W) at
+  /// lookup width W, so hits need no verification and the stream is
+  /// scanned at every position.  Both follow `w`.
+  bool tile_database = false;
+  /// NCBI's effective-length correction of e-values; false = the plain
+  /// m*n search space of the paper's formula.
+  bool length_adjust = true;
 };
+
+/// The BLAT-style configuration: a tiled database, plain m*n e-values,
+/// and SCORIS-N's default drop-offs and DUST level.
+[[nodiscard]] BlastOptions blat_options();
 
 struct BlastStats {
   double index_seconds = 0.0;
@@ -91,6 +117,7 @@ struct BlastStats {
   std::size_t hsps = 0;            ///< unique HSPs above S1
   std::size_t duplicate_hsps = 0;  ///< removed by the explicit dedup
   std::size_t diag_array_bytes = 0;
+  std::size_t index_bytes = 0;     ///< the database lookup table
   core::GappedStageStats gapped;
   std::size_t alignments = 0;
 };

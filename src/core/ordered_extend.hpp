@@ -44,7 +44,8 @@ struct OrderedExtendOutcome {
 };
 
 /// Ordered two-sided ungapped extension of the exact seed match
-/// idx1.bank()[p1, p1+W) == idx2.bank()[p2, p2+W).
+/// idx1.bank()[p1, p1+W) == idx2.bank()[p2, p2+W): the plain walk of
+/// align/ungapped.hpp with the order rule as its per-character hook.
 /// `anchor` must be the seed code at p1/p2 (the enumeration loop already
 /// has it, so it is passed instead of recomputed).  `ops` selects the
 /// match-run kernel used to consume identical-base stretches; the scalar
@@ -53,17 +54,8 @@ struct OrderedExtendOutcome {
 [[nodiscard]] OrderedExtendOutcome extend_ordered(
     const index::BankIndex& idx1, const index::BankIndex& idx2,
     seqio::Pos p1, seqio::Pos p2, index::SeedCode anchor,
-    const align::ScoringParams& params, const align::simd::KernelOps& ops);
-[[nodiscard]] OrderedExtendOutcome extend_ordered(
-    const index::BankIndex& idx1, const index::BankIndex& idx2,
-    seqio::Pos p1, seqio::Pos p2, index::SeedCode anchor,
-    const align::ScoringParams& params);
-
-/// Convenience overload that derives the anchor code from the sequence
-/// (tests and one-off callers).
-[[nodiscard]] OrderedExtendOutcome extend_ordered(
-    const index::BankIndex& idx1, const index::BankIndex& idx2,
-    seqio::Pos p1, seqio::Pos p2, const align::ScoringParams& params);
+    const align::ScoringParams& params,
+    const align::simd::KernelOps& ops = align::simd::dispatch());
 
 /// Step-2 kernel parameters (the slice of core::Options the scan needs;
 /// kept separate so this header stays independent of the pipeline).

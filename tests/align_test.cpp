@@ -131,15 +131,19 @@ TEST(Ungapped, AsymmetricPositions) {
   EXPECT_GE(h.score, 9);
 }
 
-TEST(Ungapped, SideExtensionHelpers) {
+TEST(Ungapped, EachSideStopsAtTheSpanEdge) {
+  // No sentinels: each side stops at the edge of the spans.  From the seed
+  // CGT the left side adds AAAA (+4); from AAAA the right side adds CGT.
   const auto a = codes_of("AAAACGT");
   const auto b = codes_of("AAAACGT");
-  const auto left = extend_left_plain(a, b, 4, 4, default_params());
-  EXPECT_EQ(left.score_gain, 4);
-  EXPECT_EQ(left.span, 4u);
-  const auto right = extend_right_plain(a, b, 4, 4, default_params());
-  EXPECT_EQ(right.score_gain, 3);
-  EXPECT_EQ(right.span, 3u);
+  const Hsp left = extend_ungapped(a, b, 4, 4, 3, default_params());
+  EXPECT_EQ(left.s1, 0u);
+  EXPECT_EQ(left.e1, 7u);
+  EXPECT_EQ(left.score, 3 + 4);
+  const Hsp right = extend_ungapped(a, b, 0, 0, 4, default_params());
+  EXPECT_EQ(right.s1, 0u);
+  EXPECT_EQ(right.e1, 7u);
+  EXPECT_EQ(right.score, 4 + 3);
 }
 
 // --- gapped extension ---------------------------------------------------------

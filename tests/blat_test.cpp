@@ -1,12 +1,11 @@
-// Tests for the BLAT-like comparator (tiled non-overlapping index) and the
-// two-hit trigger of the BLASTN baseline.
+// Tests for the BLAT configuration of the BLASTN baseline (tiled
+// non-overlapping index) and for its two-hit trigger.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "api/session.hpp"
 #include "blast/blastn.hpp"
-#include "blast/blat_like.hpp"
 #include "index/bank_index.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -17,9 +16,9 @@ namespace {
 TEST(BlatLike, FindsHighIdentityHomology) {
   simulate::Rng rng(501);
   const auto hp = simulate::make_homologous_pair(rng, 800, 6, 5, 0.02);
-  BlatOptions opt;
+  BlastOptions opt = blat_options();
   opt.dust = false;
-  const auto r = BlatLike(opt).run(hp.bank1, hp.bank2);
+  const auto r = BlastN(opt).run(hp.bank1, hp.bank2);
   std::set<std::pair<std::uint32_t, std::uint32_t>> found;
   for (const auto& a : r.alignments) found.insert({a.seq1, a.seq2});
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -45,11 +44,11 @@ TEST(BlatLike, TiledIndexIsSmaller) {
 TEST(BlatLike, FewerHitsThanBlastN) {
   simulate::Rng rng(507);
   const auto hp = simulate::make_homologous_pair(rng, 1000, 8, 6, 0.03);
-  BlatOptions blat_opt;
+  BlastOptions blat_opt = blat_options();
   blat_opt.dust = false;
   BlastOptions blast_opt;
   blast_opt.dust = false;
-  const auto rb = BlatLike(blat_opt).run(hp.bank1, hp.bank2);
+  const auto rb = BlastN(blat_opt).run(hp.bank1, hp.bank2);
   const auto rn = BlastN(blast_opt).run(hp.bank1, hp.bank2);
   EXPECT_LT(rb.stats.hit_pairs, rn.stats.hit_pairs);
 }
@@ -62,10 +61,10 @@ TEST(BlatLike, LowerSensitivityOnDivergedSequences) {
   const auto hp = simulate::make_homologous_pair(rng, 300, 30, 30, 0.10);
   core::Options sopt;
   sopt.dust = false;
-  BlatOptions bopt;
+  BlastOptions bopt = blat_options();
   bopt.dust = false;
   const auto sr = Session(hp.bank1, sopt).search_collect(hp.bank2);
-  const auto br = BlatLike(bopt).run(hp.bank1, hp.bank2);
+  const auto br = BlastN(bopt).run(hp.bank1, hp.bank2);
 
   const auto pairs_of = [](const auto& alignments) {
     std::set<std::pair<std::uint32_t, std::uint32_t>> out;
@@ -83,7 +82,7 @@ TEST(BlatLike, NoiseClean) {
   seqio::SequenceBank b1("n1"), b2("n2");
   b1.add_codes("x", simulate::random_codes(rng, 4000));
   b2.add_codes("y", simulate::random_codes(rng, 4000));
-  const auto r = BlatLike().run(b1, b2);
+  const auto r = BlastN(blat_options()).run(b1, b2);
   EXPECT_EQ(r.alignments.size(), 0u);
 }
 
@@ -98,10 +97,10 @@ TEST(BlatLike, MinusStrandSupported) {
   seqio::SequenceBank b2("b2");
   b2.add_codes("s", rc);
 
-  BlatOptions opt;
+  BlastOptions opt = blat_options();
   opt.dust = false;
   opt.strand = seqio::Strand::kBoth;
-  const auto r = BlatLike(opt).run(b1, b2);
+  const auto r = BlastN(opt).run(b1, b2);
   ASSERT_GE(r.alignments.size(), 1u);
   EXPECT_TRUE(r.alignments[0].minus);
 }

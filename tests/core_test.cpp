@@ -41,7 +41,7 @@ std::vector<Hsp> enumerate_ordered_hsps(const BankIndex& idx1,
     }
     idx1.for_each(code, [&](seqio::Pos p1) {
       idx2.for_each(code, [&](seqio::Pos p2) {
-        const auto o = extend_ordered(idx1, idx2, p1, p2, params);
+        const auto o = extend_ordered(idx1, idx2, p1, p2, code, params);
         if (!o.hsp.has_value()) {
           if (aborts != nullptr) ++*aborts;
           return;

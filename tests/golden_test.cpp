@@ -19,7 +19,6 @@
 #include "api/session.hpp"
 #include "api/sinks.hpp"
 #include "blast/blastn.hpp"
-#include "blast/blat_like.hpp"
 #include "compare/m8.hpp"
 #include "seqio/strand.hpp"
 #include "simulate/paper_datasets.hpp"
@@ -116,11 +115,10 @@ struct BaselineRun {
   std::size_t hsps = 0;
 };
 
-template <typename Comparator, typename ComparatorOptions>
-BaselineRun run_baseline(ComparatorOptions options) {
+BaselineRun run_baseline(blast::BlastOptions options) {
   options.threads = 2;
-  const auto result =
-      Comparator(options).run(est_pair().est1, est_pair().est2);
+  const blast::BlastResult result =
+      blast::BlastN(options).run(est_pair().est1, est_pair().est2);
   std::ostringstream os;
   compare::write_m8(os, result.alignments, est_pair().est1, est_pair().est2);
   const std::string m8 = os.str();
@@ -129,13 +127,13 @@ BaselineRun run_baseline(ComparatorOptions options) {
 }
 
 TEST(GoldenM8, EstPairBlastnBaseline) {
-  const auto run = run_baseline<blast::BlastN>(blast::BlastOptions{});
+  const auto run = run_baseline(blast::BlastOptions{});
   expect_pin(run.pin, {235, 14091, 0x60f69100330296efull});
   EXPECT_EQ(run.hsps, 497u);
 }
 
 TEST(GoldenM8, EstPairBlatConfiguration) {
-  const auto run = run_baseline<blast::BlatLike>(blast::BlatOptions{});
+  const auto run = run_baseline(blast::blat_options());
   expect_pin(run.pin, {233, 13975, 0x76ae4ab92ead41e5ull});
   EXPECT_EQ(run.hsps, 480u);
 }
