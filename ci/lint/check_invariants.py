@@ -416,6 +416,35 @@ def check_single_m8_writer() -> None:
                        "so every output path writes the same bytes")
 
 
+# --------------------------------------------------------------------------
+# R10 — one ungapped walk.  Step 2's ordered extension and the plain
+# extension of BLASTN, its BLAT configuration and the A1 ablation all run
+# the walk in align/ungapped.hpp, templated on direction and on a
+# per-character hook.  A second walk would re-implement its run folding,
+# x-drop test and stops, and could drift from it (a per-call pre-check
+# would have to go into both and stay equal), so the match-run kernels
+# may be called only inside src/align/simd/ and in the walk's own file.
+# --------------------------------------------------------------------------
+
+R10_ALLOWED_DIR = SRC / "align" / "simd"
+R10_ALLOWED = {SRC / "align" / "ungapped.hpp"}
+R10_CALL = re.compile(r"\bmatch_run_(?:fwd|bwd)\s*\(")
+
+
+def check_single_ungapped_walk() -> None:
+    for path in source_files(SRC):
+        if path in R10_ALLOWED or R10_ALLOWED_DIR in path.parents:
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if R10_CALL.search(line):
+                report("R10-second-ungapped-walk", path, lineno,
+                       "a match-run kernel called outside src/align/simd/ "
+                       "and align/ungapped.hpp — extend through "
+                       "align::extend_seed with a per-character hook so "
+                       "every ungapped extension runs the one walk")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
@@ -426,6 +455,7 @@ def main() -> int:
     check_metric_docs_sync()
     check_single_scheduler()
     check_single_m8_writer()
+    check_single_ungapped_walk()
     if violations:
         for v in violations:
             print(v)

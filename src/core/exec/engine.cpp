@@ -340,6 +340,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
   st.index_group_balance = reduce_seconds(std::move(index_group_seconds));
   st.gapped_group_balance = reduce_seconds(std::move(gapped_group_seconds));
   st.masked_bases += idx1.masked_bases();
+  st.reference_masked_bases = idx1.masked_bases();
   st.index_bytes = idx1.memory_bytes() + peak_idx2_bytes;
   st.index_dict_bytes = idx1.dictionary_bytes() + peak_idx2_dict;
   st.index_chain_bytes = idx1.chain_bytes() + peak_idx2_chain;

@@ -28,6 +28,7 @@
 // collected result.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -59,6 +60,7 @@ struct PipelineStats {
   std::size_t index_chain_bytes = 0;  ///< per-word arrays, both
   std::size_t index_positions = 0;    ///< bank positions of both indexes
   std::size_t masked_bases = 0;     ///< DUST-masked positions, both banks
+  std::size_t reference_masked_bases = 0;  ///< the reference's share
   /// Match-run kernel the step-2 extensions ran with ("scalar" or
   /// "avx2") — the dispatcher's pick, or scalar when forced by the
   /// Options knob / SCORIS_FORCE_SCALAR.
@@ -82,6 +84,37 @@ struct PipelineStats {
   /// the natural "shard" of those stages.
   exec::ShardBalance index_group_balance;
   exec::ShardBalance gapped_group_balance;
+
+  /// Folds in the stats of another run over the same reference, such as
+  /// a plan group that the distributed coordinator ran through the
+  /// engine.  Stage seconds and counters add.  Index memory, positions
+  /// and peak delivery memory keep the larger, because both runs count
+  /// the same reference and one subject index is resident at a time.
+  /// Both runs count the reference's masked bases, so they count once.
+  /// The wall-time spreads are not folded.
+  PipelineStats& operator+=(const PipelineStats& run) {
+    index_seconds += run.index_seconds;
+    hsp_seconds += run.hsp_seconds;
+    gapped_seconds += run.gapped_seconds;
+    total_seconds += run.total_seconds;
+    hit_pairs += run.hit_pairs;
+    order_aborts += run.order_aborts;
+    hsps += run.hsps;
+    duplicate_hsps += run.duplicate_hsps;
+    index_bytes = std::max(index_bytes, run.index_bytes);
+    index_dict_bytes = std::max(index_dict_bytes, run.index_dict_bytes);
+    index_chain_bytes = std::max(index_chain_bytes, run.index_chain_bytes);
+    index_positions = std::max(index_positions, run.index_positions);
+    masked_bases += run.masked_bases - reference_masked_bases;
+    reference_masked_bases = run.reference_masked_bases;
+    simd_kernel = run.simd_kernel;
+    gapped += run.gapped;
+    alignments += run.alignments;
+    peak_delivery_bytes = std::max(peak_delivery_bytes, run.peak_delivery_bytes);
+    spilled_runs += run.spilled_runs;
+    spill_bytes += run.spill_bytes;
+    return *this;
+  }
 };
 
 struct Result {

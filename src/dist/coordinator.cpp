@@ -433,14 +433,7 @@ SearchOutcome run_distributed(const Session& session,
       Collector collector;
       (void)core::exec::execute(request, collector);
       core::Result result = collector.take();
-      local_stats.index_seconds += result.stats.index_seconds;
-      local_stats.hsp_seconds += result.stats.hsp_seconds;
-      local_stats.gapped_seconds += result.stats.gapped_seconds;
-      local_stats.hit_pairs += result.stats.hit_pairs;
-      local_stats.order_aborts += result.stats.order_aborts;
-      local_stats.hsps += result.stats.hsps;
-      local_stats.masked_bases += result.stats.masked_bases;
-      local_stats.simd_kernel = result.stats.simd_kernel;
+      local_stats += result.stats;
       DistMetrics::get().groups_local.inc();
       {
         util::MutexLock lock(shared.merge_mu);
@@ -472,8 +465,9 @@ SearchOutcome run_distributed(const Session& session,
   const std::size_t emitted = merger.merge(sink, batch);
 
   // Stage seconds/counters cover the locally executed share only (the
-  // wire does not carry worker stats in protocol v1); totals, spill
-  // accounting, and the alignment count are exact.
+  // wire does not carry worker stats in protocol v1), and the reference
+  // counts once if any group ran here; totals, spill accounting, and the
+  // alignment count are exact.
   core::PipelineStats st = local_stats;
   const core::exec::MergeStats& ms = merger.stats();
   st.alignments = emitted;

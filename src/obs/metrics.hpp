@@ -1,20 +1,20 @@
 // Process-wide observability metrics: counters, gauges, and fixed-bucket
 // histograms, snapshot-able into Prometheus text exposition format.
 //
-// Design constraints (the ROADMAP's "millions of users" daemon):
+// Design constraints:
 //
-//   * The hot path is lock-free.  A Counter is a small array of
-//     cache-line-padded std::atomic cells; each thread increments the
-//     cell its thread-id hashes to with relaxed ordering, so concurrent
-//     queries never contend on one line and the step-2 scan path gains
-//     no lock anywhere.  value() sums the cells — exact, because every
-//     increment lands in exactly one cell.
+//   * Updates are lock-free.  A Counter is one std::atomic<std::uint64_t>
+//     incremented with relaxed ordering.  Every increment site fires once
+//     per pool task, group, spilled run, query, connection, job or retry,
+//     never per seed pair or alignment, so the step-2 scan touches no
+//     counter and one shared cell is contended far too rarely to pay
+//     for sharding.
 //   * Registration is rare and locked; use sites fetch their metric
 //     reference once (function-local static) and then only touch
 //     atomics.  References returned by the registry are stable for the
 //     registry's lifetime.
-//   * Snapshots are approximate in time (cells are read one by one) but
-//     every counted event appears in some snapshot at or after the
+//   * Snapshots are approximate in time (metrics are read one by one)
+//     but every counted event appears in some snapshot at or after the
 //     increment — fine for monitoring, and exactly what Prometheus
 //     scraping assumes.
 //
@@ -26,48 +26,28 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/thread_annotations.hpp"
 
 namespace scoris::obs {
 
-/// Monotonic event count with sharded cells (see the header comment).
+/// Monotonic event count (see the header comment).
 class Counter {
  public:
-  static constexpr std::size_t kShards = 16;
-
   void inc(std::uint64_t n = 1) {
-    cells_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Exact sum of all cells (each event landed in exactly one).
   [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Cell& cell : cells_) {
-      total += cell.v.load(std::memory_order_relaxed);
-    }
-    return total;
+    return v_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  static std::size_t shard_index() {
-    // One hash per thread lifetime, not per increment.
-    static thread_local const std::size_t slot =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-    return slot;
-  }
-
-  Cell cells_[kShards];
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Instantaneous signed value (queue depths, active connections, peaks).

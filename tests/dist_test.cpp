@@ -37,6 +37,7 @@
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "store/index_store.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris {
 namespace {
@@ -509,6 +510,61 @@ TEST(Distributed, DeadWorkerFallsBackToLocalExecution) {
   config.workers.push_back(dead);
   config.retry.retries = 0;  // fail fast; the local executor drains
   EXPECT_EQ(fixture.dist_m8(config), reference);
+}
+
+TEST(Distributed, LocalGroupsReportTheInProcessStats) {
+  // With its one worker unreachable the coordinator runs every group
+  // itself, so its stats must be an in-process search's over the same
+  // slices, counter for counter.  Low-complexity tails give both banks
+  // DUST-masked bases, which the reference must count once.
+  simulate::Rng rng(67);
+  auto hp = simulate::make_homologous_pair(rng, 400, 12, 10, 0.05);
+  simulate::CodeString repeat;
+  for (int k = 0; k < 40; ++k) repeat += scoris::testing::codes_of("AC");
+  hp.bank1.add_codes("low1", repeat + simulate::random_codes(rng, 200));
+  hp.bank2.add_codes("low2", simulate::random_codes(rng, 200) + repeat);
+  Options options;
+  options.strand = seqio::Strand::kBoth;
+  const Session session(std::move(hp.bank1), options);
+
+  ScratchDir scratch;
+  dist::DistConfig config;
+  net::Endpoint dead;
+  dead.kind = net::Endpoint::Kind::kUnix;
+  dead.path =
+      (std::filesystem::path(scratch.path()) / "nobody-home.sock").string();
+  config.workers.push_back(dead);
+  config.retry.retries = 0;
+  CountingSink dist_sink;
+  const SearchOutcome dist =
+      dist::run_distributed(session, hp.bank2, dist_sink, {}, config);
+
+  SearchLimits limits;
+  limits.min_chunks = dist.slices;
+  CountingSink local_sink;
+  const SearchOutcome local = session.search(hp.bank2, local_sink, limits);
+  ASSERT_EQ(dist.groups, local.groups);
+  ASSERT_GT(dist.groups, 2u);
+
+  const core::PipelineStats& d = dist.stats;
+  const core::PipelineStats& l = local.stats;
+  EXPECT_EQ(d.hit_pairs, l.hit_pairs);
+  EXPECT_EQ(d.order_aborts, l.order_aborts);
+  EXPECT_EQ(d.hsps, l.hsps);
+  EXPECT_GT(l.masked_bases, session.reference_index().masked_bases());
+  EXPECT_EQ(d.masked_bases, l.masked_bases);
+  EXPECT_GT(l.gapped.gapped_extensions, 0u);
+  EXPECT_EQ(d.gapped.hsps_in, l.gapped.hsps_in);
+  EXPECT_EQ(d.gapped.skipped_contained, l.gapped.skipped_contained);
+  EXPECT_EQ(d.gapped.gapped_extensions, l.gapped.gapped_extensions);
+  EXPECT_EQ(d.gapped.fast_path, l.gapped.fast_path);
+  EXPECT_EQ(d.gapped.second_dp, l.gapped.second_dp);
+  EXPECT_EQ(d.gapped.below_cutoff, l.gapped.below_cutoff);
+  EXPECT_EQ(d.gapped.exact_duplicates, l.gapped.exact_duplicates);
+  EXPECT_EQ(d.gapped.xdrop_cells, l.gapped.xdrop_cells);
+  EXPECT_EQ(d.gapped.band_cells, l.gapped.band_cells);
+  EXPECT_EQ(d.alignments, l.alignments);
+  EXPECT_EQ(dist_sink.total(), local_sink.total());
 }
 
 TEST(Distributed, FutureVersionWorkerIsRejectedNotTrusted) {
