@@ -67,7 +67,6 @@ BlastResult BlastN::run(const seqio::SequenceBank& bank1,
   s.two_hit_deferred += m.two_hit_deferred;
   s.hsps += m.hsps;
   s.duplicate_hsps += m.duplicate_hsps;
-  s.gapped += m.gapped;
   s.alignments = plus.alignments.size();
   return plus;
 }

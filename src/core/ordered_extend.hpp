@@ -44,7 +44,7 @@ struct OrderedExtendOutcome {
 };
 
 /// Ordered two-sided ungapped extension of the exact seed match
-/// idx1.bank()[p1, p1+W) == idx2.bank()[p2, p2+W): the plain walk of
+/// idx1.bank()[p1, p1+W) == idx2.bank()[p2, p2+W): the ungapped walk of
 /// align/ungapped.hpp with the order rule as its per-character hook.
 /// `anchor` must be the seed code at p1/p2 (the enumeration loop already
 /// has it, so it is passed instead of recomputed).  `ops` selects the
