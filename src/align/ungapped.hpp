@@ -39,16 +39,13 @@ namespace scoris::align {
 
 enum class Direction { kLeft, kRight };
 
-/// The plain extension's hook.  A hook sees each matched character
-/// (`matched(c, i, j)`, with its positions in seq1 and seq2; true aborts
-/// the side) and each mismatch the walk steps over (`stepped_over(c)`).
-/// This one does neither, so the walk skips its per-character loop.
+/// The plain extension's hook.  A hook sees each mismatch the walk steps
+/// over (`stepped_over(c)`), and, when its kSeesMatches is true, each
+/// matched character (`matched(c, i, j)`, with its positions in seq1 and
+/// seq2; true aborts the side).  This one sees no match, so the walk
+/// skips its per-character loop.
 struct PlainWalk {
   static constexpr bool kSeesMatches = false;
-  static bool matched(seqio::Code /*c*/, std::size_t /*i*/,
-                      std::size_t /*j*/) {
-    return false;
-  }
   static void stepped_over(seqio::Code /*c*/) {}
 };
 

@@ -18,7 +18,7 @@ namespace {
 
 /// Daemon-level metrics in the process registry.  References are
 /// resolved once (registration takes the registry lock) and reused;
-/// every increment after that is a relaxed sharded atomic.
+/// every increment after that is one relaxed atomic add.
 struct DaemonMetrics {
   obs::Counter& connections_accepted;
   obs::Counter& busy_refusals;

@@ -2,11 +2,12 @@
 // walk, templated on direction and on a per-character hook, replaced them:
 // align::extend_left_plain, align::extend_right_plain and their
 // two-sided align::extend_ungapped, and core::extend_ordered_with, the
-// ORIS ordered walk.  Kept verbatim apart from the namespaces, `inline`
-// and the SideExtension type they returned, and linked only into the
-// differential test, which asserts that the live walks return the same
-// HSP bounds, score and abort decisions.  Do not edit: it is the
-// reference, not a second implementation.
+// ORIS ordered walk.  Kept verbatim apart from the namespaces, `inline`,
+// the `frozen::` on the two side calls and the SideExtension type they
+// returned, which is defined here.  Linked only into the differential
+// test, which asserts that the live walks return the same HSP bounds,
+// score and abort decisions.  Do not edit: it is the reference, not a
+// second implementation.
 #pragma once
 
 #include <algorithm>
