@@ -2,13 +2,23 @@
 // and the dictionary + chain bank index.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "filter/dust.hpp"
 #include "index/bank_index.hpp"
 #include "index/seed_coder.hpp"
 #include "simulate/generators.hpp"
+#include "simulate/paper_datasets.hpp"
 #include "simulate/rng.hpp"
+#include "store/index_store.hpp"
 #include "test_helpers.hpp"
 
 namespace scoris::index {
@@ -305,6 +315,96 @@ TEST(BankIndex, EmptyAndTinyBanks) {
   tiny.add("t", "ACG");  // shorter than W
   const BankIndex tiny_idx(tiny, coder);
   EXPECT_EQ(tiny_idx.total_indexed(), 0u);
+}
+
+// --- pins: the bytes of paper-bank builds ---------------------------------------
+//
+// The tests above compare a build with oracles on small banks.  These pin
+// the absolute arrays of DUST-masked PaperData(0.01, 42) builds, and the
+// bytes of a .scix file, so a rewrite of the build cannot move them.
+// Re-pinning is a hand edit whose reason goes in CHANGES.md.
+
+/// 64-bit FNV-1a over the bytes of `values`.
+template <typename T>
+std::uint64_t fnv_of(std::span<const T> values) {
+  return testing::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(values.data()), values.size_bytes()));
+}
+
+struct IndexPin {
+  const char* bank;
+  int w;
+  int dust_level;
+  std::uint64_t offsets_fnv;
+  std::uint64_t positions_fnv;
+  std::uint64_t bitmap_fnv;
+  std::size_t total_indexed;
+  std::size_t distinct_seeds;
+  std::size_t masked_bases;
+};
+
+const seqio::SequenceBank& paper_bank(const std::string& name) {
+  static const simulate::PaperData data(0.01, 42);
+  static const seqio::SequenceBank est5 = data.make("EST5");
+  static const seqio::SequenceBank bct = data.make("BCT");
+  return name == "EST5" ? est5 : bct;
+}
+
+TEST(IndexPins, PaperBanksKeepTheirArrays) {
+  const IndexPin pins[] = {
+      {"EST5", 8, 20, 0x9751407c96c0af48ull, 0xd1b9628396a67434ull,
+       0x0eb5fe4b4954d724ull, 251277, 56788, 0},
+      {"EST5", 11, 20, 0xff8cd83a5172ced4ull, 0x8bbb9a0e6f5c626aull,
+       0x240b974f1dd4c3fcull, 249570, 139769, 0},
+      {"BCT", 8, 20, 0x057a376b7a309ee8ull, 0x7cd2451cb5a95798ull,
+       0xe62a6ff38232455cull, 980986, 65536, 0},
+      {"BCT", 11, 20, 0x4ece11dbdab33405ull, 0x112f69d6c10a03d5ull,
+       0xe751c1225fd7d443ull, 980980, 872831, 0},
+      // DUST masks nothing in these banks at its default level 20, so
+      // two rows mask at level 10.
+      {"EST5", 11, 10, 0x739a7c2b65db7a07ull, 0x1ec71f32a9daa532ull,
+       0x38f088bf51cf39e3ull, 248116, 138856, 1282},
+      {"BCT", 9, 10, 0xe9a0433dee4c8365ull, 0x62aad9469ad18497ull,
+       0x304bb3a4ac03a729ull, 970372, 255567, 9612},
+  };
+  for (const IndexPin& pin : pins) {
+    std::string trace(pin.bank);
+    trace += testing::numbered(" w=", static_cast<std::uint64_t>(pin.w));
+    trace += testing::numbered(" dust level ",
+                               static_cast<std::uint64_t>(pin.dust_level));
+    SCOPED_TRACE(trace);
+    const seqio::SequenceBank& bank = paper_bank(pin.bank);
+    filter::DustParams dust;
+    dust.level = pin.dust_level;
+    const filter::MaskBitmap mask = filter::dust_mask(bank, dust);
+    IndexOptions opt;
+    opt.mask = &mask;
+    const BankIndex idx(bank, SeedCoder(pin.w), opt);
+    const std::span<const std::uint64_t> bitmap(idx.indexed_bitmap().words());
+    EXPECT_EQ(fnv_of(idx.occurrence_offsets()), pin.offsets_fnv);
+    EXPECT_EQ(fnv_of(idx.occurrence_positions()), pin.positions_fnv);
+    EXPECT_EQ(fnv_of(bitmap), pin.bitmap_fnv);
+    EXPECT_EQ(idx.total_indexed(), pin.total_indexed);
+    EXPECT_EQ(idx.distinct_seeds(), pin.distinct_seeds);
+    EXPECT_EQ(idx.masked_bases(), pin.masked_bases);
+  }
+}
+
+TEST(IndexPins, ScixFileKeepsItsBytes) {
+  // The default search key, and a stride-2 unmasked W = 9 payload.
+  store::IndexKey stride2;
+  stride2.w = 9;
+  stride2.stride = 2;
+  stride2.dust = false;
+  const std::vector<store::IndexKey> keys = {store::IndexKey{}, stride2};
+  const std::string path = ::testing::TempDir() + "index_pins.scix";
+  store::write_index_file(path, paper_bank("EST5"), keys);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes.size(), 19465405u);
+  EXPECT_EQ(testing::fnv1a64(bytes), 0x196ef2d575d8664full);
 }
 
 }  // namespace
