@@ -67,6 +67,10 @@ BlastResult BlastN::run(const seqio::SequenceBank& bank1,
   s.two_hit_deferred += m.two_hit_deferred;
   s.hsps += m.hsps;
   s.duplicate_hsps += m.duplicate_hsps;
+  s.gapped += m.gapped;
+  // The strands run one after the other and each frees its tables.
+  s.index_bytes = std::max(s.index_bytes, m.index_bytes);
+  s.diag_array_bytes = std::max(s.diag_array_bytes, m.diag_array_bytes);
   s.alignments = plus.alignments.size();
   return plus;
 }

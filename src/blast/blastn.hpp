@@ -105,6 +105,10 @@ struct BlastOptions {
 /// and SCORIS-N's default drop-offs and DUST level.
 [[nodiscard]] BlastOptions blat_options();
 
+/// One run's counters.  A both-strand run adds the two strands' seconds
+/// and counters, `gapped` included; it keeps the larger `index_bytes` and
+/// `diag_array_bytes`, because the strands run one after the other and
+/// each frees its tables before the next is built.
 struct BlastStats {
   double index_seconds = 0.0;
   double scan_seconds = 0.0;    ///< seed scan + ungapped extension

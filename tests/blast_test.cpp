@@ -3,6 +3,7 @@
 // disagreement at most, on realistic inputs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -10,6 +11,7 @@
 #include "blast/blastn.hpp"
 #include "compare/m8.hpp"
 #include "compare/sensitivity.hpp"
+#include "seqio/strand.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "stats/karlin.hpp"
@@ -66,6 +68,47 @@ TEST(BlastN, Statspopulated) {
   EXPECT_GT(r.stats.diag_array_bytes, 0u);
   EXPECT_GE(r.stats.total_seconds, 0.0);
   EXPECT_EQ(r.stats.alignments, r.alignments.size());
+}
+
+TEST(BlastN, BothStrandsAddEachStrandsGappedStats) {
+  simulate::Rng rng(113);
+  const auto hp = simulate::make_homologous_pair(rng, 400, 4, 3, 0.05);
+  // Bank 2 holds both strands of every sequence, so each strand's run
+  // finds homology and reaches the gapped stage.
+  const seqio::SequenceBank rc = seqio::reverse_complement(hp.bank2);
+  seqio::SequenceBank both("both");
+  for (std::size_t i = 0; i < hp.bank2.size(); ++i) {
+    both.add_codes(hp.bank2.seq_name(i), hp.bank2.codes(i));
+    both.add_codes(testing::numbered("rc", i), rc.codes(i));
+  }
+  BlastOptions opt;
+  opt.dust = false;
+  const auto stats_of = [&](seqio::Strand strand) {
+    opt.strand = strand;
+    return BlastN(opt).run(hp.bank1, both).stats;
+  };
+  const BlastStats plus = stats_of(seqio::Strand::kPlus);
+  const BlastStats minus = stats_of(seqio::Strand::kMinus);
+  const BlastStats sum = stats_of(seqio::Strand::kBoth);
+  ASSERT_GT(plus.gapped.gapped_extensions, 0u);
+  ASSERT_GT(minus.gapped.gapped_extensions, 0u);
+
+  core::GappedStageStats want = plus.gapped;
+  want += minus.gapped;
+  EXPECT_EQ(sum.gapped.hsps_in, want.hsps_in);
+  EXPECT_EQ(sum.gapped.skipped_contained, want.skipped_contained);
+  EXPECT_EQ(sum.gapped.gapped_extensions, want.gapped_extensions);
+  EXPECT_EQ(sum.gapped.fast_path, want.fast_path);
+  EXPECT_EQ(sum.gapped.second_dp, want.second_dp);
+  EXPECT_EQ(sum.gapped.below_cutoff, want.below_cutoff);
+  EXPECT_EQ(sum.gapped.exact_duplicates, want.exact_duplicates);
+  EXPECT_EQ(sum.gapped.xdrop_cells, want.xdrop_cells);
+  EXPECT_EQ(sum.gapped.band_cells, want.band_cells);
+  // The strands run one after the other, so the larger table is the peak.
+  EXPECT_EQ(sum.index_bytes, std::max(plus.index_bytes, minus.index_bytes));
+  EXPECT_EQ(sum.diag_array_bytes,
+            std::max(plus.diag_array_bytes, minus.diag_array_bytes));
+  EXPECT_EQ(sum.alignments, plus.alignments + minus.alignments);
 }
 
 TEST(BlastN, RespectsEvalueCutoff) {
