@@ -23,6 +23,10 @@
 #include "index/seed_coder.hpp"
 #include "seqio/sequence_bank.hpp"
 
+namespace scoris::util {
+class ThreadPool;
+}  // namespace scoris::util
+
 namespace scoris::index {
 
 struct IndexOptions {
@@ -31,6 +35,9 @@ struct IndexOptions {
   /// W = BLAT-style non-overlapping tiles).
   int stride = 1;
   const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
+  /// Pool the build may run on (nullptr = inline).  The arrays are the
+  /// same for any pool.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// An index's word starts in (code, position) order, bucketed by the top

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -24,6 +26,7 @@
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
 #include "test_helpers.hpp"
+#include "util/threading.hpp"
 
 namespace scoris {
 namespace {
@@ -293,7 +296,8 @@ INSTANTIATE_TEST_SUITE_P(
 /// order, so the HSP vector and the counters match for the full range,
 /// for ranges cut inside a bucket, and for a shard partition — with the
 /// order rule on and off, under the scalar and the dispatched kernel, for
-/// plain, stride-2 and DUST-masked subjects.
+/// plain, stride-2 and DUST-masked subjects.  A subject built on a pool
+/// of three threads must give the same full scan.
 class SubjectScanSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -318,6 +322,7 @@ TEST_P(SubjectScanSweep, MatchesDenseSubjectOverAnyRange) {
   const filter::MaskBitmap dust = filter::dust_mask(b2);
   ASSERT_GT(dust.count(), 0u);
   const auto all = static_cast<SeedCode>(coder.num_seeds());
+  util::ThreadPool pool(3);
 
   struct Shape {
     const char* name;
@@ -333,6 +338,8 @@ TEST_P(SubjectScanSweep, MatchesDenseSubjectOverAnyRange) {
     opt.mask = shape.mask;
     const BankIndex dense(b2, coder, opt);
     const index::SubjectIndex sparse(b2, coder, opt);
+    opt.pool = &pool;
+    const index::SubjectIndex pooled(b2, coder, opt);
 
     // Cut points off the bucket edges whenever a bucket spans more than
     // one code, so ranges start and end inside a bucket.
@@ -357,6 +364,8 @@ TEST_P(SubjectScanSweep, MatchesDenseSubjectOverAnyRange) {
           EXPECT_GT(full.hit_pairs, 0u);
         }
         EXPECT_EQ(scan_range_with(i1, sparse, *ops, enforce_order, 0, all),
+                  full);
+        EXPECT_EQ(scan_range_with(i1, pooled, *ops, enforce_order, 0, all),
                   full);
 
         for (std::size_t a = 0; a < cuts.size(); ++a) {
@@ -502,48 +511,50 @@ std::vector<CodeRun> oracle_runs(const seqio::SequenceBank& bank,
   return runs;
 }
 
-TEST(OccurrenceLists, MatchBruteForceOracle) {
-  simulate::Rng rng(99);
-  // Low-complexity runs between random flanks, so some words straddle a
-  // masked region's edge.
-  seqio::SequenceBank low_complexity("dusty");
-  for (const char base : {'A', 'C'}) {
-    auto codes = simulate::random_codes(rng, 120);
-    const auto run = testing::codes_of(std::string(60, base));
-    const auto tail = simulate::random_codes(rng, 120);
-    codes.insert(codes.end(), run.begin(), run.end());
-    codes.insert(codes.end(), tail.begin(), tail.end());
-    low_complexity.add_codes(std::string("poly_") + base, codes);
-  }
-  low_complexity.add_codes("random", simulate::random_codes(rng, 300));
-  seqio::SequenceBank n_runs("n_runs");
-  n_runs.add("a", "ACGTACNNNNNACGTACGTANACGTTTGCANNNGATTACAGATTACA");
-  n_runs.add("b", "NNNNNNNNNN");
-  n_runs.add("c", "GATTACNGATTAC");
-  seqio::SequenceBank short_seqs("short");
-  short_seqs.add("a", "ACG");
-  short_seqs.add("b", "ACGTA");
-  short_seqs.add("c", "ACGTAC");
-  short_seqs.add("d", "T");
-  const seqio::SequenceBank nasty = nasty_bank(rng, "nasty", 8, 200);
-  const seqio::SequenceBank empty("empty");
-  const filter::MaskBitmap dust = filter::dust_mask(low_complexity);
-  ASSERT_GT(dust.count(), 0u);
+/// One index build's input: a bank, its stride and its optional mask.
+struct BuildCase {
+  const char* name;
+  const seqio::SequenceBank* bank;
+  int stride;
+  const filter::MaskBitmap* mask;
+};
 
-  struct Case {
-    const char* name;
-    const seqio::SequenceBank* bank;
-    int stride;
-    const filter::MaskBitmap* mask;
-  };
-  // Both index types against the oracle.  The reference index is checked
-  // up to W = 11: its 4^13 + 1 offsets alone would take 256 MiB.
-  for (const int w : {4, 6, 8, 9, 11, 13}) {
-    const SeedCoder coder(w);
-    // Two crowded buckets of words that share all but their low code
-    // characters: one larger and one smaller than the build's 4096-entry
-    // sort scratch.
-    seqio::SequenceBank crowded("crowded");
+/// The banks OccurrenceLists.MatchBruteForceOracle indexes at every W:
+/// low-complexity runs under DUST, N runs, sequences shorter than W, noisy
+/// sequences, an empty bank, and two crowded buckets built for each W.
+class OracleBanks {
+ public:
+  explicit OracleBanks(simulate::Rng& rng) {
+    // Low-complexity runs between random flanks, so some words straddle a
+    // masked region's edge.
+    for (const char base : {'A', 'C'}) {
+      auto codes = simulate::random_codes(rng, 120);
+      const auto run = testing::codes_of(std::string(60, base));
+      const auto tail = simulate::random_codes(rng, 120);
+      codes.insert(codes.end(), run.begin(), run.end());
+      codes.insert(codes.end(), tail.begin(), tail.end());
+      low_complexity_.add_codes(std::string("poly_") + base, codes);
+    }
+    low_complexity_.add_codes("random", simulate::random_codes(rng, 300));
+    n_runs_.add("a", "ACGTACNNNNNACGTACGTANACGTTTGCANNNGATTACAGATTACA");
+    n_runs_.add("b", "NNNNNNNNNN");
+    n_runs_.add("c", "GATTACNGATTAC");
+    short_seqs_.add("a", "ACG");
+    short_seqs_.add("b", "ACGTA");
+    short_seqs_.add("c", "ACGTAC");
+    short_seqs_.add("d", "T");
+    nasty_ = nasty_bank(rng, "nasty", 8, 200);
+    dust_ = filter::dust_mask(low_complexity_);
+  }
+
+  [[nodiscard]] const filter::MaskBitmap& dust() const { return dust_; }
+
+  /// Every case at `coder`'s W.  Two crowded buckets of words that share
+  /// all but their low code characters are drawn from `rng` for each W:
+  /// one larger and one smaller than the build's 4096-entry sort scratch.
+  std::vector<BuildCase> cases(simulate::Rng& rng, const SeedCoder& coder) {
+    const int w = coder.w();
+    crowded_ = seqio::SequenceBank("crowded");
     const int low_chars = std::clamp(w - 8, 0, 4);
     for (const auto& [tail, copies] : {std::pair{'A', 5000},
                                        std::pair{'C', 1000}}) {
@@ -552,22 +563,43 @@ TEST(OccurrenceLists, MatchBruteForceOracle) {
         auto codes = simulate::random_codes(
             rng, static_cast<std::size_t>(low_chars));
         codes.insert(codes.end(), rest.begin(), rest.end());
-        crowded.add_codes(tail + std::to_string(k), codes);
+        crowded_.add_codes(tail + std::to_string(k), codes);
       }
     }
-    const Case cases[] = {
-        {"crowded buckets", &crowded, 1, nullptr},
-        {"nasty stride 1", &nasty, 1, nullptr},
-        {"nasty stride 2", &nasty, 2, nullptr},
-        {"nasty stride W", &nasty, coder.w(), nullptr},
-        {"dust stride 1", &low_complexity, 1, &dust},
-        {"dust stride 2", &low_complexity, 2, &dust},
-        {"N runs", &n_runs, 1, nullptr},
-        {"N runs stride 2", &n_runs, 2, nullptr},
-        {"shorter than W", &short_seqs, 1, nullptr},
-        {"empty bank", &empty, 1, nullptr},
+    return {
+        {"crowded buckets", &crowded_, 1, nullptr},
+        {"nasty stride 1", &nasty_, 1, nullptr},
+        {"nasty stride 2", &nasty_, 2, nullptr},
+        {"nasty stride W", &nasty_, w, nullptr},
+        {"dust stride 1", &low_complexity_, 1, &dust_},
+        {"dust stride 2", &low_complexity_, 2, &dust_},
+        {"N runs", &n_runs_, 1, nullptr},
+        {"N runs stride 2", &n_runs_, 2, nullptr},
+        {"shorter than W", &short_seqs_, 1, nullptr},
+        {"empty bank", &empty_, 1, nullptr},
     };
-    for (const Case& c : cases) {
+  }
+
+ private:
+  seqio::SequenceBank low_complexity_{"dusty"};
+  seqio::SequenceBank n_runs_{"n_runs"};
+  seqio::SequenceBank short_seqs_{"short"};
+  seqio::SequenceBank nasty_{"nasty"};
+  seqio::SequenceBank empty_{"empty"};
+  seqio::SequenceBank crowded_{"crowded"};
+  filter::MaskBitmap dust_;
+};
+
+TEST(OccurrenceLists, MatchBruteForceOracle) {
+  simulate::Rng rng(99);
+  OracleBanks banks(rng);
+  ASSERT_GT(banks.dust().count(), 0u);
+
+  // Both index types against the oracle.  The reference index is checked
+  // up to W = 11: its 4^13 + 1 offsets alone would take 256 MiB.
+  for (const int w : {4, 6, 8, 9, 11, 13}) {
+    const SeedCoder coder(w);
+    for (const BuildCase& c : banks.cases(rng, coder)) {
       SCOPED_TRACE(std::string(c.name) + ", w=" + std::to_string(w));
       index::IndexOptions opt;
       opt.stride = c.stride;
@@ -631,6 +663,124 @@ TEST(OccurrenceLists, MatchBruteForceOracle) {
       EXPECT_EQ(idx.memory_bytes(),
                 idx.dictionary_bytes() + idx.chain_bytes());
       EXPECT_EQ(idx.occurrence_bytes(), 0u);
+    }
+  }
+}
+
+// --- the build on a pool ------------------------------------------------------
+
+/// A SubjectIndex's arrays, read through its walk: the runs of every
+/// code in order, the word-start bitmap and the byte counts.
+struct SubjectArrays {
+  std::vector<CodeRun> runs;
+  std::vector<std::uint64_t> bitmap;
+  std::size_t dictionary_bytes = 0;
+  std::size_t chain_bytes = 0;
+
+  bool operator==(const SubjectArrays&) const = default;
+};
+
+SubjectArrays arrays_of(const index::SubjectIndex& sub,
+                        const SeedCoder& coder) {
+  SubjectArrays out;
+  sub.for_each_code(0, static_cast<SeedCode>(coder.num_seeds()),
+                    [&](SeedCode code, std::span<const std::int32_t> occ) {
+                      out.runs.push_back({code, {occ.begin(), occ.end()}});
+                    });
+  out.bitmap = sub.indexed_bitmap().words();
+  out.dictionary_bytes = sub.dictionary_bytes();
+  out.chain_bytes = sub.chain_bytes();
+  return out;
+}
+
+/// A BankIndex's arrays and counters.
+struct BankArrays {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::int32_t> positions;
+  std::vector<std::uint64_t> bitmap;
+  std::size_t total_indexed = 0;
+  std::size_t distinct_seeds = 0;
+  std::size_t masked_bases = 0;
+
+  bool operator==(const BankArrays&) const = default;
+};
+
+BankArrays arrays_of(const BankIndex& idx) {
+  const auto offsets = idx.occurrence_offsets();
+  const auto positions = idx.occurrence_positions();
+  return {{offsets.begin(), offsets.end()},
+          {positions.begin(), positions.end()},
+          idx.indexed_bitmap().words(),
+          idx.total_indexed(),
+          idx.distinct_seeds(),
+          idx.masked_bases()};
+}
+
+/// Every oracle case, plus two shapes for the build's position ranges,
+/// built inline and on pools of 1 to 4 threads: each build must hold the
+/// inline build's arrays.  Ranges are cut at multiples of 64 positions,
+/// so in one long sequence every cut falls inside the sequence; with an
+/// N run over every multiple of 64, every cut falls inside an N run; the
+/// sequence starts at global position 1, so under stride 2 every cut
+/// falls between two word starts.  The last bank is shorter than 64
+/// positions per pool thread.
+TEST(IndexBuildPools, EveryPoolBuildsTheInlineArrays) {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
+  simulate::Rng rng(99);
+  OracleBanks banks(rng);
+
+  const auto long_codes = simulate::random_codes(rng, 5000);
+  seqio::SequenceBank long_seq("long");
+  long_seq.add_codes("s", long_codes);
+  ASSERT_EQ(long_seq.offset(0), 1u);
+  auto gapped_codes = long_codes;
+  for (std::size_t cut = 64; cut < gapped_codes.size(); cut += 64) {
+    // Global positions cut - 3 .. cut + 2, local ones one lower.
+    for (std::size_t p = cut - 4; p < cut + 2; ++p) {
+      gapped_codes[p] = kAmbiguous;
+    }
+  }
+  seqio::SequenceBank n_at_cuts("n_at_cuts");
+  n_at_cuts.add_codes("s", gapped_codes);
+  seqio::SequenceBank under_64_per_thread("under_64_per_thread");
+  under_64_per_thread.add("a", "ACGTTGCAACGTAGGCTTACGATCGATCGGATCCA");
+  under_64_per_thread.add("b", "TTGACCGTAAGCTTGGCATTCGAGGCTAAGCTT");
+  under_64_per_thread.add("c", "GATTACAGATTACAGATTACANNACGT");
+  ASSERT_LT(under_64_per_thread.data_size(), 64u * 2u);
+
+  for (const int w : {4, 6, 8, 9, 11, 13}) {
+    const SeedCoder coder(w);
+    std::vector<BuildCase> cases = banks.cases(rng, coder);
+    cases.push_back({"long sequence", &long_seq, 1, nullptr});
+    cases.push_back({"long sequence stride 2", &long_seq, 2, nullptr});
+    cases.push_back({"N runs at the cuts", &n_at_cuts, 1, nullptr});
+    cases.push_back({"N runs at the cuts stride 2", &n_at_cuts, 2, nullptr});
+    cases.push_back({"under 64 positions per thread", &under_64_per_thread,
+                     1, nullptr});
+    for (const BuildCase& c : cases) {
+      std::string trace(c.name);
+      trace += testing::numbered(", w=", static_cast<std::uint64_t>(w));
+      SCOPED_TRACE(trace);
+      index::IndexOptions opt;
+      opt.stride = c.stride;
+      opt.mask = c.mask;
+      const SubjectArrays subject =
+          arrays_of(index::SubjectIndex(*c.bank, coder, opt), coder);
+      std::optional<BankArrays> reference;
+      // 4^13 + 1 offsets would take 256 MiB, as in the oracle test.
+      if (w <= 11) reference = arrays_of(BankIndex(*c.bank, coder, opt));
+      for (const auto& pool : pools) {
+        SCOPED_TRACE(testing::numbered("threads ", pool->thread_count()));
+        opt.pool = pool.get();
+        EXPECT_EQ(arrays_of(index::SubjectIndex(*c.bank, coder, opt), coder),
+                  subject);
+        if (reference.has_value()) {
+          EXPECT_EQ(arrays_of(BankIndex(*c.bank, coder, opt)), *reference);
+        }
+      }
     }
   }
 }
