@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -14,13 +15,15 @@
 #include "compare/m8.hpp"
 #include "core/ordered_extend.hpp"
 #include "filter/dust.hpp"
-#include "index/spaced_seed.hpp"
 #include "index/bank_index.hpp"
+#include "index/spaced_seed.hpp"
+#include "index/subject_index.hpp"
 #include "seqio/serialize.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/mutate.hpp"
 #include "simulate/rng.hpp"
 #include "stats/karlin.hpp"
+#include "util/threading.hpp"
 
 namespace {
 
@@ -55,18 +58,34 @@ void BM_SeedCodeRolling(benchmark::State& state) {
 }
 BENCHMARK(BM_SeedCodeRolling);
 
+/// One index build per iteration over a random bank of range(0) bases, on
+/// a pool of range(1) threads: 1 builds inline, as callers without a pool
+/// do.  The pool is started outside the timed loop.
+template <typename Index>
 void BM_IndexBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<std::size_t>(state.range(1));
   seqio::SequenceBank bank;
   bank.add_codes("s", random_seq(3, n));
   const index::SeedCoder coder(11);
+  std::unique_ptr<util::ThreadPool> pool;
+  index::IndexOptions options;
+  if (threads > 1) {
+    pool = std::make_unique<util::ThreadPool>(threads);
+    options.pool = pool.get();
+  }
   for (auto _ : state) {
-    const index::BankIndex idx(bank, coder);
+    const Index idx(bank, coder, options);
     benchmark::DoNotOptimize(idx.total_indexed());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_IndexBuild)->Arg(100000)->Arg(1000000);
+BENCHMARK(BM_IndexBuild<index::BankIndex>)
+    ->ArgsProduct({{100000, 1000000}, {1, 2, 4}})
+    ->UseRealTime();
+BENCHMARK(BM_IndexBuild<index::SubjectIndex>)
+    ->ArgsProduct({{100000, 1000000}, {1, 2, 4}})
+    ->UseRealTime();
 
 /// A seed on the homologous diagonal of `a` and its mutated copy `b`: the
 /// first W-mer at or after `from` in `a` that recurs in `b` within 64

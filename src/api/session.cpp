@@ -37,6 +37,8 @@ Session::Session(seqio::SequenceBank reference, Options options)
   // Heap-pin the bank: the index (and every in-flight ExecRequest)
   // references it, and the session must stay movable.
   bank_ = std::make_unique<seqio::SequenceBank>(std::move(reference));
+  // The pool first: the reference index builds on it.
+  init_pool();
 
   util::WallTimer timer;
   const index::SeedCoder coder(options_.effective_w());
@@ -46,11 +48,11 @@ Session::Session(seqio::SequenceBank reference, Options options)
     mask = filter::dust_mask(*bank_, options_.dust_params);
     iopt.mask = &mask;
   }
+  iopt.pool = pool_.get();
   index_ = std::make_unique<index::BankIndex>(*bank_, coder, iopt);
   idx1_ = index_.get();
   builds_ = 1;
   build_seconds_ = timer.seconds();
-  init_pool();
 }
 
 Session::Session(store::IndexStore store, Options options)

@@ -5,11 +5,12 @@
 // expensive preparation exactly once —
 //
 //   * load the reference (FASTA/.scob bank, or a prebuilt .scix store),
-//   * DUST-mask and index it (skipped entirely for .scix artifacts),
 //   * validate the Options (Options::validate is the single source of
 //     truth; an invalid configuration throws and never reaches the
 //     engine),
-//   * spin up the worker pool —
+//   * spin up the worker pool,
+//   * DUST-mask the reference and index it on that pool (skipped
+//     entirely for .scix artifacts) —
 //
 // and then serves any number of search() calls against it, each
 // streaming alignments through a HitSink in bounded memory.  The memory

@@ -435,7 +435,7 @@ std::vector<Flag> session_flags(CliConfig& c) {
              "seed length, 4..13 (default 11); must match\n"
              "the artifact when searching a .scix"),
       number("threads", "N", c.threads, Options::kMinThreads,
-             Options::kMaxThreads, "worker threads for steps 2-3 (default 1)"),
+             Options::kMaxThreads, "worker threads for steps 1-3 (default 1)"),
       number("shards", "N", c.shards, 0,
              static_cast<std::int64_t>(Options::kMaxShards),
              "step-2 seed-code shards per strand/slice group\n"
@@ -1033,8 +1033,10 @@ int run_serve(const ServeConfig& config, std::ostream& /*out*/,
       server.serve();
     }
     const daemon::ServerCounters counters = server.counters();
-    logger->info("scoris serve: shut down after " +
-                     std::to_string(counters.served) + " queries",
+    std::string shut_down = "scoris serve: shut down after ";
+    shut_down += std::to_string(counters.served);
+    shut_down += " queries";
+    logger->info(shut_down,
                  {obs::kv("connections", counters.accepted),
                   obs::kv("refused", counters.rejected),
                   obs::kv("failed", counters.failed)});
@@ -1151,8 +1153,10 @@ int run_worker(const WorkerConfig& config, std::ostream& /*out*/,
       worker.serve();
     }
     const dist::WorkerCounters counters = worker.counters();
-    logger->info("scoris worker: shut down after " +
-                     std::to_string(counters.groups) + " groups",
+    std::string shut_down = "scoris worker: shut down after ";
+    shut_down += std::to_string(counters.groups);
+    shut_down += " groups";
+    logger->info(shut_down,
                  {obs::kv("connections", counters.accepted),
                   obs::kv("jobs", counters.jobs),
                   obs::kv("failed", counters.failed)});

@@ -95,9 +95,11 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
 
   const int w = options.effective_w();
   if (idx1.w() != w) {
-    throw std::invalid_argument("exec: reference index has w=" +
-                                std::to_string(idx1.w()) +
-                                " but the run needs w=" + std::to_string(w));
+    std::string message = "exec: reference index has w=";
+    message += std::to_string(idx1.w());
+    message += " but the run needs w=";
+    message += std::to_string(w);
+    throw std::invalid_argument(message);
   }
   const index::SeedCoder coder(w);
 
@@ -190,6 +192,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       iopt2.mask = &mask2;
     }
     if (options.asymmetric) iopt2.stride = 2;
+    iopt2.pool = request.pool;
     const index::SubjectIndex idx2(subject, coder, iopt2);
     const double tg_seconds = tg.seconds();
     index_group_seconds.push_back(tg_seconds);

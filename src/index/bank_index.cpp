@@ -15,7 +15,7 @@ BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
   // Buckets keyed on the whole code: the bucket starts are the 4^W + 1
   // offsets.
   WordBuckets words =
-      bucket_word_starts(bank, coder, options, 0, "BankIndex");
+      bucket_word_starts(bank, coder, options, Keys::kCode, "BankIndex");
   if (options.mask != nullptr) masked_bases_ = options.mask->count();
   indexed_ = std::move(words.indexed);
   offsets_storage_ = std::move(words.starts);

@@ -15,8 +15,13 @@
 // occurrence counts are O(1) offset subtractions.  Memory is 4 bytes per
 // indexed position plus the 1-byte SEQ array the bank owns, plus the
 // 4·(4^W+1) offset bytes — the paper's "approximately 5 N bytes", which
-// index_test verifies.  A two-pass counting sort builds it: the first
-// pass counts each code's word starts, the second places them.
+// index_test verifies.  It is built by the bucketed counting sort both
+// indexes share (index/word_starts.hpp), on IndexOptions::pool when one
+// is given: words are placed into 4^min(W,8) buckets (4^9 at W = 13)
+// over their codes' top bits, and sorting each bucket by the low bits
+// yields that bucket's codes' offsets.  While it runs, the build also
+// holds one low-bits byte per word start (W > 8) and one bucket table
+// per pool thread.
 //
 // The reference is indexed once (Session's constructor, a .scix store, a
 // distributed worker's job setup) and reused by every query, so its 4^W
@@ -54,9 +59,9 @@ namespace scoris::index {
 
 class BankIndex {
  public:
-  /// Build the index for `bank` with word length `coder.w()`.
-  /// The bank must outlive the index. Throws std::invalid_argument for
-  /// W > kMaxW (see seed_coder.hpp).
+  /// Build the index for `bank` with word length `coder.w()`, on
+  /// `options.pool` when set.  The bank must outlive the index. Throws
+  /// std::invalid_argument for W > kMaxW (see seed_coder.hpp).
   BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
             const IndexOptions& options = {});
 

@@ -17,8 +17,10 @@
 // for W in 9..12 and 4^9 + 1 at W = 13.  The index holds 5 bytes per word
 // start plus that table, against BankIndex's 4 plus 4^W + 1 offsets; at
 // the default W = 11 it is the smaller one up to 16M word starts, and it
-// never exceeds core::estimated_index_bytes.  The build's only other
-// allocation is a fixed 16 KiB sort scratch (index/word_starts.cpp).
+// never exceeds core::estimated_index_bytes.  The build runs on
+// IndexOptions::pool when one is given; besides the index it holds one
+// bucket table per pool thread and a 16 KiB sort scratch per sort task
+// (index/word_starts.hpp).
 //
 // Step 2 walks the codes present in a seed-code range in ascending order
 // (for_each_code) and looks each one up in the reference's dictionary:
@@ -41,8 +43,9 @@ namespace scoris::index {
 class SubjectIndex {
  public:
   /// Index `bank` with word length `coder.w()`, selecting word starts by
-  /// the rules BankIndex uses.  The bank must outlive the index.  Throws
-  /// std::invalid_argument for W > kMaxW or bad options.
+  /// the rules BankIndex uses, on `options.pool` when set.  The bank must
+  /// outlive the index.  Throws std::invalid_argument for W > kMaxW or
+  /// bad options.
   SubjectIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
                const IndexOptions& options = {});
 

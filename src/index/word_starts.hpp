@@ -6,13 +6,31 @@
 //   * no base of the word is in the soft mask.
 //
 // bucket_word_starts selects them and sorts them by (seed code,
-// position).  BankIndex (the reference) keys its buckets on the whole
-// code, so every bucket is one code and the bucket starts are the 4^W+1
-// dictionary.  SubjectIndex (a bank-2 group) keys them on the code's top
-// bits only and keeps each word's low code bits beside its position, so
-// its table has a fixed size whatever W.  Both come from this one routine,
-// so for the same bank and options they select the same word starts in
-// the same order.
+// position), through one bucketed counting sort for both indexes: it keys
+// its buckets on the code's top bits, 4^min(W,8) buckets (4^9 at W = 13),
+// and sorts each bucket by the word's low code bits.  SubjectIndex (a
+// bank-2 group) keeps that bucket table and each word's low bits beside
+// its position, so its table has a fixed size whatever W.  BankIndex (the
+// reference) gets one start per code instead, the 4^W + 1 dictionary,
+// derived from each bucket's low bits as the bucket is sorted; the low
+// bits are then freed.  For the same bank and options both select the
+// same word starts in the same order.
+//
+// The build runs in three phases, on IndexOptions::pool when one is
+// given and inline otherwise:
+//   count    the bank is cut into one contiguous position range per pool
+//            thread, at multiples of 64 positions so that no two ranges
+//            write the same bitmap word.  Each range selects its word
+//            starts (reading W - 1 bases past its cut, so words that cross
+//            it are kept) and counts them in its own bucket table;
+//   scatter  an exclusive scan over (bucket, range) gives every range its
+//            slots in each bucket, and each range places its word starts
+//            there with no atomics;
+//   sort     the buckets are sorted, split into bucket ranges.
+// Ranges follow bank order, so every bucket fills in ascending positions
+// and the arrays are byte-identical for any pool size.  Besides the
+// result, the build holds one bucket table per range and, at W > 8, one
+// low-bits byte per word start; each sort task holds a 16 KiB scratch.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +53,16 @@ struct IndexOptions {
   /// W = BLAT-style non-overlapping tiles).
   int stride = 1;
   const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
-  /// Pool the build may run on (nullptr = inline).  The arrays are the
-  /// same for any pool.
+  /// Pool the build runs on (nullptr = inline).  The arrays are the same
+  /// for any pool.
   util::ThreadPool* pool = nullptr;
+};
+
+/// What a build keys its word starts on.
+enum class Keys {
+  kCode,    ///< one bucket per code: 4^W + 1 starts (BankIndex)
+  kBucket,  ///< the code's top bits, low bits beside each position
+            ///< (SubjectIndex)
 };
 
 /// An index's word starts in (code, position) order, bucketed by the top
@@ -45,32 +70,32 @@ struct IndexOptions {
 struct WordBuckets {
   /// One bit per bank position: set at every word start.
   filter::MaskBitmap indexed;
+  /// Code bits below the bucket key: 0 under Keys::kCode, where each
+  /// bucket is one code.
+  unsigned low_bits = 0;
   /// 4^W / 2^low_bits + 1 entries: bucket k holds
   /// positions[starts[k] .. starts[k+1]).
   std::vector<std::uint32_t> starts;
   /// Every word start, ascending by (code, position).
   std::vector<std::int32_t> positions;
   /// code & (2^low_bits - 1) of each word start, beside its position;
-  /// empty when low_bits is 0, where each bucket is one code.
+  /// empty when low_bits is 0.
   std::vector<std::uint8_t> lows;
-  /// Buckets holding at least one word start (the distinct seeds when
-  /// low_bits is 0).
+  /// Buckets holding at least one word start (the distinct seeds under
+  /// Keys::kCode).
   std::size_t filled = 0;
 };
 
 /// Low code bits a WordBuckets entry can carry.
 inline constexpr unsigned kMaxLowBits = 8;
 
-/// Select `bank`'s word starts under `options` and counting-sort them
-/// into 4^W / 2^low_bits buckets, (code, position) ascending.  Throws
-/// std::invalid_argument, prefixed by `what`, when W exceeds kMaxW,
-/// low_bits exceeds kMaxLowBits or 2W, the stride is below 1, or the mask
-/// does not cover the bank.  Beyond the result it allocates one fixed
-/// 16 KiB sort scratch, and only when low_bits is above 0.
+/// Select `bank`'s word starts under `options` and counting-sort them by
+/// (code, position) into buckets keyed as `keys` says.  Throws
+/// std::invalid_argument, prefixed by `what`, when W exceeds kMaxW, the
+/// stride is below 1, or the mask does not cover the bank.
 [[nodiscard]] WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
                                              const SeedCoder& coder,
                                              const IndexOptions& options,
-                                             unsigned low_bits,
-                                             const char* what);
+                                             Keys keys, const char* what);
 
 }  // namespace scoris::index

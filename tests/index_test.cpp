@@ -317,7 +317,7 @@ TEST(BankIndex, EmptyAndTinyBanks) {
   EXPECT_EQ(tiny_idx.total_indexed(), 0u);
 }
 
-// --- pins: the bytes of paper-bank builds ---------------------------------------
+// --- pins: the bytes of paper-bank builds ----------------------------------
 //
 // The tests above compare a build with oracles on small banks.  These pin
 // the absolute arrays of DUST-masked PaperData(0.01, 42) builds, and the

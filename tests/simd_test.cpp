@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -563,7 +564,10 @@ class OracleBanks {
         auto codes = simulate::random_codes(
             rng, static_cast<std::size_t>(low_chars));
         codes.insert(codes.end(), rest.begin(), rest.end());
-        crowded_.add_codes(tail + std::to_string(k), codes);
+        crowded_.add_codes(
+            testing::numbered(std::string(1, tail),
+                              static_cast<std::uint64_t>(k)),
+            codes);
       }
     }
     return {
@@ -600,7 +604,9 @@ TEST(OccurrenceLists, MatchBruteForceOracle) {
   for (const int w : {4, 6, 8, 9, 11, 13}) {
     const SeedCoder coder(w);
     for (const BuildCase& c : banks.cases(rng, coder)) {
-      SCOPED_TRACE(std::string(c.name) + ", w=" + std::to_string(w));
+      std::string trace(c.name);
+      trace += testing::numbered(", w=", static_cast<std::uint64_t>(w));
+      SCOPED_TRACE(trace);
       index::IndexOptions opt;
       opt.stride = c.stride;
       opt.mask = c.mask;
@@ -667,7 +673,7 @@ TEST(OccurrenceLists, MatchBruteForceOracle) {
   }
 }
 
-// --- the build on a pool ------------------------------------------------------
+// --- the build on a pool ---------------------------------------------------
 
 /// A SubjectIndex's arrays, read through its walk: the runs of every
 /// code in order, the word-start bitmap and the byte counts.
@@ -678,6 +684,11 @@ struct SubjectArrays {
   std::size_t chain_bytes = 0;
 
   bool operator==(const SubjectArrays&) const = default;
+  friend void PrintTo(const SubjectArrays& a, std::ostream* os) {
+    *os << "{" << a.runs.size() << " codes, " << a.bitmap.size()
+        << " bitmap words, " << a.dictionary_bytes << " + " << a.chain_bytes
+        << " bytes}";
+  }
 };
 
 SubjectArrays arrays_of(const index::SubjectIndex& sub,
@@ -703,6 +714,12 @@ struct BankArrays {
   std::size_t masked_bases = 0;
 
   bool operator==(const BankArrays&) const = default;
+  friend void PrintTo(const BankArrays& a, std::ostream* os) {
+    *os << "{" << a.offsets.size() << " offsets, " << a.positions.size()
+        << " positions, " << a.bitmap.size() << " bitmap words, "
+        << a.total_indexed << " indexed, " << a.distinct_seeds
+        << " seeds, " << a.masked_bases << " masked}";
+  }
 };
 
 BankArrays arrays_of(const BankIndex& idx) {
