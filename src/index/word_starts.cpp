@@ -193,11 +193,18 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
   // and counts its words per bucket in its own table.  The stride applies
   // to *sequence-local* offsets, so the indexed word set never depends on
   // what precedes a sequence in the bank (this keeps sliced and chunked
-  // runs bit-identical, see core/chunked.hpp).
+  // runs bit-identical, see core/chunked.hpp).  The last range's table is
+  // starts[1 ..]: it fills the last slots of every bucket, so once it has
+  // placed its words its cursor for bucket k is where bucket k + 1 starts.
   std::vector<std::uint64_t> bits(blocks, 0);
-  std::vector<std::uint32_t> tables(ranges * buckets, 0);
+  std::vector<std::uint32_t> starts(buckets + 1, 0);
+  std::vector<std::uint32_t> earlier_tables((ranges - 1) * buckets, 0);
+  std::vector<std::uint32_t*> tables(ranges, starts.data() + 1);
+  for (std::size_t r = 0; r + 1 < ranges; ++r) {
+    tables[r] = earlier_tables.data() + r * buckets;
+  }
   run_on(options.pool, ranges, [&](std::size_t r) {
-    std::uint32_t* count = tables.data() + r * buckets;
+    std::uint32_t* count = tables[r];
     std::size_t word = cut(r) / 64;
     std::uint64_t acc = 0;  // the bits of `word` so far
     const auto select = [&](std::size_t p, std::size_t local, SeedCode code) {
@@ -219,17 +226,12 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
   // bucket fills in ascending positions whatever the number of ranges.
   WordBuckets out;
   out.indexed = filter::MaskBitmap::from_words(std::move(bits), n);
-  std::vector<std::uint32_t> starts(buckets + 1);
   std::uint32_t total = 0;
   for (std::size_t k = 0; k < buckets; ++k) {
-    starts[k] = total;
-    for (std::size_t r = 0; r < ranges; ++r) {
-      std::uint32_t& slot = tables[r * buckets + k];
-      total += std::exchange(slot, total);
-    }
-    if (total != starts[k]) ++out.filled;
+    const std::uint32_t first = total;
+    for (std::uint32_t* t : tables) total += std::exchange(t[k], total);
+    out.filled += total != first ? 1 : 0;
   }
-  starts[buckets] = total;
 
   // Pass 2: each range walks its words again and scatters its word starts
   // into its slots, with no two ranges writing the same slot.
@@ -237,7 +239,7 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
   if (low_bits > 0) out.lows.resize(total);
   const SeedCode low_mask = static_cast<SeedCode>(num_lows - 1);
   run_on(options.pool, ranges, [&](std::size_t r) {
-    std::uint32_t* next = tables.data() + r * buckets;
+    std::uint32_t* next = tables[r];
     const auto place = [&](std::size_t p, std::size_t, SeedCode code) {
       if (!out.indexed.test(p)) return;
       const std::uint32_t slot = next[code >> low_bits]++;
@@ -248,7 +250,7 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
     };
     for_each_word(bank, coder, nullptr, cut(r), cut(r + 1), place);
   });
-  tables = std::vector<std::uint32_t>();  // frees, unlike `= {}`
+  earlier_tables = std::vector<std::uint32_t>();  // frees, unlike `= {}`
 
   if (low_bits == 0) {
     // Every bucket is one code: the bucket starts are the code starts.
@@ -262,15 +264,21 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
   if (keys == Keys::kCode) code_starts.resize(coder.num_seeds() + 1);
   const std::size_t tasks = ranges == 1 ? 1 : 4 * ranges;
   std::vector<std::size_t> filled(tasks, 0);
+  std::uint8_t* lows = out.lows.data();
+  std::int32_t* positions = out.positions.data();
+  std::uint32_t* codes = code_starts.empty() ? nullptr : code_starts.data();
   run_on(options.pool, tasks, [&](std::size_t t) {
     std::vector<std::int32_t> scratch(kScratchEntries);
     std::size_t present = 0;
     for (std::size_t k = buckets * t / tasks; k < buckets * (t + 1) / tasks;
          ++k) {
-      present += sort_bucket(
-          out.lows.data() + starts[k], out.positions.data() + starts[k],
-          starts[k + 1] - starts[k], num_lows, scratch.data(), starts[k],
-          code_starts.empty() ? nullptr : code_starts.data() + (k << low_bits));
+      const std::uint32_t at = starts[k];
+      const std::uint32_t size = starts[k + 1] - at;
+      if (codes == nullptr && size <= 1) continue;  // already in order
+      present += sort_bucket(lows + at, positions + at, size, num_lows,
+                             scratch.data(), at,
+                             codes == nullptr ? nullptr
+                                              : codes + (k << low_bits));
     }
     filled[t] = present;
   });
