@@ -178,13 +178,16 @@ WordBuckets bucket_word_starts(const seqio::SequenceBank& bank,
   const std::size_t buckets = coder.num_seeds() >> low_bits;
 
   // Contiguous position ranges in bank order, cut at multiples of 64 so
-  // that no two ranges share a word of the bitmap.
+  // that no two ranges share a word of the bitmap.  Each range holds at
+  // least as many positions as its table has buckets: the tables never
+  // outweigh the positions, and a bank too small to repay a table's
+  // zeroing, scan and cross-core traffic builds inline.
   const std::size_t n = bank.data_size();
   const std::size_t blocks = (n + 63) / 64;
   const std::size_t threads =
       options.pool != nullptr ? options.pool->thread_count() : 1;
-  const std::size_t ranges = std::max<std::size_t>(
-      1, std::min(threads, blocks));
+  const std::size_t ranges =
+      std::max<std::size_t>(1, std::min({threads, blocks, n / buckets}));
   const auto cut = [&](std::size_t r) {
     return std::min(n, 64 * (r * blocks / ranges));
   };

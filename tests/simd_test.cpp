@@ -733,12 +733,15 @@ BankArrays arrays_of(const BankIndex& idx) {
           idx.masked_bases()};
 }
 
-/// Every oracle case, plus two shapes for the build's position ranges,
-/// built inline and on pools of 1 to 4 threads: each build must hold the
-/// inline build's arrays.  Ranges are cut at multiples of 64 positions,
-/// so in one long sequence every cut falls inside the sequence; with an
-/// N run over every multiple of 64, every cut falls inside an N run; the
-/// sequence starts at global position 1, so under stride 2 every cut
+/// Every oracle case, plus shapes for the build's position ranges, built
+/// inline and on pools of 1 to 4 threads: each build must hold the inline
+/// build's arrays.  Ranges are cut at multiples of 64 positions, and each
+/// holds at least as many positions as the build has buckets (4^W up to
+/// W = 8, then 4^8; 4^9 at W = 13), so the oracle banks are cut only at
+/// small W.  One long sequence gets four ranges up to W = 11, and every
+/// cut falls inside it; with DUST, masked runs straddle some cuts; with
+/// an N run over every multiple of 64, every cut falls inside an N run;
+/// the sequence starts at global position 1, so under stride 2 every cut
 /// falls between two word starts.  The last bank is shorter than 64
 /// positions per pool thread.
 TEST(IndexBuildPools, EveryPoolBuildsTheInlineArrays) {
@@ -749,10 +752,16 @@ TEST(IndexBuildPools, EveryPoolBuildsTheInlineArrays) {
   simulate::Rng rng(99);
   OracleBanks banks(rng);
 
-  const auto long_codes = simulate::random_codes(rng, 5000);
+  auto long_codes = simulate::random_codes(rng, 4 * 65536 + 4096);
+  for (std::size_t at = 1000; at + 48 < long_codes.size(); at += 4099) {
+    std::fill_n(long_codes.begin() + static_cast<std::ptrdiff_t>(at), 48,
+                Code{0});  // poly-A, which DUST masks
+  }
   seqio::SequenceBank long_seq("long");
   long_seq.add_codes("s", long_codes);
   ASSERT_EQ(long_seq.offset(0), 1u);
+  const filter::MaskBitmap long_dust = filter::dust_mask(long_seq);
+  ASSERT_GT(long_dust.count(), 0u);
   auto gapped_codes = long_codes;
   for (std::size_t cut = 64; cut < gapped_codes.size(); cut += 64) {
     // Global positions cut - 3 .. cut + 2, local ones one lower.
@@ -773,6 +782,7 @@ TEST(IndexBuildPools, EveryPoolBuildsTheInlineArrays) {
     std::vector<BuildCase> cases = banks.cases(rng, coder);
     cases.push_back({"long sequence", &long_seq, 1, nullptr});
     cases.push_back({"long sequence stride 2", &long_seq, 2, nullptr});
+    cases.push_back({"long sequence dust", &long_seq, 1, &long_dust});
     cases.push_back({"N runs at the cuts", &n_at_cuts, 1, nullptr});
     cases.push_back({"N runs at the cuts stride 2", &n_at_cuts, 2, nullptr});
     cases.push_back({"under 64 positions per thread", &under_64_per_thread,
