@@ -20,8 +20,8 @@
 // is given: words are placed into 4^min(W,8) buckets (4^9 at W = 13)
 // over their codes' top bits, and sorting each bucket by the low bits
 // yields that bucket's codes' offsets.  While it runs, the build also
-// holds one low-bits byte per word start (W > 8) and one bucket table
-// per pool thread.
+// holds one low-bits byte per word start (W > 8) and at most one bucket
+// table per pool thread.
 //
 // The reference is indexed once (Session's constructor, a .scix store, a
 // distributed worker's job setup) and reused by every query, so its 4^W

@@ -18,9 +18,9 @@
 // start plus that table, against BankIndex's 4 plus 4^W + 1 offsets; at
 // the default W = 11 it is the smaller one up to 16M word starts, and it
 // never exceeds core::estimated_index_bytes.  The build runs on
-// IndexOptions::pool when one is given; besides the index it holds one
-// bucket table per pool thread and a 16 KiB sort scratch per sort task
-// (index/word_starts.hpp).
+// IndexOptions::pool when one is given; besides the index it holds at
+// most one bucket table per pool thread and a 16 KiB sort scratch per
+// sort task (index/word_starts.hpp).
 //
 // Step 2 walks the codes present in a seed-code range in ascending order
 // (for_each_code) and looks each one up in the reference's dictionary:

@@ -56,7 +56,7 @@ void for_each_word(const seqio::SequenceBank& bank, const SeedCoder& coder,
     const std::size_t from = std::max(off, lo);
     const std::size_t to = std::min(off + len - w + 1, hi);
     if (from >= to) continue;
-    std::size_t run = 0;      // concrete bases ending at q
+    std::size_t run = 0;       // concrete bases ending at q
     std::size_t clean = from;  // no masked base in [clean, q]
     SeedCode code = 0;
     for (std::size_t q = from; q + 1 < to + w; ++q) {

@@ -18,19 +18,22 @@
 //
 // The build runs in three phases, on IndexOptions::pool when one is
 // given and inline otherwise:
-//   count    the bank is cut into one contiguous position range per pool
-//            thread, at multiples of 64 positions so that no two ranges
-//            write the same bitmap word.  Each range selects its word
-//            starts (reading W - 1 bases past its cut, so words that cross
-//            it are kept) and counts them in its own bucket table;
+//   count    the bank is cut into contiguous position ranges, one per
+//            pool thread but each at least as long as the bucket count (a
+//            smaller bank builds inline), at multiples of 64 positions so
+//            that no two ranges write the same bitmap word.  Each range
+//            selects its word starts (reading W - 1 bases past its cut, so
+//            words that cross it are kept) and counts them in its own
+//            bucket table;
 //   scatter  an exclusive scan over (bucket, range) gives every range its
 //            slots in each bucket, and each range places its word starts
 //            there with no atomics;
 //   sort     the buckets are sorted, split into bucket ranges.
 // Ranges follow bank order, so every bucket fills in ascending positions
 // and the arrays are byte-identical for any pool size.  Besides the
-// result, the build holds one bucket table per range and, at W > 8, one
-// low-bits byte per word start; each sort task holds a 16 KiB scratch.
+// result, the build holds a bucket table for each range but one (never
+// more bytes than the positions) and, at W > 8, one low-bits byte per
+// word start; each sort task holds a 16 KiB scratch.
 #pragma once
 
 #include <cstddef>
