@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -445,6 +446,36 @@ TEST_F(CliTest, EveryFormHelpListsExactlyItsFlags) {
   EXPECT_EQ(entries, 92u);
 }
 
+/// Every form's whole --help text, pinned as its length and FNV-1a: the
+/// flag tables print it, so a change to any row's name, placeholder,
+/// text or order shows here.
+TEST_F(CliTest, EveryFormHelpTextIsPinned) {
+  struct Pin {
+    const char* form;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"", 2933, 0x5069a6cefcfc6038ull},
+      {"search", 2514, 0xf4d7b0850f13bbb1ull},
+      {"index", 741, 0xcc7852531ce02120ull},
+      {"serve", 2128, 0x0875e3510ea3d2fdull},
+      {"query", 899, 0x1b481f76406a3ba6ull},
+      {"worker", 1022, 0x18db6237cdb82cb6ull},
+      {"stats", 447, 0xf053f183d632fd35ull},
+  };
+  for (const Pin& pin : pins) {
+    std::vector<std::string> argv;
+    if (*pin.form != '\0') argv.emplace_back(pin.form);
+    argv.emplace_back("--help");
+    const CliResult help = run_cli(argv);
+    EXPECT_EQ(help.exit_code, kOk) << pin.form;
+    EXPECT_EQ(help.out.size(), pin.bytes) << pin.form << ":\n" << help.out;
+    EXPECT_EQ(scoris::testing::fnv1a64(help.out), pin.fnv)
+        << pin.form << ":\n" << help.out;
+  }
+}
+
 TEST_F(CliTest, BooleanValueFlagGetsItsOwnDiagnostic) {
   // --dust takes a value, so "does not take a value" would be wrong.
   const CliResult flat =
@@ -467,10 +498,11 @@ TEST_F(CliTest, BooleanValueFlagGetsItsOwnDiagnostic) {
 
 TEST_F(CliTest, ParseCliPopulatesConfig) {
   const std::vector<const char*> argv = {
-      "scoris",       "--bank1", "a.fa",  "--bank2",     "b.fa",
-      "--w",          "9",       "--threads", "4",       "--strand",
-      "both",         "--evalue", "1e-6", "--no-dust",   "--asymmetric",
-      "--s1",         "30",      "--stats"};
+      "scoris", "--bank1", "a.fa", "--bank2", "b.fa", "--w", "9",
+      "--threads", "4", "--strand", "both", "--evalue", "1e-6", "--no-dust",
+      "--asymmetric", "--s1", "30", "--shards", "5", "--schedule", "static",
+      "--tmp-dir", "D", "--delivery-budget-kb", "64", "--force-scalar",
+      "--stats"};
   CliConfig config;
   std::ostringstream err;
   ASSERT_TRUE(scoris::cli::parse_cli(static_cast<int>(argv.size()),
@@ -478,13 +510,19 @@ TEST_F(CliTest, ParseCliPopulatesConfig) {
       << err.str();
   EXPECT_EQ(config.bank1_path, "a.fa");
   EXPECT_EQ(config.bank2_path, "b.fa");
-  EXPECT_EQ(config.w, 9);
-  EXPECT_EQ(config.threads, 4);
-  EXPECT_EQ(config.strand, "both");
-  EXPECT_DOUBLE_EQ(config.max_evalue, 1e-6);
-  EXPECT_FALSE(config.dust);
-  EXPECT_TRUE(config.asymmetric);
-  EXPECT_EQ(config.min_hsp_score, 30);
+  const scoris::core::Options& options = config.options;
+  EXPECT_EQ(options.w, 9);
+  EXPECT_EQ(options.threads, 4);
+  EXPECT_EQ(options.strand, scoris::seqio::Strand::kBoth);
+  EXPECT_DOUBLE_EQ(options.max_evalue, 1e-6);
+  EXPECT_FALSE(options.dust);
+  EXPECT_TRUE(options.asymmetric);
+  EXPECT_EQ(options.min_hsp_score, 30);
+  EXPECT_EQ(options.shards, 5u);
+  EXPECT_EQ(options.schedule, scoris::util::Schedule::kStatic);
+  EXPECT_EQ(options.tmp_dir, "D");
+  EXPECT_EQ(options.delivery_budget_bytes, std::size_t{64} << 10);
+  EXPECT_TRUE(options.force_scalar_kernel);
   EXPECT_TRUE(config.stats);
 }
 
@@ -495,7 +533,7 @@ TEST_F(CliTest, DustFalseSpellingDisablesDust) {
   std::ostringstream err;
   ASSERT_TRUE(scoris::cli::parse_cli(static_cast<int>(argv.size()),
                                      argv.data(), config, err));
-  EXPECT_FALSE(config.dust);
+  EXPECT_FALSE(config.options.dust);
 }
 
 // --- index / search subcommands ---------------------------------------------

@@ -97,6 +97,18 @@ TEST(GoldenM8, EstPairAsymmetric) {
   expect_pin(run.pin, {238, 14270, 0xfb151e29df543631ull});
 }
 
+TEST(GoldenM8, EstPairDustLevel8) {
+  // At the default level 20 DUST masks nothing in the PaperData banks,
+  // so the other pins never run the masked path; level 8 masks enough
+  // of both banks to drop four rows.
+  Options options;
+  options.dust_params.level = 8;
+  const auto run = run_m8(est_pair().est1, est_pair().est2, options);
+  expect_pin(run.pin, {234, 14038, 0x145c18648e175e51ull});
+  EXPECT_EQ(run.outcome.stats.masked_bases, 9405u);
+  EXPECT_EQ(run.outcome.stats.reference_masked_bases, 4969u);
+}
+
 TEST(GoldenM8, EstPairSpillForcedGlobalMerge) {
   Options options;
   options.strand = seqio::Strand::kBoth;
