@@ -28,7 +28,9 @@ int main(int argc, char** argv) {
     opt.w = w;
     opt.asymmetric = asym;
     opt.threads = args.threads;
-    const auto r = Session(bank1, opt).search_collect(bank2);
+    const Session session(bank1, opt);
+    auto r = session.search_collect(bank2);
+    r.stats.add_reference_build(session.reference_build_seconds());
     table.add_row(
         {label, util::Table::fmt_int(static_cast<long long>(r.stats.hit_pairs)),
          util::Table::fmt_int(static_cast<long long>(r.stats.hsps)),

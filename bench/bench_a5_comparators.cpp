@@ -27,7 +27,9 @@ int main(int argc, char** argv) {
   {
     core::Options opt;
     opt.threads = args.threads;
-    const auto r = Session(est3, opt).search_collect(est4);
+    const Session session(est3, opt);
+    auto r = session.search_collect(est4);
+    r.stats.add_reference_build(session.reference_build_seconds());
     table.add_row(
         {"SCORIS-N (full 11-mer index)",
          util::Table::fmt_int(static_cast<long long>(r.alignments.size())),
@@ -94,7 +96,9 @@ int main(int argc, char** argv) {
   {
     core::Options opt;
     opt.dust = false;
-    const auto r = Session(hp.bank1, opt).search_collect(hp.bank2);
+    const Session session(hp.bank1, opt);
+    auto r = session.search_collect(hp.bank2);
+    r.stats.add_reference_build(session.reference_build_seconds());
     hi.add_row({"SCORIS-N",
                 util::Table::fmt_int(static_cast<long long>(r.alignments.size())),
                 util::Table::fmt(r.stats.total_seconds, 2)});

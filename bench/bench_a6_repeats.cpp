@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
 
     core::Options sopt;
     sopt.threads = args.threads;
-    const auto sr = Session(chr_a, sopt).search_collect(chr_b);
+    const Session session(chr_a, sopt);
+    auto sr = session.search_collect(chr_b);
+    sr.stats.add_reference_build(session.reference_build_seconds());
     blast::BlastOptions bopt;
     bopt.threads = args.threads;
     const auto br = blast::BlastN(bopt).run(chr_a, chr_b);

@@ -84,7 +84,11 @@ inline PairRun run_pair(const simulate::PaperData& data, const PairSpec& spec,
 
   core::Options sopt;
   sopt.threads = threads;
-  out.scoris = Session(bank1, sopt).search_collect(bank2);
+  // SCORIS-N's seconds count its reference build, as BLASTN's count its
+  // lookup table.
+  const Session session(bank1, sopt);
+  out.scoris = session.search_collect(bank2);
+  out.scoris.stats.add_reference_build(session.reference_build_seconds());
 
   blast::BlastOptions bopt;
   bopt.threads = threads;

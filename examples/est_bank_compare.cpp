@@ -38,7 +38,10 @@ int main(int argc, char** argv) {
   sopt.threads = threads;
   Session session(std::move(est1_input), sopt);
   const seqio::SequenceBank& est1 = session.reference();
-  const core::Result sr = session.search_collect(est2);
+  // SCORIS-N's time counts its index build, as BLASTN's counts its
+  // lookup table.
+  core::Result sr = session.search_collect(est2);
+  sr.stats.add_reference_build(session.reference_build_seconds());
 
   blast::BlastOptions bopt;
   bopt.threads = threads;

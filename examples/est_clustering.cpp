@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   // copy).
   Session session(std::move(est1), Options{});
   const seqio::SequenceBank& bank = session.reference();
-  const core::Result r = session.search_collect(bank);
+  core::Result r = session.search_collect(bank);
+  r.stats.add_reference_build(session.reference_build_seconds());
   std::cout << "self-comparison: " << r.alignments.size() << " alignments in "
             << util::Table::fmt(r.stats.total_seconds, 2) << " s\n";
 

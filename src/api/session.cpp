@@ -67,40 +67,6 @@ Session::Session(store::IndexStore store, Options options)
   init_pool();
 }
 
-// Hand-written moves because std::atomic is not movable; moving a
-// Session with queries in flight is the caller's bug (documented).
-Session::Session(Session&& other) noexcept
-    : options_(std::move(other.options_)),
-      karlin_(other.karlin_),
-      store_(std::move(other.store_)),
-      bank_(std::move(other.bank_)),
-      index_(std::move(other.index_)),
-      idx1_(other.idx1_),
-      pool_(std::move(other.pool_)),
-      builds_(other.builds_),
-      build_seconds_(other.build_seconds_),
-      searches_(other.searches_.load(std::memory_order_relaxed)) {
-  other.idx1_ = nullptr;
-}
-
-Session& Session::operator=(Session&& other) noexcept {
-  if (this != &other) {
-    options_ = std::move(other.options_);
-    karlin_ = other.karlin_;
-    store_ = std::move(other.store_);
-    bank_ = std::move(other.bank_);
-    index_ = std::move(other.index_);
-    idx1_ = other.idx1_;
-    pool_ = std::move(other.pool_);
-    builds_ = other.builds_;
-    build_seconds_ = other.build_seconds_;
-    searches_.store(other.searches_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    other.idx1_ = nullptr;
-  }
-  return *this;
-}
-
 Session Session::open(const std::string& path, Options options) {
   if (has_suffix(path, ".scix")) {
     return Session(store::load_index(path), std::move(options));
@@ -160,36 +126,14 @@ core::exec::ExecRequest Session::exec_request(
 SearchOutcome Session::search(const seqio::SequenceBank& bank2,
                               HitSink& sink,
                               const SearchLimits& limits) const {
-  const core::exec::ExecSummary summary =
-      core::exec::execute(exec_request(bank2, limits), sink);
-  // Count (and charge the one-time build to) successful queries only: a
-  // throwing execute must not consume the first-query accounting.  The
-  // atomic fetch_add makes exactly one concurrent caller the "first"
-  // query even when several race the initial search.
-  const bool first_query =
-      searches_.fetch_add(1, std::memory_order_relaxed) == 0;
-
-  SearchOutcome outcome;
-  outcome.stats = summary.stats;
-  outcome.groups = summary.groups;
-  outcome.slices = summary.slices;
-  if (first_query) {
-    // Charge the one-time reference build to the first query so a
-    // one-shot caller sees the historical step-1 accounting; later
-    // queries report only their own (bank2-side) indexing work.
-    outcome.stats.index_seconds += build_seconds_;
-    outcome.stats.total_seconds += build_seconds_;
-  }
-  return outcome;
+  return core::exec::execute(exec_request(bank2, limits), sink);
 }
 
 core::Result Session::search_collect(const seqio::SequenceBank& bank2,
                                      const SearchLimits& limits) const {
   Collector collector;
-  const SearchOutcome outcome = search(bank2, collector, limits);
-  core::Result result = collector.take();
-  result.stats = outcome.stats;
-  return result;
+  search(bank2, collector, limits);
+  return collector.take();
 }
 
 }  // namespace scoris

@@ -15,7 +15,10 @@
 // and then serves any number of search() calls against it, each
 // streaming alignments through a HitSink in bounded memory.  The memory
 // budgets, strand selection, and spill directory vary per query via
-// SearchLimits without touching the resident index.
+// SearchLimits without touching the resident index.  A query's returned
+// stats are the ones its sink receives; the one-time preparation is
+// reported apart (reference_build_seconds()), for a one-shot caller to
+// add to its one query.
 //
 // Thread safety: after construction a Session is immutable — the
 // prepared reference, its index, the validated options, and the Karlin
@@ -28,7 +31,6 @@
 // while queries are in flight is (unsurprisingly) not safe.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -81,16 +83,10 @@ struct SearchLimits {
   obs::TraceRecorder* trace = nullptr;
 };
 
-/// What one search() call reports.  `stats` is also handed to the sink's
-/// on_stats, except that the session charges the one-time reference
-/// index build to its *first* query's returned stats (so a CLI one-shot
-/// prints the same step-1 seconds as the historical flat run, and later
-/// queries demonstrably do not re-incur it).
-struct SearchOutcome {
-  core::PipelineStats stats;
-  std::size_t groups = 0;  ///< (strand x slice) groups executed
-  std::size_t slices = 0;  ///< bank2 slices (1 = unsliced)
-};
+/// What one search() call reports: the engine's summary, whose `stats`
+/// are exactly the ones the sink's on_stats received.  The one-time
+/// reference build is not in them (see reference_build_seconds()).
+using SearchOutcome = core::exec::ExecSummary;
 
 class Session {
  public:
@@ -109,8 +105,10 @@ class Session {
   [[nodiscard]] static Session open(const std::string& path,
                                     Options options = {});
 
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
+  // The bank and the index are heap-pinned, so a moved Session's index
+  // pointer stays valid.
+  Session(Session&&) noexcept = default;
+  Session& operator=(Session&&) noexcept = default;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -122,8 +120,8 @@ class Session {
   SearchOutcome search(const seqio::SequenceBank& bank2, HitSink& sink,
                        const SearchLimits& limits = {}) const;
 
-  /// Convenience: search into a Collector and return every alignment in
-  /// one vector, with the query's stats.
+  /// Convenience: search into a Collector and return what it collected:
+  /// every alignment in one vector, with the query's stats.
   [[nodiscard]] core::Result search_collect(
       const seqio::SequenceBank& bank2,
       const SearchLimits& limits = {}) const;
@@ -149,20 +147,18 @@ class Session {
   /// FASTA/.scob reference, 0 for an adopted .scix store — and never
   /// more, however many queries run.
   [[nodiscard]] std::size_t reference_builds() const { return builds_; }
-  /// Wall seconds the one-time build took (0 when adopted).
+  /// Wall seconds the one-time build took (0 when adopted).  No query's
+  /// stats include it; a one-shot run that built the reference for its
+  /// one query adds it to that query's step 1 and total.
   [[nodiscard]] double reference_build_seconds() const {
     return build_seconds_;
-  }
-  /// Queries served so far (successful search() calls, any thread).
-  [[nodiscard]] std::size_t searches() const {
-    return searches_.load(std::memory_order_relaxed);
   }
 
  private:
   void init_pool();
 
-  // Everything below except `searches_` is written during construction
-  // only; search() treats it as immutable shared state.
+  // Written during construction only; search() treats all of it as
+  // immutable shared state.
   Options options_;
   stats::KarlinParams karlin_;
   std::unique_ptr<store::IndexStore> store_;    // .scix-backed sessions
@@ -172,10 +168,6 @@ class Session {
   std::unique_ptr<util::ThreadPool> pool_;      // threads > 1 only
   std::size_t builds_ = 0;
   double build_seconds_ = 0.0;
-  /// Successful queries; the one whose fetch_add returns 0 is charged
-  /// the one-time reference build.  Atomic so concurrent search() calls
-  /// race neither the counter nor the charge.
-  mutable std::atomic<std::size_t> searches_{0};
 };
 
 }  // namespace scoris

@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -338,27 +339,25 @@ bool parse_form(const Form& form, int argc, const char* const* argv,
 struct IndexConfig {
   std::string bank_path;
   std::string out_path;
-  int w = 11;
-  bool dust = true;
+  store::IndexKey key;
   bool stats = false;
   bool help = false;
 };
 
-/// What both daemons (serve, worker) parsed: where they listen and how
-/// they log.
+/// What both daemons (serve, worker) parsed beyond their library
+/// config: how they log.
 struct DaemonConfig {
-  net::Endpoint endpoint;          ///< parsed --listen
-  int backlog = 16;                ///< kernel accept-queue bound
   std::string log_level = "info";  ///< error | warn | info | debug
   std::string log_file;  ///< structured-log path; empty = error stream
   bool help = false;
 };
 
-/// What `scoris serve` parsed: a search configuration (same fields,
-/// flags and validation as `scoris search`) plus daemon knobs.
+/// What `scoris serve` parsed: the reference, the session settings
+/// (same flags and validation as `scoris search`) and the daemon's own.
 struct ServeConfig : DaemonConfig {
-  CliConfig search;
-  std::size_t max_clients = 4;  ///< concurrent admitted connections
+  std::string index_path;
+  SessionConfig session;
+  daemon::ServerConfig server;
 };
 
 /// What `scoris query` parsed.
@@ -370,18 +369,16 @@ struct QueryConfig {
   /// `strand` as the QRY frame's strand byte, set by query_form's check.
   net::QueryStrand wire_strand = net::QueryStrand::kDefault;
   bool stats = false;    ///< print the DONE summary to stderr
-  /// Retry a BUSY admission refusal up to this many times with capped
-  /// exponential backoff (net::RetryPolicy — the same policy the
-  /// distributed coordinator re-dials workers with).  0 = fail fast.
-  int retry = 0;
-  int retry_backoff_ms = 100;  ///< delay before the first retry
+  /// How a BUSY admission refusal is retried: the capped exponential
+  /// backoff the distributed coordinator re-dials workers with.  0
+  /// retries = fail fast.
+  net::RetryPolicy retry;
   bool help = false;
 };
 
 /// What `scoris worker` parsed.
 struct WorkerConfig : DaemonConfig {
-  int threads = 1;           ///< engine threads per job
-  std::size_t max_jobs = 2;  ///< concurrent coordinator connections
+  dist::WorkerConfig worker;
 };
 
 /// What `scoris stats` parsed.
@@ -390,24 +387,14 @@ struct StatsConfig {
   bool help = false;
 };
 
-/// Map a parsed CliConfig onto core::Options and validate.  Options::
+/// Finish and validate the options the session rows wrote.  Options::
 /// validate() (plus set_strand/set_schedule for the name-to-enum maps)
 /// is the single source of truth for what is legal, so the CLI rejects
 /// exactly what Session's constructor would reject — every diagnostic is
 /// printed as "error: <message>" and the caller exits 2.
-bool build_options(CliConfig& config, std::ostream& err) {
+bool build_options(SessionConfig& config, std::ostream& err) {
   core::Options& options = config.options;
-  options = core::Options{};
-  options.w = config.w;
-  options.threads = config.threads;
-  options.shards = config.shards;
-  options.min_hsp_score = config.min_hsp_score;
-  options.max_evalue = config.max_evalue;
-  options.dust = config.dust;
-  options.asymmetric = config.asymmetric;
-  options.force_scalar_kernel = config.force_scalar;
   options.delivery_budget_bytes = config.delivery_budget_kb << 10;
-  options.tmp_dir = config.tmp_dir;
 
   bool ok = true;
   const auto report = [&](const std::optional<core::OptionIssue>& issue) {
@@ -428,15 +415,16 @@ Flag help_flag(bool& help) {
 
 /// How the reference is indexed and searched: shared by the flat form,
 /// `search` and `serve`.
-std::vector<Flag> session_flags(CliConfig& c) {
+std::vector<Flag> session_flags(SessionConfig& c) {
   using core::Options;
+  Options& o = c.options;
   return {
-      number("w", "N", c.w, Options::kMinW, Options::kMaxW,
+      number("w", "N", o.w, Options::kMinW, Options::kMaxW,
              "seed length, 4..13 (default 11); must match\n"
              "the artifact when searching a .scix"),
-      number("threads", "N", c.threads, Options::kMinThreads,
+      number("threads", "N", o.threads, Options::kMinThreads,
              Options::kMaxThreads, "worker threads for steps 1-3 (default 1)"),
-      number("shards", "N", c.shards, 0,
+      number("shards", "N", o.shards, 0,
              static_cast<std::int64_t>(Options::kMaxShards),
              "step-2 seed-code shards per strand/slice group\n"
              "(default 0 = auto; output-invariant)"),
@@ -444,15 +432,15 @@ std::vector<Flag> session_flags(CliConfig& c) {
            "shard scheduler: stealing (default) or static"),
       text("strand", "S", c.strand,
            "plus (default, paper's -S 1), minus, or both"),
-      number("evalue", "E", c.max_evalue, "e-value cutoff (default 1e-3)"),
-      boolean("dust", c.dust,
+      number("evalue", "E", o.max_evalue, "e-value cutoff (default 1e-3)"),
+      boolean("dust", o.dust,
               "low-complexity filter (default true); must\n"
               "match the artifact when searching a .scix"),
-      off("no-dust", c.dust, "shorthand for --dust false"),
-      on("asymmetric", c.asymmetric,
+      off("no-dust", o.dust, "shorthand for --dust false"),
+      on("asymmetric", o.asymmetric,
          "10-nt words, stride-2 index on bank2 (a .scix\n"
          "must hold a w=10 payload)"),
-      number("s1", "SCORE", c.min_hsp_score, 0, Options::kMaxHspScore,
+      number("s1", "SCORE", o.min_hsp_score, 0, Options::kMaxHspScore,
              "minimum HSP raw score (default 25)"),
       number("memory-budget-mb", "N", c.memory_budget_mb, 1, 1 << 20,
              "stream bank2 in slices under N MB of\n"
@@ -461,7 +449,7 @@ std::vector<Flag> session_flags(CliConfig& c) {
              "bound the multi-group merge's output\n"
              "buffering to N KB; sorted group runs spill to\n"
              "temp files over it (default: unbounded)"),
-      text("tmp-dir", "DIR", c.tmp_dir,
+      text("tmp-dir", "DIR", o.tmp_dir,
            "directory for spill-run temp files (default:\n"
            "the system temp directory)"),
   };
@@ -486,7 +474,7 @@ std::vector<Flag> run_flags(CliConfig& c) {
       number("dist-slices", "N", c.dist_slices, 0, 1 << 20,
              "minimum bank2 slices when distributing\n"
              "(default 0 = auto; output-invariant)"),
-      on("force-scalar", c.force_scalar,
+      on("force-scalar", c.options.force_scalar_kernel,
          "pin step 2 to the scalar match-run kernel\n"
          "instead of the best SIMD one (output-invariant;\n"
          "for A/B timing)"),
@@ -507,12 +495,12 @@ Flag connect_flag(net::Endpoint& endpoint) {
 }
 
 /// Where a daemon listens and how it logs: shared by serve and worker.
-std::vector<Flag> daemon_flags(DaemonConfig& c) {
-  return {address("listen", c.endpoint,
+std::vector<Flag> daemon_flags(net::ServerConfig& listen, DaemonConfig& c) {
+  return {address("listen", listen.endpoint,
                   "host:port (port 0 = ephemeral, real port in the\n"
                   "ready line) or unix:/path/to.sock")
               .required(),
-          number("backlog", "N", c.backlog, 1, 1 << 12,
+          number("backlog", "N", listen.backlog, 1, 1 << 12,
                  "kernel accept-queue bound (default 16)"),
           {"log-level", Kind::kLogLevel, &c.log_level, "L",
            "error, warn, info (default), or debug"},
@@ -576,13 +564,14 @@ Form index_form(IndexConfig& c) {
                .positional(0),
            text("out", "FILE", c.out_path, "artifact path to create (required)")
                .required(),
-           number("w", "N", c.w, core::Options::kMinW, core::Options::kMaxW,
+           number("w", "N", c.key.w, core::Options::kMinW,
+                  core::Options::kMaxW,
                   "seed length, 4..13 (default 11; use 10 for\n"
                   "searches that will run --asymmetric)"),
-           boolean("dust", c.dust,
+           boolean("dust", c.key.dust,
                    "DUST-mask before indexing (default true); the\n"
                    "search must use the same setting"),
-           off("no-dust", c.dust, "shorthand for --dust false"),
+           off("no-dust", c.key.dust, "shorthand for --dust false"),
            on("stats", c.stats, "print a build summary to stderr"),
            help_flag(c.help)}};
 }
@@ -594,16 +583,21 @@ Form serve_form(ServeConfig& c) {
           "immutable session (see docs/API.md for the wire protocol).\n"
           "Prints `listening on <addr>` to stderr when ready; SIGINT or\n"
           "SIGTERM drains in-flight queries and exits 0.",
-          concat({{text("index", "FILE", c.search.index_path,
+          concat({{text("index", "FILE", c.index_path,
                         "reference: .scix artifact, .scob bank, or FASTA")
                        .required()},
-                  daemon_flags(c),
-                  {number("max-clients", "N", c.max_clients, 1, 1 << 10,
+                  daemon_flags(c.server.listen, c),
+                  {number("max-clients", "N", c.server.listen.max_connections,
+                          1, 1 << 10,
                           "concurrent admitted connections (default 4);\n"
                           "excess connections get a BUSY frame")},
-                  session_flags(c.search),
+                  session_flags(c.session),
                   {help_flag(c.help)}}),
-          [&c](std::ostream& err) { return build_options(c.search, err); }};
+          [&c](std::ostream& err) {
+            c.server.base_limits.memory_budget_bytes =
+                c.session.memory_budget_mb << 20;
+            return build_options(c.session, err);
+          }};
 }
 
 Form query_form(QueryConfig& c) {
@@ -622,10 +616,10 @@ Form query_form(QueryConfig& c) {
            on("stats", c.stats,
               "print the result summary to stderr (includes\n"
               "the server-side query seconds on v2 servers)"),
-           number("retry", "N", c.retry, 0, 1000,
+           number("retry", "N", c.retry.retries, 0, 1000,
                   "retry a BUSY refusal up to N times with capped\n"
                   "exponential backoff (default 0 = fail fast)"),
-           number("retry-backoff-ms", "M", c.retry_backoff_ms, 1, 1 << 20,
+           number("retry-backoff-ms", "M", c.retry.backoff_ms, 1, 1 << 20,
                   "delay before the first retry (default\n"
                   "100; doubles per attempt, capped at 5000)"),
            help_flag(c.help)},
@@ -636,16 +630,8 @@ Form query_form(QueryConfig& c) {
               err << "error: " << issue->message << '\n';
               return false;
             }
-            switch (parsed.strand) {
-              case seqio::Strand::kPlus:
-                c.wire_strand = net::QueryStrand::kPlus;
-                break;
-              case seqio::Strand::kMinus:
-                c.wire_strand = net::QueryStrand::kMinus;
-                break;
-              case seqio::Strand::kBoth:
-                c.wire_strand = net::QueryStrand::kBoth;
-                break;
+            for (const auto& [wire, strand] : daemon::kQueryStrands) {
+              if (strand == parsed.strand) c.wire_strand = wire;
             }
             return true;
           }};
@@ -659,13 +645,14 @@ Form worker_form(WorkerConfig& c) {
           "each sorted run back over the connection (docs/API.md, worker\n"
           "protocol v1). Prints `listening on <addr>` when ready; SIGINT or\n"
           "SIGTERM drains in-flight groups and exits 0.",
-          concat({daemon_flags(c),
-                  {number("threads", "N", c.threads,
+          concat({daemon_flags(c.worker.listen, c),
+                  {number("threads", "N", c.worker.threads,
                           core::Options::kMinThreads,
                           core::Options::kMaxThreads,
                           "engine threads per job (default 1);\n"
                           "output-invariant, chosen by the worker"),
-                   number("max-jobs", "N", c.max_jobs, 1, 1 << 10,
+                   number("max-jobs", "N", c.worker.listen.max_connections,
+                          1, 1 << 10,
                           "concurrent coordinator connections (default 2);\n"
                           "excess connections are refused"),
                    help_flag(c.help)}})};
@@ -878,6 +865,9 @@ int run_comparison(const CliConfig& config, std::ostream& out,
             << " slice(s) under a " << config.memory_budget_mb
             << " MB index budget\n";
       }
+      // This run indexed its reference for its one query, in-process or
+      // distributed alike (0 s for an adopted .scix): step 1 counts it.
+      outcome.stats.add_reference_build(session->reference_build_seconds());
       print_stats(err, outcome.stats);
     }
   } catch (const std::exception& e) {
@@ -914,12 +904,9 @@ int run_flat(const CliConfig& config, std::ostream& out, std::ostream& err) {
 int run_index(const IndexConfig& config, std::ostream& /*out*/,
               std::ostream& err) {
   seqio::SequenceBank bank;
-  store::IndexKey key;
-  key.w = config.w;
-  key.dust = config.dust;
   try {
     bank = load_bank(config.bank_path);
-    store::write_index_file(config.out_path, bank, {&key, 1});
+    store::write_index_file(config.out_path, bank, {&config.key, 1});
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return kRuntimeError;
@@ -929,8 +916,8 @@ int run_index(const IndexConfig& config, std::ostream& /*out*/,
     const seqio::BankStats bs = bank.stats();
     err << "scoris index: " << bank.size() << " sequences, " << std::fixed
         << std::setprecision(2) << bs.mbp() << std::defaultfloat
-        << " Mbp -> " << config.out_path << " (" << store::to_string(key)
-        << ")\n";
+        << " Mbp -> " << config.out_path << " ("
+        << store::to_string(config.key) << ")\n";
   }
   return kOk;
 }
@@ -974,14 +961,42 @@ class SignalScope {
   struct sigaction old_term_ {};
 };
 
-/// The structured logger a daemon reports through: RFC3339 timestamps,
-/// levels, and key=value fields, to --log-file or the error stream.
-/// Diagnostics the CLI emits before the daemon exists stay plain
-/// "error:" lines on err.
-bool open_logger(std::optional<obs::Logger>& logger,
-                 const DaemonConfig& config, std::ostream& err) {
+/// The shutdown line of each daemon: what it served, and its tallies.
+void log_shut_down(obs::Logger& logger, const daemon::Server& server) {
+  const daemon::ServerCounters counters = server.counters();
+  std::string line = "scoris serve: shut down after ";
+  line += std::to_string(counters.served);
+  line += " queries";
+  logger.info(line, {obs::kv("connections", counters.accepted),
+                     obs::kv("refused", counters.rejected),
+                     obs::kv("failed", counters.failed)});
+}
+
+void log_shut_down(obs::Logger& logger, const dist::Worker& worker) {
+  const dist::WorkerCounters counters = worker.counters();
+  std::string line = "scoris worker: shut down after ";
+  line += std::to_string(counters.groups);
+  line += " groups";
+  logger.info(line, {obs::kv("connections", counters.accepted),
+                     obs::kv("jobs", counters.jobs),
+                     obs::kv("failed", counters.failed)});
+}
+
+/// The daemon driver behind `serve` and `worker`.  It opens the
+/// structured logger (RFC3339 timestamps, levels and key=value fields,
+/// to --log-file or the error stream) and builds the daemon with `make`,
+/// which returns nullptr after its own "error:" line on err.  It then
+/// binds, logs the ready line `<name>: listening on <addr>` with the
+/// `ready` fields, serves until SIGINT/SIGTERM and logs the shutdown
+/// line.  Diagnostics before the logger exists stay plain "error:" lines
+/// on err; later failures are logged as errors.  Both exit 1.
+template <typename Make>
+int run_daemon(const DaemonConfig& config, const char* name,
+               const std::vector<obs::LogField>& ready, std::ostream& err,
+               Make make) {
   const obs::LogLevel level =
       obs::parse_log_level(config.log_level).value_or(obs::LogLevel::kInfo);
+  std::optional<obs::Logger> logger;
   try {
     if (!config.log_file.empty()) {
       logger.emplace(config.log_file, level);
@@ -990,61 +1005,53 @@ bool open_logger(std::optional<obs::Logger>& logger,
     }
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
-    return false;
-  }
-  return true;
-}
-
-int run_serve(const ServeConfig& config, std::ostream& /*out*/,
-              std::ostream& err) {
-  std::optional<obs::Logger> logger;
-  if (!open_logger(logger, config, err)) return kRuntimeError;
-
-  std::optional<Session> session;
-  try {
-    session.emplace(
-        Session::open(config.search.index_path, config.search.options));
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
     return kRuntimeError;
   }
 
-  daemon::ServerConfig server_config;
-  server_config.endpoint = config.endpoint;
-  server_config.backlog = config.backlog;
-  server_config.max_clients = config.max_clients;
-  server_config.base_limits.memory_budget_bytes =
-      config.search.memory_budget_mb << 20;
-  server_config.logger = &*logger;
-
   try {
-    daemon::Server server(*session, server_config);
-    server.bind();
-    // The ready line CI and tests wait for — logged (and flushed by the
-    // logger) before the loop blocks, carrying the resolved endpoint
-    // (real port for TCP port-0 binds).
-    logger->info("scoris serve: listening on " +
-                     net::to_string(server.endpoint()),
-                 {obs::kv("max_clients",
-                          static_cast<unsigned long long>(config.max_clients)),
-                  obs::kv("threads", config.search.threads)});
+    const auto daemon = make(*logger);
+    if (daemon == nullptr) return kRuntimeError;
+    daemon->bind();
+    // The ready line coordinators, CI and tests wait for — logged (and
+    // flushed by the logger) before the loop blocks, carrying the
+    // resolved endpoint (real port for TCP port-0 binds).
+    std::string line = name;
+    line += ": listening on ";
+    line += net::to_string(daemon->endpoint());
+    logger->info(line, ready);
     {
-      SignalScope signals(server);
-      server.serve();
+      SignalScope signals(*daemon);
+      daemon->serve();
     }
-    const daemon::ServerCounters counters = server.counters();
-    std::string shut_down = "scoris serve: shut down after ";
-    shut_down += std::to_string(counters.served);
-    shut_down += " queries";
-    logger->info(shut_down,
-                 {obs::kv("connections", counters.accepted),
-                  obs::kv("refused", counters.rejected),
-                  obs::kv("failed", counters.failed)});
+    log_shut_down(*logger, *daemon);
   } catch (const std::exception& e) {
     logger->error(e.what());
     return kRuntimeError;
   }
   return kOk;
+}
+
+int run_serve(const ServeConfig& config, std::ostream& /*out*/,
+              std::ostream& err) {
+  std::optional<Session> session;  // outlives the daemon serving it
+  const net::ServerConfig& listen = config.server.listen;
+  return run_daemon(
+      config, "scoris serve",
+      {obs::kv("max_clients",
+               static_cast<unsigned long long>(listen.max_connections)),
+       obs::kv("threads", config.session.options.threads)},
+      err, [&](obs::Logger& logger) -> std::unique_ptr<daemon::Server> {
+        try {
+          session.emplace(
+              Session::open(config.index_path, config.session.options));
+        } catch (const std::exception& e) {
+          err << "error: " << e.what() << '\n';
+          return nullptr;
+        }
+        daemon::ServerConfig server = config.server;
+        server.listen.logger = &logger;
+        return std::make_unique<daemon::Server>(*session, std::move(server));
+      });
 }
 
 int run_query(const QueryConfig& config, std::ostream& out,
@@ -1072,17 +1079,15 @@ int run_query(const QueryConfig& config, std::ostream& out,
     // turns that refusal into capped-backoff redials (the same
     // net::RetryPolicy the distributed coordinator re-dials workers
     // with) rather than an immediate exit 1.
-    const net::RetryPolicy policy{config.retry, config.retry_backoff_ms,
-                                  5000};
     std::optional<net::QueryClient> client;
     for (int attempt = 0; !client; ++attempt) {
       try {
         client.emplace(net::QueryClient::connect(config.endpoint));
       } catch (const net::ServerBusy&) {
-        if (attempt >= policy.retries) throw;
-        const int delay = policy.delay_ms(attempt);
+        if (attempt >= config.retry.retries) throw;
+        const int delay = config.retry.delay_ms(attempt);
         err << "scoris query: server busy, retrying in " << delay
-            << " ms (attempt " << (attempt + 1) << "/" << policy.retries
+            << " ms (attempt " << (attempt + 1) << "/" << config.retry.retries
             << ")\n";
         net::sleep_ms(delay);
       }
@@ -1128,43 +1133,16 @@ int run_query(const QueryConfig& config, std::ostream& out,
 
 int run_worker(const WorkerConfig& config, std::ostream& /*out*/,
                std::ostream& err) {
-  std::optional<obs::Logger> logger;
-  if (!open_logger(logger, config, err)) return kRuntimeError;
-
-  dist::WorkerConfig worker_config;
-  worker_config.endpoint = config.endpoint;
-  worker_config.backlog = config.backlog;
-  worker_config.threads = config.threads;
-  worker_config.max_jobs = config.max_jobs;
-  worker_config.logger = &*logger;
-
-  try {
-    dist::Worker worker(worker_config);
-    worker.bind();
-    // The ready line coordinators, CI, and tests wait for — flushed
-    // before the accept loop blocks, with the resolved endpoint.
-    logger->info("scoris worker: listening on " +
-                     net::to_string(worker.endpoint()),
-                 {obs::kv("max_jobs",
-                          static_cast<unsigned long long>(config.max_jobs)),
-                  obs::kv("threads", config.threads)});
-    {
-      SignalScope signals(worker);
-      worker.serve();
-    }
-    const dist::WorkerCounters counters = worker.counters();
-    std::string shut_down = "scoris worker: shut down after ";
-    shut_down += std::to_string(counters.groups);
-    shut_down += " groups";
-    logger->info(shut_down,
-                 {obs::kv("connections", counters.accepted),
-                  obs::kv("jobs", counters.jobs),
-                  obs::kv("failed", counters.failed)});
-  } catch (const std::exception& e) {
-    logger->error(e.what());
-    return kRuntimeError;
-  }
-  return kOk;
+  return run_daemon(
+      config, "scoris worker",
+      {obs::kv("max_jobs", static_cast<unsigned long long>(
+                               config.worker.listen.max_connections)),
+       obs::kv("threads", config.worker.threads)},
+      err, [&](obs::Logger& logger) {
+        dist::WorkerConfig worker = config.worker;
+        worker.listen.logger = &logger;
+        return std::make_unique<dist::Worker>(std::move(worker));
+      });
 }
 
 int run_stats(const StatsConfig& config, std::ostream& out,

@@ -10,9 +10,12 @@
 //   scoris worker --listen ADDR                  # distributed shard worker
 //
 // Each form declares its flags once, in a table (cli.cpp) that drives
-// parsing, validation and the --help text.  Option values are validated
-// by core::Options::validate() (the same check Session's constructor
-// runs), so the CLI and the library reject identical configurations.
+// parsing, validation and the --help text.  Each row writes straight
+// into the struct the library reads — core::Options, store::IndexKey,
+// daemon::ServerConfig, dist::WorkerConfig — and option values are
+// validated by core::Options::validate() (the same check Session's
+// constructor runs), so the CLI and the library reject identical
+// configurations.  `serve` and `worker` share one daemon driver.
 // The whole driver lives in the library (not in main.cpp) so the test
 // suite can run it in-process with captured streams and asserted exit
 // codes.
@@ -33,42 +36,39 @@ enum ExitCode : int {
   kUsage = 2,         ///< bad / missing / unknown arguments (usage printed)
 };
 
-/// Everything the compare/search driver parsed from argv, exposed for
-/// tests.  `search` mode fills index_path instead of bank1_path.
-struct CliConfig {
-  std::string bank1_path;
-  std::string bank2_path;
-  std::string index_path;  ///< search only: .scix artifact (bank1 side)
-  std::string out_path;    ///< empty = stdout
-  int w = 11;
-  int threads = 1;
-  /// Step-2 seed-code shards per (strand x slice) group; 0 = auto.
-  std::size_t shards = 0;
+/// The session settings the flat form, `search` and `serve` share.  A
+/// flag naming a core::Options field writes that field; the names and
+/// sizes below are mapped into `options` (or, for the memory budget,
+/// into each query's SearchLimits) once every flag is read.
+struct SessionConfig {
+  /// The validated option set the drivers execute with — filled (and
+  /// checked via core::Options::validate) during parsing, so a config
+  /// that parsed successfully is guaranteed runnable.
+  core::Options options;
   std::string schedule = "stealing";  ///< static | stealing
-  int min_hsp_score = 25;
-  double max_evalue = 1e-3;
-  std::string strand = "plus";  ///< plus | minus | both
-  bool dust = true;
-  bool asymmetric = false;
-  /// Pin step 2 to the scalar match-run kernel (Options::
-  /// force_scalar_kernel); output-invariant, for A/B timing and CI.
-  bool force_scalar = false;
-  bool stats = false;
-  bool help = false;
-  bool version = false;
-  /// --kernel: print the dispatched match-run kernel name and exit.
-  bool kernel_probe = false;
+  std::string strand = "plus";        ///< plus | minus | both
   /// When > 0, stream bank2 in slices so the two in-memory indexes stay
-  /// under this budget (SearchLimits::memory_budget_bytes); available on
-  /// both the flat compare form and `search`.
+  /// under this budget (SearchLimits::memory_budget_bytes).
   std::size_t memory_budget_mb = 0;
   /// When > 0, bound the cross-group merge's delivery memory
   /// (Options::delivery_budget_bytes = KB << 10): sorted group runs
   /// spill to temp files over the budget.  KB granularity so spill
   /// behaviour is reachable on small banks.
   std::size_t delivery_budget_kb = 0;
-  /// Spill-run directory (Options::tmp_dir); empty = system temp dir.
-  std::string tmp_dir;
+};
+
+/// Everything the compare/search driver parsed from argv, exposed for
+/// tests.  `search` mode fills index_path instead of bank1_path.
+struct CliConfig : SessionConfig {
+  std::string bank1_path;
+  std::string bank2_path;
+  std::string index_path;  ///< search only: .scix artifact (bank1 side)
+  std::string out_path;    ///< empty = stdout
+  bool stats = false;
+  bool help = false;
+  bool version = false;
+  /// --kernel: print the dispatched match-run kernel name and exit.
+  bool kernel_probe = false;
   /// When non-empty, record per-stage spans (index/scan/gapped/merge)
   /// and write them as Chrome trace_event JSON to this path — load it in
   /// chrome://tracing or Perfetto (see docs/OBSERVABILITY.md).
@@ -83,10 +83,6 @@ struct CliConfig {
   /// Lower bound on bank2 slices for distribution; 0 = auto,
   /// 2 * (workers + 1).  Output-invariant (balance knob only).
   std::size_t dist_slices = 0;
-  /// The validated option set the drivers execute with — filled (and
-  /// checked via core::Options::validate) during parsing, so a config
-  /// that parsed successfully is guaranteed runnable.
-  core::Options options;
 };
 
 /// Parse argv into a CliConfig (the flat compare form). On error, writes a

@@ -85,6 +85,14 @@ struct PipelineStats {
   exec::ShardBalance index_group_balance;
   exec::ShardBalance gapped_group_balance;
 
+  /// Adds a one-time reference build to step 1 and the total: what a
+  /// one-shot run reports, whose reference was indexed for its one query
+  /// (Session::reference_build_seconds).
+  void add_reference_build(double seconds) {
+    index_seconds += seconds;
+    total_seconds += seconds;
+  }
+
   /// Folds in the stats of another run over the same reference, such as
   /// a plan group that the distributed coordinator ran through the
   /// engine.  Stage seconds and counters add.  Index memory, positions

@@ -3,6 +3,7 @@
 #include <exception>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,11 +87,7 @@ Server::Server(const Session& session, ServerConfig config)
     : Server(std::make_shared<Conversation>(session, std::move(config))) {}
 
 Server::Server(std::shared_ptr<Conversation> conversation)
-    : net::Server({conversation->config.endpoint,
-                   conversation->config.backlog,
-                   conversation->config.max_clients,
-                   conversation->config.logger},
-                  conversation),
+    : net::Server(conversation->config.listen, conversation),
       conversation_(std::move(conversation)) {}
 
 ServerCounters Server::counters() const {
@@ -101,14 +98,16 @@ ServerCounters Server::counters() const {
 void Server::Conversation::refuse(net::Socket& sock, obs::Logger& log) {
   count(&ServerCounters::rejected);
   DaemonMetrics::get().busy_refusals.inc();
+  const std::size_t slots = config.listen.max_connections;
   log.warn("connection refused",
            {obs::kv("reason", "max clients"),
-            obs::kv("max_clients",
-                    static_cast<unsigned long long>(config.max_clients))});
+            obs::kv("max_clients", static_cast<unsigned long long>(slots))});
   try {
+    std::string message = "all ";
+    message += std::to_string(slots);
+    message += " client slots are in use, try again later";
     net::PayloadWriter busy;
-    busy.put_string("all " + std::to_string(config.max_clients) +
-                    " client slots are in use, try again later");
+    busy.put_string(message);
     const std::vector<std::uint8_t> payload = busy.take();
     net::write_frame(sock, net::kBusyTag, payload);
   } catch (const net::NetError&) {
@@ -145,8 +144,10 @@ void Server::Conversation::converse(net::Connection& conn) {
       continue;
     }
     if (frame.tag != net::kQueryTag) {
-      throw net::NetError("expected QRY or STAT, got '" +
-                          net::tag_name(frame.tag) + "'");
+      std::string message = "expected QRY or STAT, got '";
+      message += net::tag_name(frame.tag);
+      message += '\'';
+      throw net::NetError(message);
     }
     serve_query(conn, frame);
   }
@@ -163,10 +164,11 @@ void Server::Conversation::serve_query(net::Connection& conn,
   std::string error;
   try {
     if (request.payload.size() > config.max_query_bytes) {
-      throw std::runtime_error(
-          "query of " + std::to_string(request.payload.size()) +
-          " bytes exceeds the server limit of " +
-          std::to_string(config.max_query_bytes));
+      std::string message = "query of ";
+      message += std::to_string(request.payload.size());
+      message += " bytes exceeds the server limit of ";
+      message += std::to_string(config.max_query_bytes);
+      throw std::runtime_error(message);
     }
     net::PayloadReader reader(request.payload, "QRY");
     const std::uint8_t strand_byte = reader.get_u8();
@@ -174,21 +176,18 @@ void Server::Conversation::serve_query(net::Connection& conn,
         seqio::read_fasta_string(reader.rest(), "query");
 
     SearchLimits limits = config.base_limits;
-    switch (static_cast<net::QueryStrand>(strand_byte)) {
-      case net::QueryStrand::kDefault:
-        break;
-      case net::QueryStrand::kPlus:
-        limits.strand = seqio::Strand::kPlus;
-        break;
-      case net::QueryStrand::kMinus:
-        limits.strand = seqio::Strand::kMinus;
-        break;
-      case net::QueryStrand::kBoth:
-        limits.strand = seqio::Strand::kBoth;
-        break;
-      default:
-        throw std::runtime_error("bad strand byte " +
-                                 std::to_string(strand_byte));
+    bool known = strand_byte ==
+                 static_cast<std::uint8_t>(net::QueryStrand::kDefault);
+    for (const auto& [wire, strand] : kQueryStrands) {
+      if (static_cast<std::uint8_t>(wire) == strand_byte) {
+        limits.strand = strand;
+        known = true;
+      }
+    }
+    if (!known) {
+      std::string message = "bad strand byte ";
+      message += std::to_string(strand_byte);
+      throw std::runtime_error(message);
     }
 
     // The rows stream as they are formatted.  send_all blocks while the

@@ -10,8 +10,8 @@
 // net::FrameWriter, so the ROWS payloads concatenate to the bytes a
 // local search writes.  Accepting, admission,
 // per-connection threads and the drain on request_stop() are
-// net::Server's (net/server.hpp); a connection refused by the
-// max_clients cap gets a BUSY frame.
+// net::Server's (net/server.hpp), configured by ServerConfig::listen; a
+// connection refused by its connection cap gets a BUSY frame.
 //
 // Failure containment: a SinkError/NetError inside one query (client
 // hung up mid-stream, send failed) aborts that query alone — its
@@ -24,18 +24,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <utility>
 
 #include "api/session.hpp"
+#include "net/frame.hpp"
 #include "net/server.hpp"
-#include "obs/log.hpp"
+#include "seqio/strand.hpp"
 
 namespace scoris::daemon {
 
 struct ServerConfig {
-  net::Endpoint endpoint;           ///< listen address (TCP or unix)
-  int backlog = 16;                 ///< kernel accept-queue bound
-  std::size_t max_clients = 4;      ///< concurrent admitted connections
+  /// Where and how the daemon accepts: listen address (TCP or unix),
+  /// kernel accept-queue bound, concurrent admitted clients (the rest
+  /// get BUSY) and the structured logger for lifecycle and
+  /// per-connection events (not owned; must outlive serve(); nullptr
+  /// silences the daemon — metrics still accumulate in
+  /// obs::Registry::global()).
+  net::ServerConfig listen{.endpoint = {}, .max_connections = 4};
   /// Largest QRY payload accepted (advertised in HELO; larger queries
   /// get an ERR and the connection survives).
   std::uint64_t max_query_bytes = std::uint64_t{64} << 20;
@@ -45,13 +50,20 @@ struct ServerConfig {
   /// frames in flight (mid-stream disconnect coverage); 1 sends one row
   /// per frame.
   std::size_t chunk_bytes = std::size_t{256} << 10;
-  /// Applied to every query (delivery budget, tmp dir, ...); the QRY
-  /// strand byte overrides `base_limits.strand` per query.
+  /// Applied to every query (memory budget, delivery budget, tmp dir,
+  /// ...); the QRY strand byte
+  /// overrides `base_limits.strand` per query.
   SearchLimits base_limits;
-  /// Structured logger for lifecycle + per-connection events (not
-  /// owned; must outlive serve()).  nullptr silences the daemon —
-  /// metrics still accumulate in obs::Registry::global().
-  obs::Logger* logger = nullptr;
+};
+
+/// QRY strand bytes and the strands they ask for, the one mapping both
+/// ends of the wire use.  QueryStrand::kDefault asks for none: the
+/// query runs on the session's own strand.
+inline constexpr std::pair<net::QueryStrand, seqio::Strand>
+    kQueryStrands[] = {
+        {net::QueryStrand::kPlus, seqio::Strand::kPlus},
+        {net::QueryStrand::kMinus, seqio::Strand::kMinus},
+        {net::QueryStrand::kBoth, seqio::Strand::kBoth},
 };
 
 /// Tallies exposed for tests and the serve-loop log line.

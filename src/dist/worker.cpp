@@ -98,8 +98,9 @@ Job prepare_job(const net::Frame& frame, int threads) {
       job.session.emplace(store::load_index(ref), options);
       break;
     default:
-      throw net::NetError("WJOB: unknown reference kind " +
-                          std::to_string(ref_kind));
+      std::string message = "WJOB: unknown reference kind ";
+      message += std::to_string(ref_kind);
+      throw net::NetError(message);
   }
   return job;
 }
@@ -122,11 +123,11 @@ void send_error(net::Socket& conn, const std::string& message) {
   try {
     if (task.slice_from > task.slice_to ||
         task.slice_to > job.bank2.size()) {
-      throw std::runtime_error(
-          "group " + std::to_string(task.id) + ": slice [" +
-          std::to_string(task.slice_from) + ", " +
-          std::to_string(task.slice_to) + ") exceeds the query bank (" +
-          std::to_string(job.bank2.size()) + " sequences)");
+      std::ostringstream message;
+      message << "group " << task.id << ": slice [" << task.slice_from
+              << ", " << task.slice_to << ") exceeds the query bank ("
+              << job.bank2.size() << " sequences)";
+      throw std::runtime_error(message.str());
     }
     // One group: this strand of this slice, streamed as it finishes.
     SearchLimits limits;
@@ -206,11 +207,7 @@ Worker::Worker(WorkerConfig config)
     : Worker(std::make_shared<Conversation>(std::move(config))) {}
 
 Worker::Worker(std::shared_ptr<Conversation> conversation)
-    : net::Server({conversation->config.endpoint,
-                   conversation->config.backlog,
-                   conversation->config.max_jobs,
-                   conversation->config.logger},
-                  conversation),
+    : net::Server(conversation->config.listen, conversation),
       conversation_(std::move(conversation)) {}
 
 WorkerCounters Worker::counters() const {
@@ -223,8 +220,8 @@ void Worker::Conversation::refuse(net::Socket& /*sock*/, obs::Logger& log) {
   // the worker as dead, which is the correct fallback.
   log.warn("connection refused",
            {obs::kv("reason", "max jobs"),
-            obs::kv("max_jobs",
-                    static_cast<unsigned long long>(config.max_jobs))});
+            obs::kv("max_jobs", static_cast<unsigned long long>(
+                                    config.listen.max_connections))});
 }
 
 void Worker::Conversation::converse(net::Connection& conn) {
@@ -240,8 +237,10 @@ void Worker::Conversation::converse(net::Connection& conn) {
   net::Frame frame;
   if (!conn.next_frame(frame)) return;
   if (frame.tag != kJobTag) {
-    throw net::NetError("expected WJOB, got '" + net::tag_name(frame.tag) +
-                        "'");
+    std::string message = "expected WJOB, got '";
+    message += net::tag_name(frame.tag);
+    message += '\'';
+    throw net::NetError(message);
   }
   Job job;
   try {
@@ -265,8 +264,10 @@ void Worker::Conversation::converse(net::Connection& conn) {
 
   while (conn.next_frame(frame)) {
     if (frame.tag != kGroupTag) {
-      throw net::NetError("expected WGRP, got '" + net::tag_name(frame.tag) +
-                          "'");
+      std::string message = "expected WGRP, got '";
+      message += net::tag_name(frame.tag);
+      message += '\'';
+      throw net::NetError(message);
     }
     net::PayloadReader reader(frame.payload, "WGRP");
     const GroupTask task = read_group(reader);

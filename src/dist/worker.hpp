@@ -9,11 +9,12 @@
 // the group's sorted step-4 run back as spill-run bytes.
 //
 // Accepting, admission, per-connection threads and the drain on
-// request_stop() are net::Server's (net/server.hpp).  A worker
-// conversation holds a whole prepared job (a Session over the reference,
-// plus the query bank) for the life of its connection; a connection
-// refused by the max_jobs cap is closed without a word, and a
-// coordinator treats that like a dead worker.
+// request_stop() are net::Server's (net/server.hpp), configured by
+// WorkerConfig::listen.  A worker conversation holds a whole prepared
+// job (a Session over the reference, plus the query bank) for the life
+// of its connection; a connection refused by the connection cap is
+// closed without a word, and a coordinator treats that like a dead
+// worker.
 //
 // Failure containment mirrors the daemon's: an engine error inside one
 // group produces a WERR frame and the connection keeps serving; only a
@@ -28,22 +29,20 @@
 #include <memory>
 
 #include "net/server.hpp"
-#include "obs/log.hpp"
 
 namespace scoris::dist {
 
 struct WorkerConfig {
-  net::Endpoint endpoint;  ///< listen address (TCP or unix)
-  int backlog = 16;        ///< kernel accept-queue bound
+  /// Where and how the worker accepts: listen address (TCP or unix),
+  /// kernel accept-queue bound, concurrent coordinator connections (more
+  /// than one is unusual — each holds its own reference copy — but
+  /// harmless) and the structured logger (not owned; must outlive
+  /// serve(); nullptr silences the worker — metrics still accumulate in
+  /// the registry).
+  net::ServerConfig listen{.endpoint = {}, .max_connections = 2};
   /// Engine threads per job (the worker's own execution shape; the
   /// coordinator's options blob deliberately does not carry one).
   int threads = 1;
-  /// Concurrent coordinator connections.  More than one is unusual —
-  /// each holds its own reference copy — but harmless.
-  std::size_t max_jobs = 2;
-  /// Structured logger (not owned; must outlive serve()).  nullptr
-  /// silences the worker; metrics still accumulate in the registry.
-  obs::Logger* logger = nullptr;
 };
 
 /// Tallies exposed for tests and the shutdown log line.

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
@@ -237,8 +238,7 @@ TEST(SessionStreaming, DeliveryBudgetViaOptionsAndOverrideValidation) {
 
 // --- session reuse -----------------------------------------------------------
 
-/// One session, many queries: the reference index is built exactly once,
-/// and the second query's stats do not re-incur the build.
+/// One session, many queries: the reference index is built exactly once.
 TEST(SessionReuse, ReferenceIndexedExactlyOnce) {
   const Banks banks = make_banks(47);
   simulate::Rng rng(48);
@@ -252,7 +252,6 @@ TEST(SessionReuse, ReferenceIndexedExactlyOnce) {
   options.threads = 4;
   Session session(banks.bank1, options);
   EXPECT_EQ(session.reference_builds(), 1u);
-  EXPECT_EQ(session.searches(), 0u);
 
   CountingSink first;
   const SearchOutcome o1 = session.search(banks.bank2, first);
@@ -263,19 +262,74 @@ TEST(SessionReuse, ReferenceIndexedExactlyOnce) {
 
   // Still exactly one reference build after three queries.
   EXPECT_EQ(session.reference_builds(), 1u);
-  EXPECT_EQ(session.searches(), 3u);
-  // Identical queries report identical deterministic index stats...
+  // Identical queries report identical deterministic index stats.
   EXPECT_EQ(o1.stats.index_bytes, o2.stats.index_bytes);
   EXPECT_EQ(o1.stats.index_dict_bytes, o2.stats.index_dict_bytes);
   EXPECT_EQ(o1.stats.masked_bases, o2.stats.masked_bases);
   EXPECT_EQ(first.total(), second.total());
-  // ...and the one-time build cost is charged to the first query only:
-  // the sink-observed (engine-level) stats never include it, and the
-  // second outcome equals its sink's numbers exactly.
-  EXPECT_DOUBLE_EQ(o2.stats.index_seconds, second.stats().index_seconds);
-  EXPECT_DOUBLE_EQ(
-      o1.stats.index_seconds,
-      first.stats().index_seconds + session.reference_build_seconds());
+}
+
+/// Every field of two stats records, timings included.
+void expect_same_stats(const core::PipelineStats& got,
+                       const core::PipelineStats& want) {
+  EXPECT_EQ(got.index_seconds, want.index_seconds);
+  EXPECT_EQ(got.hsp_seconds, want.hsp_seconds);
+  EXPECT_EQ(got.gapped_seconds, want.gapped_seconds);
+  EXPECT_EQ(got.total_seconds, want.total_seconds);
+  EXPECT_EQ(got.hit_pairs, want.hit_pairs);
+  EXPECT_EQ(got.order_aborts, want.order_aborts);
+  EXPECT_EQ(got.hsps, want.hsps);
+  EXPECT_EQ(got.duplicate_hsps, want.duplicate_hsps);
+  EXPECT_EQ(got.index_bytes, want.index_bytes);
+  EXPECT_EQ(got.index_dict_bytes, want.index_dict_bytes);
+  EXPECT_EQ(got.index_chain_bytes, want.index_chain_bytes);
+  EXPECT_EQ(got.index_positions, want.index_positions);
+  EXPECT_EQ(got.masked_bases, want.masked_bases);
+  EXPECT_EQ(got.reference_masked_bases, want.reference_masked_bases);
+  EXPECT_STREQ(got.simd_kernel, want.simd_kernel);
+  EXPECT_EQ(got.gapped.hsps_in, want.gapped.hsps_in);
+  EXPECT_EQ(got.gapped.gapped_extensions, want.gapped.gapped_extensions);
+  EXPECT_EQ(got.gapped.fast_path, want.gapped.fast_path);
+  EXPECT_EQ(got.gapped.second_dp, want.gapped.second_dp);
+  EXPECT_EQ(got.gapped.xdrop_cells, want.gapped.xdrop_cells);
+  EXPECT_EQ(got.gapped.band_cells, want.gapped.band_cells);
+  EXPECT_EQ(got.gapped.skipped_contained, want.gapped.skipped_contained);
+  EXPECT_EQ(got.gapped.below_cutoff, want.gapped.below_cutoff);
+  EXPECT_EQ(got.gapped.exact_duplicates, want.gapped.exact_duplicates);
+  EXPECT_EQ(got.alignments, want.alignments);
+  EXPECT_EQ(got.peak_delivery_bytes, want.peak_delivery_bytes);
+  EXPECT_EQ(got.spilled_runs, want.spilled_runs);
+  EXPECT_EQ(got.spill_bytes, want.spill_bytes);
+  for (const auto& [g, w] :
+       {std::pair{&got.shard_balance, &want.shard_balance},
+        std::pair{&got.index_group_balance, &want.index_group_balance},
+        std::pair{&got.gapped_group_balance, &want.gapped_group_balance}}) {
+    EXPECT_EQ(g->shards, w->shards);
+    EXPECT_EQ(g->min_seconds, w->min_seconds);
+    EXPECT_EQ(g->median_seconds, w->median_seconds);
+    EXPECT_EQ(g->max_seconds, w->max_seconds);
+    EXPECT_EQ(g->total_seconds, w->total_seconds);
+  }
+}
+
+/// One stats record per query: what search() returns is what its sink's
+/// on_stats received, the first query included.  The one-time reference
+/// build is in neither.
+TEST(SessionReuse, ReturnedStatsEqualTheSinksFirstQueryIncluded) {
+  const Banks banks = make_banks(49);
+  core::Options options;
+  options.strand = seqio::Strand::kBoth;
+  options.threads = 2;
+  const Session session(banks.bank1, options);
+  ASSERT_GT(session.reference_build_seconds(), 0.0);
+
+  for (int query = 0; query < 2; ++query) {
+    CountingSink sink;
+    const SearchOutcome outcome = session.search(banks.bank2, sink);
+    ASSERT_TRUE(sink.have_stats());
+    SCOPED_TRACE(testing::numbered("query ", query));
+    expect_same_stats(outcome.stats, sink.stats());
+  }
 }
 
 /// The same session answers different queries and per-query limits

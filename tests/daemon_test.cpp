@@ -81,10 +81,9 @@ class DaemonFixture {
     seqio::write_fasta(text, hp.bank2);
     fasta_ = text.str();
 
-    config.endpoint.kind = net::Endpoint::Kind::kUnix;
-    config.endpoint.path = (std::filesystem::path(scratch_.path()) /
-                            "scorisd.sock")
-                               .string();
+    config.listen.endpoint.kind = net::Endpoint::Kind::kUnix;
+    config.listen.endpoint.path =
+        (std::filesystem::path(scratch_.path()) / "scorisd.sock").string();
     if (config.base_limits.tmp_dir.empty()) {
       config.base_limits.tmp_dir = scratch_.path();
     }
@@ -153,7 +152,7 @@ TEST(Daemon, SingleQueryMatchesDirectSearchByteForByte) {
 
 TEST(Daemon, ConcurrentClientsAllReceiveTheCanonicalResult) {
   daemon::ServerConfig config;
-  config.max_clients = 8;
+  config.listen.max_connections = 8;
   DaemonFixture daemon(config);
   const std::string reference = daemon.direct_m8();
   ASSERT_FALSE(reference.empty());
@@ -271,7 +270,7 @@ TEST(Daemon, MixedStrandQueriesOnOneConnection) {
 
 TEST(Daemon, AdmissionControlRefusesBeyondMaxClients) {
   daemon::ServerConfig config;
-  config.max_clients = 1;
+  config.listen.max_connections = 1;
   DaemonFixture daemon(config);
 
   // The first client's successful connect (HELO received) proves its
@@ -342,7 +341,7 @@ TEST(Daemon, OversizedQueryIsRefusedPerQuery) {
 
 TEST(Daemon, MidStreamDisconnectDoesNotDisturbOtherClients) {
   daemon::ServerConfig config;
-  config.max_clients = 8;
+  config.listen.max_connections = 8;
   // One frame per m8 row, and a spill-forcing delivery budget: the
   // aborted query dies with real temp state on disk to reclaim.
   config.chunk_bytes = 1;
@@ -474,7 +473,7 @@ TEST(Daemon, DoneFrameCarriesServerSeconds) {
 
 TEST(Daemon, StatSnapshotReflectsQueriesAndBusyRefusals) {
   daemon::ServerConfig config;
-  config.max_clients = 1;
+  config.listen.max_connections = 1;
   DaemonFixture daemon(config);
 
   // The metrics registry is process-global and other tests in this

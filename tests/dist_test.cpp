@@ -352,11 +352,11 @@ class DistFixture {
     bank2_ = hp.bank2;
 
     dist::WorkerConfig config;
-    config.endpoint.kind = net::Endpoint::Kind::kUnix;
-    config.endpoint.path = (std::filesystem::path(scratch_.path()) /
-                            ("worker" + std::to_string(next_sock_++) +
-                             ".sock"))
-                               .string();
+    config.listen.endpoint.kind = net::Endpoint::Kind::kUnix;
+    config.listen.endpoint.path =
+        (std::filesystem::path(scratch_.path()) /
+         (testing::numbered("worker", next_sock_++) + ".sock"))
+            .string();
     config.threads = worker_threads;
     workers_.push_back(std::make_unique<dist::Worker>(config));
     workers_.back()->bind();
@@ -376,11 +376,11 @@ class DistFixture {
   /// Add one more live worker and return its endpoint.
   net::Endpoint add_worker(int threads = 1) {
     dist::WorkerConfig config;
-    config.endpoint.kind = net::Endpoint::Kind::kUnix;
-    config.endpoint.path = (std::filesystem::path(scratch_.path()) /
-                            ("worker" + std::to_string(next_sock_++) +
-                             ".sock"))
-                               .string();
+    config.listen.endpoint.kind = net::Endpoint::Kind::kUnix;
+    config.listen.endpoint.path =
+        (std::filesystem::path(scratch_.path()) /
+         (testing::numbered("worker", next_sock_++) + ".sock"))
+            .string();
     config.threads = threads;
     workers_.push_back(std::make_unique<dist::Worker>(config));
     workers_.back()->bind();
@@ -750,10 +750,10 @@ class ServedWorker {
  public:
   explicit ServedWorker(std::size_t max_jobs = 2) {
     dist::WorkerConfig config;
-    config.endpoint.kind = net::Endpoint::Kind::kUnix;
-    config.endpoint.path =
+    config.listen.endpoint.kind = net::Endpoint::Kind::kUnix;
+    config.listen.endpoint.path =
         (std::filesystem::path(scratch_.path()) / "worker.sock").string();
-    config.max_jobs = max_jobs;
+    config.listen.max_connections = max_jobs;
     worker_.emplace(config);
     worker_->bind();
     thread_ = std::thread([this] { worker_->serve(); });

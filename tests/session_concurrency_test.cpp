@@ -84,8 +84,6 @@ TEST(SessionConcurrency, ParallelSearchesMatchTheSequentialResult) {
   const std::string reference =
       to_m8_text(session.search_collect(banks.bank2), banks);
   ASSERT_FALSE(reference.empty());
-  const std::size_t after_warmup = session.searches();
-  EXPECT_EQ(after_warmup, 1u);
 
   constexpr int kThreads = 8;
   std::vector<std::string> outputs(kThreads);
@@ -103,7 +101,6 @@ TEST(SessionConcurrency, ParallelSearchesMatchTheSequentialResult) {
     EXPECT_EQ(outputs[static_cast<std::size_t>(t)], reference)
         << "thread " << t << " saw a different result";
   }
-  EXPECT_EQ(session.searches(), after_warmup + kThreads);
   EXPECT_EQ(session.reference_builds(), 1u);
 }
 
