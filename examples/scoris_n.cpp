@@ -11,8 +11,11 @@
 //            [--baseline]   (run the BLASTN-style baseline instead)
 //            [--blat]       (run its BLAT configuration instead)
 //            [--stats]      (print per-step statistics to stderr)
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <string_view>
 
 #include "align/display.hpp"
 #include "align/gapped.hpp"
@@ -28,7 +31,7 @@ void print_usage(const char* prog) {
       << "  --out FILE      write m8 output to FILE (default: stdout)\n"
       << "  --w N           seed length (default 11)\n"
       << "  --evalue E      e-value cutoff (default 1e-3)\n"
-      << "  --threads N     worker threads for steps 2-3 (default 1)\n"
+      << "  --threads N     worker threads for steps 1-3 (default 1)\n"
       << "  --strand S      plus (default, paper's -S 1), minus, or both\n"
       << "  --asymmetric    10-nt words, stride-2 index on bank2\n"
       << "  --no-dust       disable the low-complexity filter\n"
@@ -40,11 +43,10 @@ void print_usage(const char* prog) {
       << "  --stats         print per-step statistics to stderr\n";
 }
 
-scoris::seqio::Strand parse_strand(const std::string& s) {
-  if (s == "minus") return scoris::seqio::Strand::kMinus;
-  if (s == "both") return scoris::seqio::Strand::kBoth;
-  return scoris::seqio::Strand::kPlus;
-}
+/// The flags print_usage lists; any other is a usage error.
+constexpr std::string_view kFlags[] = {
+    "out", "w", "evalue", "threads", "strand", "asymmetric", "no-dust",
+    "s1", "save-banks", "align", "baseline", "blat", "stats"};
 
 /// Print BLAST-style full pairwise alignments of the top `n` results.
 void print_full_alignments(std::ostream& os,
@@ -81,6 +83,21 @@ void print_full_alignments(std::ostream& os,
 int main(int argc, char** argv) {
   using namespace scoris;
   const util::Args args = util::Args::parse(argc, argv);
+  // Usage errors exit 2 with the diagnostic `scoris` prints for them.
+  for (const std::string& name : args.flag_names()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
+        std::end(kFlags)) {
+      std::cerr << "error: unknown flag --" << name << '\n';
+      print_usage(argv[0]);
+      return 2;
+    }
+  }
+  Options opt;
+  if (const auto issue = core::set_strand(opt, args.get("strand", "plus"))) {
+    std::cerr << "error: " << issue->message << '\n';
+    print_usage(argv[0]);
+    return 2;
+  }
   if (args.positional().size() != 2) {
     print_usage(argv[0]);
     return 2;
@@ -122,24 +139,23 @@ int main(int argc, char** argv) {
   }
 
   const bool want_stats = args.get_flag("stats");
-  const auto strand = parse_strand(args.get("strand", "plus"));
   const auto align_top = static_cast<std::size_t>(args.get_int_or_exit("align", 0));
 
   const bool blat = args.get_flag("blat");
   if (args.get_flag("baseline") || blat) {
     // The BLAT configuration's lookup width and tile stride follow --w.
-    blast::BlastOptions opt =
+    blast::BlastOptions bopt =
         blat ? blast::blat_options() : blast::BlastOptions{};
-    opt.w = static_cast<int>(args.get_int_or_exit("w", 11));
-    opt.max_evalue = args.get_double_or_exit("evalue", 1e-3);
-    opt.dust = !args.get_flag("no-dust");
-    opt.min_hsp_score = static_cast<int>(args.get_int_or_exit("s1", 25));
-    opt.threads = static_cast<int>(args.get_int_or_exit("threads", 1));
-    opt.strand = strand;
-    const blast::BlastResult r = blast::BlastN(opt).run(bank1, bank2);
+    bopt.w = static_cast<int>(args.get_int_or_exit("w", 11));
+    bopt.max_evalue = args.get_double_or_exit("evalue", 1e-3);
+    bopt.dust = !args.get_flag("no-dust");
+    bopt.min_hsp_score = static_cast<int>(args.get_int_or_exit("s1", 25));
+    bopt.threads = static_cast<int>(args.get_int_or_exit("threads", 1));
+    bopt.strand = opt.strand;
+    const blast::BlastResult r = blast::BlastN(bopt).run(bank1, bank2);
     compare::write_m8(*out, r.alignments, bank1, bank2);
     if (align_top > 0) {
-      print_full_alignments(*out, r.alignments, bank1, bank2, opt.scoring,
+      print_full_alignments(*out, r.alignments, bank1, bank2, bopt.scoring,
                             align_top);
     }
     if (want_stats) {
@@ -153,14 +169,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Options opt;
   opt.w = static_cast<int>(args.get_int_or_exit("w", 11));
   opt.max_evalue = args.get_double_or_exit("evalue", 1e-3);
   opt.asymmetric = args.get_flag("asymmetric");
   opt.dust = !args.get_flag("no-dust");
   opt.min_hsp_score = static_cast<int>(args.get_int_or_exit("s1", 25));
   opt.threads = static_cast<int>(args.get_int_or_exit("threads", 1));
-  opt.strand = strand;
 
   // The session API: bank1 is indexed once and owned by the session;
   // the default path streams m8 lines as they become final.  --align
@@ -182,6 +196,8 @@ int main(int argc, char** argv) {
       stats = outcome.stats;
       alignments = writer.written();
     }
+    // This run indexed bank1 for its one query: step 1 counts it.
+    stats.add_reference_build(session.reference_build_seconds());
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
