@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "simulate/generators.hpp"
-#include "simulate/mutate.hpp"
-
 namespace scoris::index {
 
 SpacedSeed::SpacedSeed(std::string_view pattern) : pattern_(pattern) {
@@ -38,20 +35,6 @@ std::optional<SeedCode> SpacedSeed::code_at(std::span<const seqio::Code> codes,
   return c;
 }
 
-bool SpacedSeed::matches(std::span<const seqio::Code> a, std::size_t pa,
-                         std::span<const seqio::Code> b,
-                         std::size_t pb) const {
-  if (pa + pattern_.size() > a.size() || pb + pattern_.size() > b.size()) {
-    return false;
-  }
-  for (const int off : ones_) {
-    const seqio::Code x = a[pa + static_cast<std::size_t>(off)];
-    const seqio::Code y = b[pb + static_cast<std::size_t>(off)];
-    if (!seqio::is_base(x) || x != y) return false;
-  }
-  return true;
-}
-
 SpacedSeed SpacedSeed::contiguous(int w) {
   return SpacedSeed(std::string(static_cast<std::size_t>(w), '1'));
 }
@@ -59,24 +42,6 @@ SpacedSeed SpacedSeed::contiguous(int w) {
 const SpacedSeed& SpacedSeed::pattern_hunter() {
   static const SpacedSeed kSeed("111010010100110111");
   return kSeed;
-}
-
-SpacedIndex::SpacedIndex(const seqio::SequenceBank& bank,
-                         const SpacedSeed& seed) {
-  const auto codes = bank.data();
-  for (std::size_t p = 0; p + static_cast<std::size_t>(seed.span()) <=
-                          codes.size();
-       ++p) {
-    if (const auto c = seed.code_at(codes, p)) {
-      table_[*c].push_back(static_cast<seqio::Pos>(p));
-      ++total_;
-    }
-  }
-}
-
-const std::vector<seqio::Pos>* SpacedIndex::occurrences(SeedCode code) const {
-  const auto it = table_.find(code);
-  return it == table_.end() ? nullptr : &it->second;
 }
 
 double hit_sensitivity(const SpacedSeed& seed, double identity,

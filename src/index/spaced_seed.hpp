@@ -16,11 +16,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "index/seed_coder.hpp"
-#include "seqio/sequence_bank.hpp"
+#include "seqio/nucleotide.hpp"
 #include "simulate/rng.hpp"
 
 namespace scoris::index {
@@ -42,12 +41,6 @@ class SpacedSeed {
   [[nodiscard]] std::optional<SeedCode> code_at(
       std::span<const seqio::Code> codes, std::size_t pos) const;
 
-  /// True when a seed *match* exists at this offset of two sequences:
-  /// all sampled positions carry identical concrete bases.
-  [[nodiscard]] bool matches(std::span<const seqio::Code> a, std::size_t pa,
-                             std::span<const seqio::Code> b,
-                             std::size_t pb) const;
-
   /// The contiguous seed of weight w as a degenerate pattern ("111...1").
   [[nodiscard]] static SpacedSeed contiguous(int w);
 
@@ -57,21 +50,6 @@ class SpacedSeed {
  private:
   std::string pattern_;
   std::vector<int> ones_;  // offsets of sampled positions
-};
-
-/// Hash-map seed index over a bank (spaced seeds cannot use the 4^W
-/// dictionary + rolling build of BankIndex).
-class SpacedIndex {
- public:
-  SpacedIndex(const seqio::SequenceBank& bank, const SpacedSeed& seed);
-
-  [[nodiscard]] const std::vector<seqio::Pos>* occurrences(
-      SeedCode code) const;
-  [[nodiscard]] std::size_t total_indexed() const { return total_; }
-
- private:
-  std::unordered_map<SeedCode, std::vector<seqio::Pos>> table_;
-  std::size_t total_ = 0;
 };
 
 /// Monte-Carlo hit sensitivity: probability that a homologous region of

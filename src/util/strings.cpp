@@ -1,8 +1,6 @@
 #include "util/strings.hpp"
 
 #include <cctype>
-#include <iomanip>
-#include <sstream>
 
 namespace scoris::util {
 
@@ -36,29 +34,6 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
     s.remove_suffix(1);
   return s;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (auto& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::string human_bytes(std::size_t bytes) {
-  const char* units[] = {"B", "KB", "MB", "GB", "TB"};
-  double v = static_cast<double>(bytes);
-  int u = 0;
-  while (v >= 1024.0 && u < 4) {
-    v /= 1024.0;
-    ++u;
-  }
-  std::ostringstream ss;
-  ss << std::fixed << std::setprecision(u == 0 ? 0 : 1) << v << ' ' << units[u];
-  return ss.str();
 }
 
 }  // namespace scoris::util

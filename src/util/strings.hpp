@@ -16,13 +16,4 @@ namespace scoris::util {
 /// Strip leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
 
-/// True when `s` starts with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Lower-case ASCII copy.
-[[nodiscard]] std::string to_lower(std::string_view s);
-
-/// Human-readable byte count ("12.3 MB").
-[[nodiscard]] std::string human_bytes(std::size_t bytes);
-
 }  // namespace scoris::util

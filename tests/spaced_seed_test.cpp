@@ -1,11 +1,8 @@
-// Tests for spaced seeds: pattern parsing, code extraction, matching, the
-// hash index, and the PatternHunter sensitivity result the paper's
-// introduction cites.
+// Tests for spaced seeds: pattern parsing, code extraction, and the
+// PatternHunter sensitivity result the paper's introduction cites.
 #include <gtest/gtest.h>
 
 #include "index/spaced_seed.hpp"
-#include "simulate/generators.hpp"
-#include "simulate/mutate.hpp"
 #include "simulate/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -61,38 +58,6 @@ TEST(SpacedSeed, CodeAtBoundsAndAmbiguity) {
   // Window at 2 samples 2,4,5 -> includes N at 2.
   EXPECT_FALSE(s.code_at(codes, 2).has_value());
   EXPECT_FALSE(s.code_at(codes, 3).has_value());  // out of range
-}
-
-TEST(SpacedSeed, MatchesToleratesDontCareMismatch) {
-  const SpacedSeed s("11011");
-  const auto a = codes_of("ACGTA");
-  auto b = a;
-  b[2] = static_cast<seqio::Code>((b[2] + 1) & 3);  // don't-care position
-  EXPECT_TRUE(s.matches(a, 0, b, 0));
-  b[1] = static_cast<seqio::Code>((b[1] + 1) & 3);  // sampled position
-  EXPECT_FALSE(s.matches(a, 0, b, 0));
-}
-
-TEST(SpacedIndex, FindsAllOccurrences) {
-  simulate::Rng rng(951);
-  seqio::SequenceBank bank;
-  bank.add_codes("s", simulate::random_codes(rng, 500));
-  const SpacedSeed seed("110101");
-  const SpacedIndex idx(bank, seed);
-
-  const auto codes = bank.data();
-  std::size_t expected = 0;
-  for (std::size_t p = 0; p + 6 <= codes.size(); ++p) {
-    if (const auto c = seed.code_at(codes, p)) {
-      ++expected;
-      const auto* occ = idx.occurrences(*c);
-      ASSERT_NE(occ, nullptr);
-      EXPECT_TRUE(std::find(occ->begin(), occ->end(),
-                            static_cast<seqio::Pos>(p)) != occ->end());
-    }
-  }
-  EXPECT_EQ(idx.total_indexed(), expected);
-  EXPECT_EQ(idx.occurrences(0x3FFFFFFF), nullptr);
 }
 
 TEST(Sensitivity, PatternHunterBeatsContiguousAt70Percent) {

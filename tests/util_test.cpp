@@ -134,17 +134,6 @@ TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim(" \t\n "), "");
 }
 
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("foobar", "foo"));
-  EXPECT_FALSE(starts_with("fo", "foo"));
-}
-
-TEST(Strings, HumanBytes) {
-  EXPECT_EQ(human_bytes(512), "512 B");
-  EXPECT_EQ(human_bytes(2048), "2.0 KB");
-  EXPECT_EQ(human_bytes(5u * 1024 * 1024), "5.0 MB");
-}
-
 TEST(Timer, MeasuresNonNegativeTime) {
   WallTimer t;
   double sink = 0;
