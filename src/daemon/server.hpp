@@ -51,8 +51,7 @@ struct ServerConfig {
   /// per frame.
   std::size_t chunk_bytes = std::size_t{256} << 10;
   /// Applied to every query (memory budget, delivery budget, tmp dir,
-  /// ...); the QRY strand byte
-  /// overrides `base_limits.strand` per query.
+  /// ...); the QRY strand byte overrides `base_limits.strand` per query.
   SearchLimits base_limits;
 };
 

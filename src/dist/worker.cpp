@@ -97,10 +97,11 @@ Job prepare_job(const net::Frame& frame, int threads) {
     case RefKind::kIndexPath:
       job.session.emplace(store::load_index(ref), options);
       break;
-    default:
+    default: {
       std::string message = "WJOB: unknown reference kind ";
       message += std::to_string(ref_kind);
       throw net::NetError(message);
+    }
   }
   return job;
 }
