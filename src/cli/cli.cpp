@@ -1034,11 +1034,10 @@ int run_daemon(const DaemonConfig& config, const char* name,
 int run_serve(const ServeConfig& config, std::ostream& /*out*/,
               std::ostream& err) {
   std::optional<Session> session;  // outlives the daemon serving it
-  const net::ServerConfig& listen = config.server.listen;
   return run_daemon(
       config, "scoris serve",
-      {obs::kv("max_clients",
-               static_cast<unsigned long long>(listen.max_connections)),
+      {obs::kv("max_clients", static_cast<unsigned long long>(
+                                  config.server.listen.max_connections)),
        obs::kv("threads", config.session.options.threads)},
       err, [&](obs::Logger& logger) -> std::unique_ptr<daemon::Server> {
         try {
