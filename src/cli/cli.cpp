@@ -36,7 +36,6 @@
 #include "seqio/fasta.hpp"
 #include "seqio/sequence_bank.hpp"
 #include "seqio/serialize.hpp"
-#include "seqio/strand.hpp"
 #include "store/index_store.hpp"
 #include "util/argparse.hpp"
 
