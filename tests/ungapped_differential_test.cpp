@@ -7,10 +7,12 @@
 // every kernel this CPU runs.  Cases: random pairs at 0-15% substitutions,
 // ambiguity codes, sentinels at both ends and between sequences, plain
 // spans without sentinels, (AC)^n repeats that abort on both sides and
-// tie on equal codes, W from 4 to 13, and DUST-masked and stride-2
-// indexes, where words inside a match run are not indexed.
+// tie on equal codes, W from 4 to 13, DUST-masked and stride-2 indexes,
+// where words inside a match run are not indexed, and runs around the
+// length the walk matches inline before it calls the kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -175,6 +177,96 @@ void sprinkle_ns(simulate::Rng& rng, CodeStr& s, std::uint64_t every) {
   }
 }
 
+/// How a planted match run ends.
+enum class RunEnd { kMismatch, kAmbiguous, kSentinel, kSpanEdge };
+
+/// One side of a planted seed, read outwards from it: the part inside
+/// the span and the part past its edge, in each sequence.
+struct PlantedSide {
+  CodeStr inside_a;
+  CodeStr inside_b;
+  CodeStr outside_a;
+  CodeStr outside_b;
+};
+
+/// `len` matching bases, then `end`.  Past the end come kInlineRun + 2
+/// more matching bases and a mismatch, so a walk that overran the end,
+/// inline or in the kernel, would match on.
+PlantedSide plant_side(simulate::Rng& rng, std::size_t len, RunEnd end) {
+  PlantedSide s;
+  s.inside_a = simulate::random_codes(rng, len);
+  s.inside_b = s.inside_a;
+  CodeStr tail_a =
+      simulate::random_codes(rng, align::detail::kInlineRun + 3);
+  CodeStr tail_b = tail_a;
+  tail_b.back() ^= 1;
+  switch (end) {
+    case RunEnd::kMismatch: {
+      const auto c = static_cast<Code>(rng.next_below(4));
+      s.inside_a += c;
+      s.inside_b += static_cast<Code>(c ^ 2);
+      break;
+    }
+    case RunEnd::kAmbiguous:
+      s.inside_a += seqio::kAmbiguous;
+      s.inside_b += seqio::kAmbiguous;
+      break;
+    case RunEnd::kSentinel:
+      s.inside_a += kSentinel;
+      s.inside_b += kSentinel;
+      break;
+    case RunEnd::kSpanEdge:
+      s.outside_a = tail_a;
+      s.outside_b = tail_b;
+      return s;
+  }
+  s.inside_a += tail_a;
+  s.inside_b += tail_b;
+  return s;
+}
+
+/// Two sequences of equal layout holding a seed of `w` bases between
+/// the two planted sides, and the span [lo, hi) the sides leave inside.
+struct Planted {
+  CodeStr a;
+  CodeStr b;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
+Planted plant(simulate::Rng& rng, int w, const PlantedSide& left,
+              const PlantedSide& right) {
+  const auto reversed = [](CodeStr s) {
+    std::reverse(s.begin(), s.end());
+    return s;
+  };
+  const CodeStr seed =
+      simulate::random_codes(rng, static_cast<std::size_t>(w));
+  Planted p;
+  p.a = reversed(left.outside_a) + reversed(left.inside_a) + seed +
+        right.inside_a + right.outside_a;
+  p.b = reversed(left.outside_b) + reversed(left.inside_b) + seed +
+        right.inside_b + right.outside_b;
+  p.lo = left.outside_a.size();
+  p.hi = p.a.size() - right.outside_a.size();
+  return p;
+}
+
+/// A bank of the pieces of `s` between its sentinels, so that the bank's
+/// data is `s` framed by two more.
+seqio::SequenceBank split_at_sentinels(const CodeStr& s) {
+  seqio::SequenceBank bank("planted");
+  std::size_t from = 0;
+  for (std::size_t k = 0; k <= s.size(); ++k) {
+    if (k == s.size() || s[k] == kSentinel) {
+      bank.add_codes(scoris::testing::numbered("p", bank.size()),
+                     s.substr(from, k - from));
+      from = k + 1;
+    }
+  }
+  return bank;
+}
+
 TEST(UngappedDifferential, PlainRandomPairsAcrossDivergenceAndW) {
   simulate::Rng rng(2301);
   std::size_t seeds = 0;
@@ -223,6 +315,63 @@ TEST(UngappedDifferential, PlainSpansWithoutSentinels) {
   const CodeStr word = scoris::testing::codes_of("ACGTACGTACGTA");
   seeds += expect_same_plain(word, word, 13, /*all_pairs=*/false);
   EXPECT_GT(seeds, 2000u);
+}
+
+TEST(UngappedDifferential, ShortRunsEndEveryWayOnBothSides) {
+  // Runs of every length from 0 to kInlineRun + 2 on each side of a seed,
+  // the ones the walk matches inline and the first it hands to the
+  // kernel, each ending at a mismatch, at an N in both sequences, at a
+  // sentinel in both or at the span's edge, with matching bases past
+  // every end.  The plain walk runs on spans cut out of longer buffers
+  // (W = 1 between two edges gives spans shorter than kInlineRun), the
+  // ordered walk on banks whose sentinels split the sequences.
+  simulate::Rng rng(2307);
+  const std::size_t longest = align::detail::kInlineRun + 2;
+  const RunEnd ends[] = {RunEnd::kMismatch, RunEnd::kAmbiguous,
+                         RunEnd::kSentinel, RunEnd::kSpanEdge};
+  std::size_t seeds = 0;
+  std::size_t short_spans = 0;
+  OrderedTally total;
+  for (std::size_t left_len = 0; left_len <= longest; ++left_len) {
+    for (std::size_t right_len = 0; right_len <= longest; ++right_len) {
+      for (const RunEnd left_end : ends) {
+        for (const RunEnd right_end : ends) {
+          const PlantedSide left = plant_side(rng, left_len, left_end);
+          const PlantedSide right = plant_side(rng, right_len, right_end);
+          for (const int w : {1, 4}) {
+            const Planted p = plant(rng, w, left, right);
+            const std::span<const Code> a(p.a);
+            const std::span<const Code> b(p.b);
+            seeds += expect_same_plain(a.subspan(p.lo, p.hi - p.lo),
+                                       b.subspan(p.lo, p.hi - p.lo), w,
+                                       /*all_pairs=*/false);
+            if (p.hi - p.lo < align::detail::kInlineRun) ++short_spans;
+          }
+          if (left_end == RunEnd::kSpanEdge ||
+              right_end == RunEnd::kSpanEdge) {
+            continue;
+          }
+          const Planted p = plant(rng, 4, left, right);
+          const seqio::SequenceBank bank1 = split_at_sentinels(p.a);
+          const seqio::SequenceBank bank2 = split_at_sentinels(p.b);
+          const index::SeedCoder coder(4);
+          const index::BankIndex idx1(bank1, coder);
+          const index::BankIndex idx2(bank2, coder);
+          const OrderedTally t = expect_same_ordered(idx1, idx2);
+          total.pairs += t.pairs;
+          total.aborted_left += t.aborted_left;
+          total.aborted_right += t.aborted_right;
+          total.hsps += t.hsps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(seeds, 20000u);
+  EXPECT_GT(short_spans, 0u);
+  EXPECT_GT(total.pairs, 5000u);
+  EXPECT_GT(total.aborted_left, 0u);
+  EXPECT_GT(total.aborted_right, 0u);
+  EXPECT_GT(total.hsps, 0u);
 }
 
 TEST(UngappedDifferential, OrderedRandomBanksAcrossW) {
