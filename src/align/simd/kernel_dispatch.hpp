@@ -5,7 +5,10 @@
 // That primitive vectorizes cleanly (compare 32 code bytes, movemask,
 // count zeros — see kernels.hpp), while the x-drop scoring and the ORIS
 // order-abort bookkeeping stay scalar and only run once per *match-run
-// boundary* instead of once per character.
+// boundary* instead of once per character.  The walk (align/ungapped.hpp)
+// matches each run's first few characters inline and calls a kernel only
+// for a run that is still matching after them, so the many runs that end
+// at once never pay for the indirect call.
 //
 // Selection happens at runtime so one binary serves every x86 machine
 // (and non-x86 builds fall back to scalar at compile time):

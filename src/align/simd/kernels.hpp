@@ -7,7 +7,9 @@
 // which is precisely the `is_base(a) && a == b` predicate of the scalar
 // x-drop loops.  The AVX2 variant evaluates 32 characters per iteration
 // and reduces to the first mismatch via movemask +
-// count-trailing/leading-zeros.
+// count-trailing/leading-zeros.  The ungapped walk tests a run's first
+// few characters inline under this same predicate and bound, and calls a
+// kernel only from there on, for runs that are still matching.
 //
 // Bounds contract: a caller passes `max`, the number of characters it can
 // legally read in the walk direction, and every load stays inside those

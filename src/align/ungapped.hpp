@@ -15,7 +15,11 @@
 // The walk is built on the SIMD match-run kernels (align/simd/): a whole
 // run of identical concrete bases is consumed per iteration, and then one
 // boundary character — a mismatch, an ambiguity code, a sentinel or the
-// span edge — is handled with the scalar rules.  Because the score is
+// span edge — is handled with the scalar rules.  A run's first
+// kInlineRun characters are matched inline, under the kernel's own
+// predicate and bound, and the kernel is called, from there on, only for
+// a run that matched all of them: most runs end within a few bases, and
+// those never pay for the indirect call.  Because the score is
 // monotone within a run (every character adds +match), folding a whole
 // run into one update reproduces the per-character loop exactly: the
 // x-drop condition can only trip right after a mismatch, and the best
@@ -51,6 +55,12 @@ struct PlainWalk {
 
 namespace detail {
 
+/// Characters of each run the walk matches inline before it calls a
+/// match-run kernel.  Chosen by measurement: between unrelated sequences
+/// almost every run ends within a few bases, and only a run that is still
+/// matching after these pays for the indirect call.
+inline constexpr std::size_t kInlineRun = 4;
+
 /// One side of the walk from (i, j): leftwards the next character is
 /// seq[i - 1], rightwards seq[i].  Sets `gain` and `span` to the best
 /// score over the seed and the characters it adds; false when the hook
@@ -65,11 +75,24 @@ bool walk(std::span<const seqio::Code> seq1,
   int maxi = 0;
   seqio::Pos steps = 0;
   while (maxi - score < params.xdrop_ungapped) {
-    const std::size_t run =
-        kLeft ? ops.match_run_bwd(seq1.data() + i, seq2.data() + j,
-                                  std::min(i, j))
-              : ops.match_run_fwd(seq1.data() + i, seq2.data() + j,
-                                  std::min(seq1.size() - i, seq2.size() - j));
+    // The kernel's contract, run inline over the run's first characters:
+    // a match is an equal concrete base, and no read passes `max`.
+    const std::size_t max = kLeft ? std::min(i, j)
+                                  : std::min(seq1.size() - i, seq2.size() - j);
+    const std::size_t head = std::min(max, kInlineRun);
+    std::size_t run = 0;
+    while (run < head) {
+      const seqio::Code a = kLeft ? seq1[i - 1 - run] : seq1[i + run];
+      const seqio::Code b = kLeft ? seq2[j - 1 - run] : seq2[j + run];
+      if (a != b || !seqio::is_base(a)) break;
+      ++run;
+    }
+    if (run == kInlineRun) {
+      run += kLeft ? ops.match_run_bwd(seq1.data() + i - run,
+                                       seq2.data() + j - run, max - run)
+                   : ops.match_run_fwd(seq1.data() + i + run,
+                                       seq2.data() + j + run, max - run);
+    }
     if constexpr (Hook::kSeesMatches) {
       for (std::size_t t = 0; t < run; ++t) {
         const std::size_t a = kLeft ? i - 1 - t : i + t;
