@@ -189,9 +189,41 @@ void BM_MatchRunKernelBwd(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchRunKernelBwd)->Arg(0)->Arg(2);
 
-// Whole-scan A/B: the full step-2 seed scan with a pinned kernel, so the
-// end-to-end effect of the SIMD path (kernels + CSR occurrence lists +
-// prefetch) is visible in one number.
+/// Wraps a kernel and counts the calls a scan makes through it and the
+/// bases they match.  The benchmarks run on one thread.
+struct KernelCounter {
+  static inline const align::simd::KernelOps* inner = nullptr;
+  static inline std::size_t calls = 0;
+  static inline std::size_t bases = 0;
+
+  static std::size_t fwd(const seqio::Code* a, const seqio::Code* b,
+                         std::size_t max) {
+    const std::size_t run = inner->match_run_fwd(a, b, max);
+    ++calls;
+    bases += run;
+    return run;
+  }
+  static std::size_t bwd(const seqio::Code* a, const seqio::Code* b,
+                         std::size_t max) {
+    const std::size_t run = inner->match_run_bwd(a, b, max);
+    ++calls;
+    bases += run;
+    return run;
+  }
+  static align::simd::KernelOps wrap(const align::simd::KernelOps& ops) {
+    inner = &ops;
+    calls = 0;
+    bases = 0;
+    return {ops.kind, ops.name, &fwd, &bwd};
+  }
+};
+
+// Whole-scan A/B: the full step-2 seed scan of a SubjectIndex, as the
+// engine runs it, with a pinned kernel (range(0)).  range(1) picks the
+// input: 0 is a sequence against a 5%-diverged copy, 1 two unrelated
+// random banks, whose pairs are the random hits of genome_scan.  One
+// untimed pass through a KernelCounter reports what the walk asks of the
+// kernel: hit pairs, kernel calls per pair and matched bases per call.
 void BM_SeedScanKernel(benchmark::State& state) {
   const auto kind = static_cast<align::simd::Kernel>(state.range(0));
   if (!align::simd::cpu_supports(kind)) {
@@ -200,14 +232,32 @@ void BM_SeedScanKernel(benchmark::State& state) {
   }
   simulate::Rng rng(25);
   seqio::SequenceBank b1, b2;
-  const auto base = simulate::random_codes(rng, 60000);
-  b1.add_codes("s", base);
-  b2.add_codes(
-      "s", simulate::mutate(rng, base,
-                            simulate::MutationModel::with_divergence(0.05)));
+  if (state.range(1) == 0) {
+    const auto base = simulate::random_codes(rng, 60000);
+    b1.add_codes("s", base);
+    b2.add_codes(
+        "s", simulate::mutate(rng, base,
+                              simulate::MutationModel::with_divergence(0.05)));
+  } else {
+    b1.add_codes("s", simulate::random_codes(rng, 1000000));
+    b2.add_codes("s", simulate::random_codes(rng, 400000));
+  }
   const index::SeedCoder coder(11);
-  const index::BankIndex i1(b1, coder), i2(b2, coder);
+  const index::BankIndex i1(b1, coder);
+  const index::SubjectIndex i2(b2, coder);
   core::SeedScanParams params;
+  const align::simd::KernelOps counting =
+      KernelCounter::wrap(align::simd::kernel(kind));
+  params.kernel = &counting;
+  core::SeedScanResult probe;
+  core::scan_seed_range(i1, i2, params, 0, coder.num_seeds(), probe);
+  const auto pairs = static_cast<double>(probe.hit_pairs);
+  const auto calls = static_cast<double>(KernelCounter::calls);
+  state.counters["hit_pairs"] = pairs;
+  state.counters["calls_per_pair"] = calls / std::max(pairs, 1.0);
+  state.counters["bases_per_call"] =
+      static_cast<double>(KernelCounter::bases) / std::max(calls, 1.0);
+
   params.kernel = &align::simd::kernel(kind);
   for (auto _ : state) {
     core::SeedScanResult r;
@@ -216,7 +266,9 @@ void BM_SeedScanKernel(benchmark::State& state) {
   }
   state.SetLabel(params.kernel->name);
 }
-BENCHMARK(BM_SeedScanKernel)->Arg(0)->Arg(2);
+BENCHMARK(BM_SeedScanKernel)
+    ->ArgsProduct({{0, 2}, {0, 1}})
+    ->ArgNames({"kernel", "random"});
 
 void BM_OrderedExtension(benchmark::State& state) {
   simulate::Rng rng(7);
