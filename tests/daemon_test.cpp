@@ -6,6 +6,8 @@
 // guarantee for a long-lived server.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -28,6 +30,7 @@
 #include "seqio/fasta.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace scoris {
 namespace {
@@ -104,8 +107,12 @@ class DaemonFixture {
   /// Direct (in-process) m8 text for `fasta` under `limits` — what every
   /// networked result must match byte for byte.
   [[nodiscard]] std::string direct_m8(const SearchLimits& limits = {}) {
+    return direct_m8_for(fasta_, limits);
+  }
+  [[nodiscard]] std::string direct_m8_for(std::string_view fasta,
+                                          const SearchLimits& limits = {}) {
     const seqio::SequenceBank bank2 =
-        seqio::read_fasta_string(fasta_, "query");
+        seqio::read_fasta_string(fasta, "query");
     std::ostringstream os;
     M8Writer writer(os);
     (void)session_->search(bank2, writer, limits);
@@ -391,20 +398,65 @@ TEST(Daemon, MidStreamDisconnectDoesNotDisturbOtherClients) {
       << "aborted networked query leaked spill files";
 }
 
+/// A query whose answer's m8 text is longer than `bytes`: copies, under
+/// long names, of those query sequences of the fixture that align.
+std::string query_with_m8_over(DaemonFixture& daemon, std::size_t bytes) {
+  const seqio::SequenceBank query =
+      seqio::read_fasta_string(daemon.fasta(), "query");
+  const std::string prefix(16384, 'q');
+  const auto fasta_of = [&](const std::vector<std::size_t>& seqs,
+                            std::size_t copies) {
+    seqio::SequenceBank bank("query");
+    for (std::size_t c = 0; c < copies; ++c) {
+      for (const std::size_t i : seqs) {
+        bank.add_codes(scoris::testing::numbered(prefix, bank.size()),
+                       query.codes(i));
+      }
+    }
+    std::ostringstream text;
+    seqio::write_fasta(text, bank);
+    return text.str();
+  };
+  std::vector<std::size_t> aligned;
+  for (std::size_t i = 0; i < query.size(); ++i) {
+    if (!daemon.direct_m8_for(fasta_of({i}, 1)).empty()) aligned.push_back(i);
+  }
+  EXPECT_FALSE(aligned.empty());
+  const std::size_t per_copy =
+      daemon.direct_m8_for(fasta_of(aligned, 1)).size();
+  std::size_t copies = bytes / std::max<std::size_t>(per_copy, 1) + 1;
+  std::string fasta = fasta_of(aligned, copies);
+  while (daemon.direct_m8_for(fasta).size() <= bytes) {
+    copies *= 2;
+    fasta = fasta_of(aligned, copies);
+  }
+  return fasta;
+}
+
 // `failed` counts queries: a client that vanishes mid-query fails that
 // query once, not once more for its connection.  The raw client sends
-// one QRY and closes without reading, so on a unix socket the server's
-// first send for the query fails at once.
+// one QRY and closes without reading.  The answer's m8 is over four
+// times the unix socket's send buffer, so the daemon cannot write all of
+// it before the close, however the threads are scheduled: a send fails,
+// and the query with it.
 TEST(Daemon, DroppedQueryCountsAsOneFailure) {
   DaemonFixture daemon;
   {
     net::Socket sock = net::connect_endpoint(daemon.server().endpoint());
+    // The daemon's end of the connection starts with the same buffer.
+    int send_buffer = 0;
+    socklen_t size = sizeof send_buffer;
+    ASSERT_EQ(::getsockopt(sock.fd(), SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                           &size),
+              0);
+    const std::string fasta = query_with_m8_over(
+        daemon, 4 * static_cast<std::size_t>(send_buffer));
     net::Frame hello;
     ASSERT_TRUE(net::read_frame(sock, hello));
     ASSERT_EQ(hello.tag, net::kHelloTag);
     net::PayloadWriter query;
     query.put_u8(static_cast<std::uint8_t>(net::QueryStrand::kDefault));
-    query.put_bytes(daemon.fasta());
+    query.put_bytes(fasta);
     net::write_frame(sock, net::kQueryTag, query.take());
   }
   // stop() would close a connection still waiting for its frame, so wait
